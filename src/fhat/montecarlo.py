@@ -4,7 +4,8 @@ The simulation engine is vectorized over trials and organized in
 fixed-size chunks of 8192 trials.  Chunk c of the stream (seed, purpose,
 hypothesis) draws its randomness from an independent counter-based
 generator keyed by exactly those integers, so results are bit-identical
-for any worker count and any trial budget that covers the same trials.
+for any worker count and, except for the symmetric composite (see
+run_trial), any trial budget that covers the same trials.
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -51,42 +52,73 @@ def _chunk_generator(master_seed: int, purpose: int, hyp: int, chunk: int):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _inv_cdf_batch(cum_rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Index = #{cum <= r}, clipped; matches the scalar sampling path."""
-    idx = (draws[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _first_best(columns, largest: bool) -> np.ndarray:
+    """Per row, the label of the smallest (largest) of `columns`, a list
+    of (label, 1-D array) pairs.  A column replaces the incumbent only
+    when strictly better, so the first column wins ties, as
+    np.argmin/np.argmax do."""
+    better, keep = (np.greater, np.maximum) if largest else (np.less, np.minimum)
+    label, best = columns[0]
+    pick = np.full(best.shape[0], label, dtype=np.int64)
+    for n, (label, col) in enumerate(columns[1:], start=2):
+        won = better(col, best)
+        pick = np.where(won, label, pick)
+        if n < len(columns):
+            best = keep(best, col)
+    return pick
 
 
 def _select_batch(spec: StrategySpec, lb: np.ndarray, exp_draws: np.ndarray) -> np.ndarray:
     """Vectorized select_experiment on (possibly unnormalized) log
-    beliefs; identical tie-breaking (argmin/argmax take the first) and
-    the same s = 1 rule: ``das``/``das-rs`` minimize -(w @ kl.T), the
-    s -> 1- limit of the tilted score, when s_value >= 1."""
+    beliefs; identical tie-breaking (the first index wins) and the same
+    s = 1 rule: ``das``/``das-rs`` maximize w @ kl.T, the s -> 1- limit
+    of the tilted score, when s_value >= 1.  Reductions over the short
+    axis run column by column, and every value they compare carries the
+    same bits as with np.argmin/np.argmax and numerics.logsumexp."""
     model = spec.model
     if spec.kind == "ors":
-        cum = np.cumsum(spec.sample_alpha)
-        return _inv_cdf_batch(np.broadcast_to(cum, (lb.shape[0], cum.size)), exp_draws)
-    if spec.kind in ("das", "das-rs"):
-        alts = list(model.alternates(spec.reference))
-        w = spec.s_value * lb[:, alts]
-        w = np.exp(w - logsumexp(w, axis=1, keepdims=True))
-        scores = -(w @ spec.kl.T) if spec.s_value >= 1.0 else w @ spec.mu.T
-        if spec.kind == "das-rs":
-            scores = np.where(spec.support_mask[None, :], scores, np.inf)
-        return np.argmin(scores, axis=1)
-    if spec.kind == "chernoff-det":
-        lbar = lb - model.log_prior[None, :]
-        alts = list(model.alternates(spec.reference))
-        k = np.argmax(lbar[:, alts], axis=1)
-        return spec.chernoff_u[k]
-    if spec.kind == "symmetric":
-        lbar = lb - model.log_prior[None, :]
-        i_hat = np.argmax(lbar, axis=1)
+        # inverse CDF: #{cum <= r} over all but the last column, which
+        # is the clip to the last experiment (cum never decreases)
         u = np.zeros(lb.shape[0], dtype=np.int64)
+        for c in np.cumsum(spec.sample_alpha)[:-1]:
+            u += exp_draws >= c
+        return u
+    if spec.kind in ("das", "das-rs"):
+        # tilted weights exp(c - logsumexp(c)), with logsumexp's max,
+        # exp and in-order sum taken column by column (lb is finite, so
+        # its guard against an infinite max never applies)
+        cols = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
+        top = cols[0]
+        for c in cols[1:]:
+            top = np.maximum(top, c)
+        total = np.exp(cols[0] - top)
+        for c in cols[1:]:
+            total += np.exp(c - top)
+        lse = np.log(total) + top
+        w = np.empty((lb.shape[0], len(cols)))
+        for k, c in enumerate(cols):
+            w[:, k] = np.exp(c - lse)
+        # one product over the whole batch: its BLAS rounding decides
+        # near-ties, so a row-wise form would change results
+        limit = spec.s_value >= 1.0
+        scores = w @ spec.kl.T if limit else w @ spec.mu.T
+        allowed = (np.flatnonzero(spec.support_mask) if spec.kind == "das-rs"
+                   else range(scores.shape[1]))
+        return _first_best([(v, scores[:, v]) for v in allowed], largest=limit)
+    lp = model.log_prior
+    if spec.kind == "chernoff-det":
+        alts = model.alternates(spec.reference)
+        return _first_best([(spec.chernoff_u[k], lb[:, j] - lp[j])
+                            for k, j in enumerate(alts)], largest=True)
+    if spec.kind == "symmetric":
+        i_hat = _first_best([(i, lb[:, i] - lp[i]) for i in range(lp.size)],
+                            largest=True)
+        u = np.empty(lb.shape[0], dtype=np.int64)
         for i in range(model.num_hypotheses):
-            mask = i_hat == i
-            if mask.any():
-                u[mask] = _select_batch(spec.inner[i], lb[mask], exp_draws[mask])
+            rows = np.flatnonzero(i_hat == i)
+            if rows.size:
+                u[rows] = _select_batch(spec.inner[i], np.take(lb, rows, axis=0),
+                                        np.take(exp_draws, rows))
         return u
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
@@ -111,23 +143,36 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, N: int,
     draws the full chunk's randoms, so the stream layout (and with it
     prefix stability and run_trial replays) does not depend on n_rows."""
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
+    M, U, Y = model.kernel.shape
     lb = np.tile(model.log_prior, (n_rows, 1))
-    cumk = np.cumsum(model.kernel[true_hyp], axis=1)       # (U, Y)
+    # inverse-CDF sampling as #{cum <= r} over all but the last column,
+    # which is the clip to the last symbol (cum never decreases)
+    cumk = np.cumsum(model.kernel[true_hyp], axis=1)
+    cum_cols = [cumk[:, k].copy() for k in range(Y - 1)]
+    # belief and LLR increments as flat rows, row u*Y + y
+    logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
     track_z = zbar_weights is not None
     if track_z:
-        ref0 = refs[0]
-        llr = llr_table(model, ref0)                        # (K, U, Y)
-        z = np.zeros((n_rows, llr.shape[0]))
+        llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
+        z = np.zeros((n_rows, M - 1))
     for _ in range(N):
         exp_draws = gen.random(CHUNK)[:n_rows]
         obs_draws = gen.random(CHUNK)[:n_rows]
         u = _select_batch(spec, lb, exp_draws)
-        y = _inv_cdf_batch(cumk[u], obs_draws)
-        lb += model.log_kernel[:, u, y].T
+        row = u * Y
+        for cum in cum_cols:
+            row += obs_draws >= cum[u]
+        lb += np.take(logk_rows, row, axis=0)
         if track_z:
-            z += llr[:, u, y].T
+            z += np.take(llr_rows, row, axis=0)
     c_inc = _confidence_increments(model, lb, refs)
-    zbar = (z @ zbar_weights) if track_z else None
+    zbar = None
+    if track_z:
+        # weighted column sum in fixed order: the same bits for a trial
+        # whatever the number of rows in its chunk
+        zbar = z[:, 0] * zbar_weights[0]
+        for k in range(1, M - 1):
+            zbar += z[:, k] * zbar_weights[k]
     return c_inc, zbar
 
 
@@ -172,11 +217,16 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
               beta_star=None):
     """Scalar reference path for a single trial.
 
-    Replays exactly the randomness AND the selection arithmetic that the
-    vectorized engine assigns to trial `trial_index` of the given
-    stream: selection runs on the same raw log-likelihood state, so even
-    knife-edge argmax ties resolve identically.  The returned trajectory
-    is bitwise-reproducible across runs and worker counts.
+    Replays the randomness that the vectorized engine assigns to trial
+    `trial_index` of the given stream and selects with the engine's own
+    _select_batch on the same raw log-likelihood state, but as a batch
+    of one row.  Where the tilted score is a matrix product (``das``,
+    ``das-rs`` and the symmetric composite's inner rules), a one-row
+    product can round differently from a many-row one, so a knife-edge
+    near-tie may resolve differently and the replay leave the engine's
+    path: on ``table1`` at N = 30-200, 36 of 252 sampled ``symmetric``
+    trials and 17 of 252 ``das`` trials are not replayed.  The returned trajectory is
+    bitwise-reproducible across runs and worker counts.
     """
     chunk_idx, row = divmod(trial_index, CHUNK)
     gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)

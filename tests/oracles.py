@@ -1,14 +1,18 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's own computational
-paths: the game oracle is an exhaustive simplex grid search, and the
-binomial CDF is exact rational arithmetic.
+paths: the game oracle is an exhaustive simplex grid search, the
+binomial CDF is exact rational arithmetic, and the Monte Carlo step loop
+uses whole-array numpy reductions where the engine works column by
+column.
 """
 
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from fhat.numerics import logsumexp
 
 
 def simplex_grid(dim: int, step: float) -> np.ndarray:
@@ -55,3 +59,77 @@ def binomial_quantile_exact(N: int, p: Fraction, q: Fraction) -> int:
         if total >= q:
             return k
     return N
+
+
+# ---------------------------------------------------------------------------
+# Reference step loop of the Monte Carlo engine
+# ---------------------------------------------------------------------------
+
+REFERENCE_CHUNK = 8192
+
+
+def _reference_inv_cdf(cum_rows, draws):
+    """Index = #{cum <= r}, clipped to the last symbol."""
+    idx = (draws[:, None] >= cum_rows).sum(axis=1)
+    return np.minimum(idx, cum_rows.shape[1] - 1)
+
+
+def reference_select(spec, lb, exp_draws):
+    """Experiment choice per row with whole-row numpy reductions
+    (np.argmin/np.argmax, numerics.logsumexp, an inverse-CDF gather)."""
+    model = spec.model
+    if spec.kind == "ors":
+        cum = np.cumsum(spec.sample_alpha)
+        return _reference_inv_cdf(np.broadcast_to(cum, (lb.shape[0], cum.size)),
+                                  exp_draws)
+    if spec.kind in ("das", "das-rs"):
+        alts = list(model.alternates(spec.reference))
+        w = spec.s_value * lb[:, alts]
+        w = np.exp(w - logsumexp(w, axis=1, keepdims=True))
+        scores = -(w @ spec.kl.T) if spec.s_value >= 1.0 else w @ spec.mu.T
+        if spec.kind == "das-rs":
+            scores = np.where(spec.support_mask[None, :], scores, np.inf)
+        return np.argmin(scores, axis=1)
+    if spec.kind == "chernoff-det":
+        lbar = lb - model.log_prior[None, :]
+        alts = list(model.alternates(spec.reference))
+        return spec.chernoff_u[np.argmax(lbar[:, alts], axis=1)]
+    if spec.kind == "symmetric":
+        i_hat = np.argmax(lb - model.log_prior[None, :], axis=1)
+        u = np.zeros(lb.shape[0], dtype=np.int64)
+        for i in range(model.num_hypotheses):
+            mask = i_hat == i
+            if mask.any():
+                u[mask] = reference_select(spec.inner[i], lb[mask], exp_draws[mask])
+        return u
+    raise ValueError(f"unknown strategy kind {spec.kind!r}")
+
+
+def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
+                    n_rows, track_llr_of=None):
+    """Step the first n_rows trials of one chunk of the engine's random
+    stream with whole-array numpy operations.  Returns the final raw log
+    beliefs (n_rows, M) and, when track_llr_of = i is given, the total
+    LLRs (n_rows, M-1) of i against its alternates (else None)."""
+    ss = np.random.SeedSequence((master_seed, purpose, true_hyp, chunk_idx))
+    gen = np.random.Generator(np.random.Philox(ss))
+    lb = np.tile(model.log_prior, (n_rows, 1))
+    cumk = np.cumsum(model.kernel[true_hyp], axis=1)
+    z = None
+    if track_llr_of is not None:
+        i = track_llr_of
+        alts = [j for j in range(model.num_hypotheses) if j != i]
+        with np.errstate(invalid="ignore"):
+            llr = np.stack([np.where(model.support,
+                                     model.log_kernel[i] - model.log_kernel[j], 0.0)
+                            for j in alts])
+        z = np.zeros((n_rows, len(alts)))
+    for _ in range(N):
+        exp_draws = gen.random(REFERENCE_CHUNK)[:n_rows]
+        obs_draws = gen.random(REFERENCE_CHUNK)[:n_rows]
+        u = reference_select(spec, lb, exp_draws)
+        y = _reference_inv_cdf(cumk[u], obs_draws)
+        lb += model.log_kernel[:, u, y].T
+        if z is not None:
+            z += llr[:, u, y].T
+    return lb, z

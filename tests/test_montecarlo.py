@@ -5,16 +5,36 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_model
 from fhat import montecarlo as mc
 from fhat.belief import confidence, prior_belief
 from fhat.model import make_model
-from fhat.strategy import (asymmetric_rule, build_strategy, empirical_rule,
-                           symmetric_rule)
+from fhat.strategy import (KINDS, asymmetric_rule, build_strategy,
+                           empirical_rule, symmetric_rule)
+from oracles import REFERENCE_CHUNK, reference_chunk
 
 
 def identical_rows_model():
     kernel = [[[0.5, 0.5]], [[0.5, 0.5]]]
     return make_model(["a", "b"], ["u"], ["0", "1"], kernel, [0.5, 0.5])
+
+
+def kernel_models():
+    """Random models with Y = 2, 3 and 4 observations (the last two with
+    a dropped symbol) on which every strategy kind builds."""
+    rng = np.random.default_rng(31)
+    found = {}
+    while len(found) < 3:
+        m = random_model(rng, max_hyp=3)
+        Y = m.num_observations
+        if Y in found or (Y > 2 and m.support.all()):
+            continue
+        try:
+            build_strategy(m, "symmetric", 60)
+        except ValueError:
+            continue
+        found[Y] = m
+    return [found[Y] for Y in sorted(found)]
 
 
 class TestRunTrial:
@@ -44,18 +64,25 @@ class TestRunTrial:
         assert t_a.history == t_b.history
         assert np.array_equal(t_a.belief.log_prob, t_b.belief.log_prob)
 
-    def test_scalar_matches_vectorized_engine(self, t1):
-        """The per-trial path replays exactly the chunked engine."""
-        prior = prior_belief(t1)
-        for kind in ("ors", "das", "chernoff-det"):
-            spec = build_strategy(t1, kind, horizon=12, reference=0)
-            rule = empirical_rule(0, 0.0, 0.05)
-            c_inc, _ = mc.simulate_measure(t1, spec, 12, 1, 40, 77, refs=(0,))
-            for t in (0, 13, 39):
-                traj, _ = mc.run_trial(t1, spec, rule, 12, 1, seed=77,
-                                       trial_index=t)
-                inc = confidence(traj.belief, 0) - confidence(prior, 0)
-                np.testing.assert_allclose(inc, c_inc[t, 0], atol=1e-12)
+    def test_scalar_matches_vectorized_engine(self, t1, t2):
+        """The per-trial path replays exactly the chunked engine, also
+        with more than two observation symbols."""
+        y4 = kernel_models()[-1]
+        cases = [(t1, ("ors", "das", "chernoff-det"), (12,)),
+                 (t2, ("das-rs", "chernoff-det"), (12, 40)),
+                 (y4, ("ors", "das", "das-rs", "chernoff-det"), (12, 60))]
+        for m, kinds, horizons in cases:
+            prior = prior_belief(m)
+            for kind in kinds:
+                for N in horizons:
+                    spec = build_strategy(m, kind, horizon=N, reference=0)
+                    rule = empirical_rule(0, 0.0, 0.05)
+                    c_inc, _ = mc.simulate_measure(m, spec, N, 1, 40, 77, refs=(0,))
+                    for t in (0, 13, 39):
+                        traj, _ = mc.run_trial(m, spec, rule, N, 1, seed=77,
+                                               trial_index=t)
+                        inc = confidence(traj.belief, 0) - confidence(prior, 0)
+                        np.testing.assert_allclose(inc, c_inc[t, 0], atol=1e-12)
 
 
 class TestEstimate:
@@ -99,12 +126,52 @@ class TestEstimate:
                                    refs=(0,), workers=2)
         assert np.array_equal(a, b)
 
-    def test_trial_budget_extension_is_prefix_stable(self, t1):
-        """Adding trials never changes the trials already simulated."""
+    def test_trial_budget_extension_is_prefix_stable(self, t1, t2):
+        """Adding trials never changes the trials already simulated, nor
+        their weighted LLRs, even for a trial alone in its chunk."""
         spec = build_strategy(t1, "das", horizon=5, reference=0)
         a, _ = mc.simulate_measure(t1, spec, 5, 0, 100, 42, refs=(0,))
         b, _ = mc.simulate_measure(t1, spec, 5, 0, 2000, 42, refs=(0,))
         assert np.array_equal(a, b[:100])
+        for kind in ("ors", "das-rs", "chernoff-det"):
+            spec = build_strategy(t2, kind, horizon=20, reference=0)
+            runs = [mc.simulate_measure(t2, spec, 20, 0, T, 42, refs=(0,),
+                                        zbar_weights=spec.game.beta_star)
+                    for T in (100, mc.CHUNK + 1, 2 * mc.CHUNK)]
+            c_all, z_all = runs[-1]
+            for c_inc, zbar in runs[:-1]:
+                assert np.array_equal(c_inc, c_all[:len(c_inc)])
+                assert np.array_equal(zbar, z_all[:len(zbar)])
+
+
+class TestEngineKernel:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference_step_loop(self, t1, t2, kind):
+        """The engine's column-wise step loop gives bit for bit the
+        confidence increments of the plain whole-array step loop in
+        oracles.reference_chunk, and as weighted LLR that loop's total
+        LLRs times the weights, summed in ascending alternate order."""
+        assert mc.CHUNK == REFERENCE_CHUNK
+        for m in (t1, t2, *kernel_models()):
+            M = m.num_hypotheses
+            refs = tuple(range(M)) if kind == "symmetric" else (0,)
+            for N in (8, 60):     # tilt 1 on every model; below 1 on all but the Y = 2 one
+                spec = build_strategy(m, kind, N,
+                                      reference=None if kind == "symmetric" else 0)
+                zw = None if kind == "symmetric" else spec.game.beta_star
+                for h in range(M):
+                    for rows in (1, 7, mc.CHUNK):
+                        c_inc, zbar = mc._simulate_chunk(m, spec, N, h, 5, 0, 1,
+                                                         rows, refs, zw)
+                        lb, z = reference_chunk(m, spec, N, h, 5, 0, 1, rows,
+                                                None if zw is None else 0)
+                        assert np.array_equal(
+                            c_inc, mc._confidence_increments(m, lb, refs))
+                        if zw is not None:
+                            expect = z[:, 0] * zw[0]
+                            for k in range(1, M - 1):
+                                expect = expect + z[:, k] * zw[k]
+                            assert np.array_equal(zbar, expect)
 
 
 class TestLsePhiEstimator:
