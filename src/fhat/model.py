@@ -18,6 +18,10 @@ import yaml
 
 ROW_SUM_TOL = 1e-12
 
+# libyaml's scanner with the pure-Python safe constructor: the same
+# documents as yaml.SafeLoader, parsed several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ModelError(ValueError):
     """Raised when a model document fails parsing or validation."""
@@ -222,7 +226,7 @@ def load_model(document: str, llr_slack: float = 0.0) -> HypothesisModel:
     hypothesis -> list of probabilities over the observations.
     """
     try:
-        doc = yaml.safe_load(io.StringIO(document))
+        doc = yaml.load(document, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise ModelError(f"cannot parse model document: {e}") from e
     if not isinstance(doc, dict):

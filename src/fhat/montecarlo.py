@@ -24,17 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .belief import (Belief, confidence, new_trajectory, prior_belief,
+from .belief import (confidence, new_trajectory, prior_belief,
                      step_trajectory)
 from .model import HypothesisModel, llr_table
 from .numerics import (largest_remainder_allocation, log_normalize,
                        logsumexp, nats_to_db)
+# select_experiment is not called here; perfbench's tracer wraps it
+# under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
                        default_epsilon, empirical_rule, infer,
-                       select_experiment, symmetric_rule)
+                       select_experiment, select_rows, symmetric_rule)
 
 CHUNK = 8192
 ENUM_STEP_CAP = 10
+ENUM_BLOCK = 128           # tree nodes expanded at once (bounds peak memory)
 JACKKNIFE_BATCHES = 100
 
 # Stream purposes: estimation, threshold calibration, alternate mixture.
@@ -50,6 +53,21 @@ PURPOSE_MIXTURE = 2
 def _chunk_generator(master_seed: int, purpose: int, hyp: int, chunk: int):
     ss = np.random.SeedSequence((int(master_seed), int(purpose), int(hyp), int(chunk)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
+    """Uniforms lo..hi-1 of the next CHUNK draws of a chunk generator,
+    which is left where drawing all CHUNK of them would leave it.
+    Philox makes doubles four at a time and ``advance(k)`` skips k such
+    blocks, so only the blocks holding the wanted draws are made; a
+    full chunk is one gen.random(CHUNK) and skips nothing."""
+    first, end = lo // 4, -(-hi // 4)
+    if first:
+        gen.bit_generator.advance(first)
+    out = gen.random(4 * (end - first))[lo - 4 * first:hi - 4 * first]
+    if end < CHUNK // 4:
+        gen.bit_generator.advance(CHUNK // 4 - end)
+    return out
 
 
 def _first_best(columns, largest: bool) -> np.ndarray:
@@ -139,9 +157,10 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, N: int,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, n_rows: int, refs: tuple,
                     zbar_weights: np.ndarray | None):
-    """Simulate the first n_rows trials of one chunk.  Every step still
-    draws the full chunk's randoms, so the stream layout (and with it
-    prefix stability and run_trial replays) does not depend on n_rows."""
+    """Simulate the first n_rows trials of one chunk.  Each step draws
+    only the randoms of those rows and skips the rest of the chunk's
+    (_chunk_draws), so the stream layout (and with it prefix stability
+    and run_trial replays) does not depend on n_rows."""
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
     M, U, Y = model.kernel.shape
     lb = np.tile(model.log_prior, (n_rows, 1))
@@ -156,8 +175,8 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, N: int,
         llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
         z = np.zeros((n_rows, M - 1))
     for _ in range(N):
-        exp_draws = gen.random(CHUNK)[:n_rows]
-        obs_draws = gen.random(CHUNK)[:n_rows]
+        exp_draws = _chunk_draws(gen, 0, n_rows)
+        obs_draws = _chunk_draws(gen, 0, n_rows)
         u = _select_batch(spec, lb, exp_draws)
         row = u * Y
         for cum in cum_cols:
@@ -226,7 +245,9 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     near-tie may resolve differently and the replay leave the engine's
     path: on ``table1`` at N = 30-200, 36 of 252 sampled ``symmetric``
     trials and 17 of 252 ``das`` trials are not replayed.  The returned trajectory is
-    bitwise-reproducible across runs and worker counts.
+    bitwise-reproducible across runs and worker counts.  Each step draws
+    only the block of randoms that holds this trial's and skips the rest
+    of the chunk's (_chunk_draws).
     """
     chunk_idx, row = divmod(trial_index, CHUNK)
     gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)
@@ -235,10 +256,10 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     lb = model.log_prior.copy()[None, :]          # engine's raw state
     cumk = np.cumsum(model.kernel[true_hypothesis], axis=1)
     for _ in range(N):
-        exp_draws = gen.random(CHUNK)
-        obs_draws = gen.random(CHUNK)
-        u = int(_select_batch(spec, lb, exp_draws[row:row + 1])[0])
-        y = int(min(int((cumk[u] <= obs_draws[row]).sum()), model.num_observations - 1))
+        exp_draw = _chunk_draws(gen, row, row + 1)
+        obs_draw = _chunk_draws(gen, row, row + 1)[0]
+        u = int(_select_batch(spec, lb, exp_draw)[0])
+        y = int(min(int((cumk[u] <= obs_draw).sum()), model.num_observations - 1))
         lb = lb + model.log_kernel[:, u, y][None, :]
         traj = step_trajectory(traj, u, y)
     decision = infer(traj.belief, prior_belief(model), rule)
@@ -459,31 +480,68 @@ class _ZeroRng:
         return 0.0
 
 
+def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
+                 step_cap: int):
+    """The leaves of the observation tree in depth-first order, as blocks
+    (experiments, observations, loglik) of arrays with one row per leaf.
+
+    A block of at most ENUM_BLOCK nodes of one level is expanded into
+    its children (parent-major, symbols ascending), and the children are
+    walked on slice by slice in order, so the leaves come out in
+    depth-first order and memory stays bounded by the depth.  A node's
+    experiment is select_experiment's pick for its belief, computed for
+    a block of rows at once by select_rows and once per distinct
+    log-likelihood row: the pick is a function of that row's bits alone.
+    """
+    if N > step_cap:
+        raise ValueError(f"horizon {N} above enumeration cap {step_cap}")
+    if not spec.is_deterministic():
+        raise ValueError("exact enumeration needs a deterministic strategy")
+    M, U, Y = model.kernel.shape
+    logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    rng = _ZeroRng()
+    picks = {}
+
+    no_steps = np.zeros((1, 0), dtype=np.int64)
+    stack = [(no_steps, no_steps, np.zeros((1, M)))]
+    while stack:
+        exps, obs, loglik = stack.pop()
+        if exps.shape[1] == N:
+            yield exps, obs, loglik
+            continue
+        keys = [row.tobytes() for row in loglik]
+        new = {}
+        for r, key in enumerate(keys):
+            if key not in picks:
+                new.setdefault(key, r)
+        if new:
+            lp = log_normalize(model.log_prior + loglik[list(new.values())], axis=1)
+            picks.update(zip(new, select_rows(spec, lp, rng).tolist()))
+        u = np.array([picks[key] for key in keys], dtype=np.int64)
+        parent, y = np.nonzero(model.support[u])
+        u = u[parent]
+        children = (np.column_stack([exps[parent], u]),
+                    np.column_stack([obs[parent], y]),
+                    loglik[parent] + np.take(logk_rows, u * Y + y, axis=0))
+        for lo in reversed(range(0, parent.size, ENUM_BLOCK)):
+            stack.append(tuple(a[lo:lo + ENUM_BLOCK] for a in children))
+
+
 def enumerate_paths(model: HypothesisModel, spec: StrategySpec, N: int,
                     step_cap: int = ENUM_STEP_CAP):
     """Walk the complete observation tree of a deterministic strategy.
 
     Yields (experiments, observations, loglik) per leaf, where loglik[h]
     is the log path probability under hypothesis h.  Exhaustive: the
-    per-hypothesis leaf masses each sum to 1.
+    per-hypothesis leaf masses each sum to 1.  Leaves come in depth-first
+    order: by observation sequence, lexicographically, each step's
+    symbols ascending.  Each node's experiment is select_experiment's
+    pick for its belief, memoized on the bits of its log-likelihood row
+    (see _leaf_blocks).
     """
-    if N > step_cap:
-        raise ValueError(f"horizon {N} above enumeration cap {step_cap}")
-    if not spec.is_deterministic():
-        raise ValueError("exact enumeration needs a deterministic strategy")
-    rng = _ZeroRng()
-
-    def rec(loglik, exps, obs, depth):
-        if depth == N:
-            yield exps, obs, loglik
-            return
-        b = Belief(log_normalize(model.log_prior + loglik))
-        u = select_experiment(spec, b, rng)
-        for y in model.support_indices(u):
-            yield from rec(loglik + model.log_kernel[:, u, y],
-                           exps + (u,), obs + (int(y),), depth + 1)
-
-    yield from rec(np.zeros(model.num_hypotheses), (), (), 0)
+    for exps, obs, loglik in _leaf_blocks(model, spec, N, step_cap):
+        for e, o, row in zip(exps.tolist(), obs.tolist(), loglik):
+            yield tuple(e), tuple(o), row
 
 
 @dataclass(frozen=True)
@@ -502,27 +560,24 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     """Exact (psi_N, phi_N, gamma_N) by summing path probabilities over
     the full observation tree (probabilities exact to 64-bit rounding)."""
     refs = tuple(sorted(rule.thresholds))
-    prior = prior_belief(model)
-    prior_conf = {i: confidence(prior, i) for i in refs}
     M = model.num_hypotheses
     declare_mass = {i: np.zeros(M) for i in refs}   # P_h[declare i] per h
     total_mass = np.zeros(M)
     leaves = 0
-    for _, _, loglik in enumerate_paths(model, spec, N, step_cap):
-        leaves += 1
+
+    def add(mass, path_p):
+        # a running sum, leaf after leaf in depth-first order: summing
+        # a block first and then adding it would round differently
+        return np.cumsum(np.vstack([mass, path_p]), axis=0)[-1]
+
+    for _, _, loglik in _leaf_blocks(model, spec, N, step_cap):
+        leaves += loglik.shape[0]
         path_p = np.exp(loglik)
-        total_mass += path_p
-        lb = model.log_prior + loglik
-        cleared = []
+        total_mass = add(total_mass, path_p)
+        c_inc = _confidence_increments(model, model.log_prior + loglik, refs)
+        dec = decisions_from_increments(c_inc, refs, rule)
         for i in refs:
-            alts = list(model.alternates(i))
-            inc = (lb[i] - logsumexp(lb[alts])) - prior_conf[i]
-            if inc >= rule.thresholds[i]:
-                cleared.append(i)
-        if rule.kind == "symmetric" and len(cleared) > 1:
-            raise ValueError("two hypotheses cleared their symmetric thresholds")
-        if cleared:
-            declare_mass[cleared[0]] += path_p
+            declare_mass[i] = add(declare_mass[i], path_p[dec == i])
     if np.any(np.abs(total_mass - 1.0) > 1e-9):
         raise RuntimeError("enumeration did not cover the observation tree")
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import game as game_mod
-from .belief import Belief, confidence, prior_belief, uniform_prior_log_posterior
+from .belief import Belief, confidence, prior_belief
 from .game import GameSolution
 from .model import HypothesisModel, kl_divergence
-from .numerics import logsumexp
+from .numerics import log_normalize, logsumexp
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
 SUPPORT_EPS = 1e-12
@@ -206,30 +206,55 @@ def select_experiment(spec: StrategySpec, belief: Belief, rng) -> int:
     limit instead: -(kl @ w), with w the normalized alternate beliefs,
     i.e. they maximize sum_j w_j D(p_j^u || p_i^u).
     """
+    return int(select_rows(spec, belief.log_prob[None, :], rng)[0])
+
+
+def _drop_column(a: np.ndarray, i: int) -> np.ndarray:
+    return np.concatenate([a[:, :i], a[:, i + 1:]], axis=1)
+
+
+def select_rows(spec: StrategySpec, log_beliefs: np.ndarray, rng) -> np.ndarray:
+    """select_experiment for each row of log_beliefs, an (n, M) array of
+    normalized log beliefs.  Randomized kinds draw rng.random() once per
+    row.  A row's pick does not depend on the other rows: the elementwise
+    steps and the row-wise log-sum-exps round as on a single row (numpy
+    sums a row of a few columns in the order it sums a 1-D array), and
+    the score's matrix-vector product runs row by row, since BLAS may
+    round a many-row product differently from a one-row one."""
+    n = log_beliefs.shape[0]
     if spec.kind == "ors":
         # Inverse CDF with the count-of-(cum <= r) convention; a draw of
         # exactly 0.0 then lands on the first positive-mass experiment.
         cum = np.cumsum(spec.sample_alpha)
-        return int(min(int((cum <= rng.random()).sum()), len(cum) - 1))
+        r = np.array([rng.random() for _ in range(n)])
+        return np.minimum((cum <= r[:, None]).sum(axis=1), len(cum) - 1)
     if spec.kind in ("das", "das-rs"):
-        if spec.s_value >= 1.0:
-            w = np.exp(tilted_alternate_log_weights(belief.log_prob, spec.reference, 1.0))
-            scores = -(spec.kl @ w)
-        else:
-            scores = score_all(spec.model, spec.reference, belief, spec.s_value, spec.mu)
+        limit = spec.s_value >= 1.0
+        w = (1.0 if limit else spec.s_value) * _drop_column(log_beliefs, spec.reference)
+        total = logsumexp(w, axis=1, keepdims=True)
+        if not np.all(np.isfinite(total)):
+            raise ValueError("all alternate mass is zero; score undefined")
+        w = np.exp(w - total)
+        table = spec.kl if limit else spec.mu
+        scores = np.array([table @ row for row in w])
+        if limit:
+            scores = -scores
         if spec.kind == "das-rs":
             scores = np.where(spec.support_mask, scores, np.inf)
-        return int(np.argmin(scores))
+        return np.argmin(scores, axis=1)
+    # the uniform-prior posterior (belief.uniform_prior_log_posterior)
+    log_bar = log_normalize(log_beliefs - spec.model.log_prior, axis=1)
     if spec.kind == "chernoff-det":
-        log_bar = uniform_prior_log_posterior(belief, spec.model)
-        i = spec.reference
-        alts = np.concatenate([log_bar[:i], log_bar[i + 1:]])
-        k = int(np.argmax(alts))
-        return int(spec.chernoff_u[k])
+        k = np.argmax(_drop_column(log_bar, spec.reference), axis=1)
+        return spec.chernoff_u[k]
     if spec.kind == "symmetric":
-        log_bar = uniform_prior_log_posterior(belief, spec.model)
-        i_hat = int(np.argmax(log_bar))
-        return select_experiment(spec.inner[i_hat], belief, rng)
+        i_hat = np.argmax(log_bar, axis=1)
+        u = np.empty(n, dtype=np.int64)
+        for i, inner in enumerate(spec.inner):
+            rows = np.flatnonzero(i_hat == i)
+            if rows.size:
+                u[rows] = select_rows(inner, log_beliefs[rows], rng)
+        return u
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the library's own computational
 paths: the game oracle is an exhaustive simplex grid search, the
-binomial CDF is exact rational arithmetic, and the Monte Carlo step loop
+binomial CDF is exact rational arithmetic, the Monte Carlo step loop
 uses whole-array numpy reductions where the engine works column by
-column.
+column, and exact enumeration recurses node by node with a scalar
+selector and a scalar per-leaf loop where the library walks blocks of
+nodes and selects for a block of beliefs at once.
 """
 
 from fractions import Fraction
@@ -12,7 +14,9 @@ from math import comb
 
 import numpy as np
 
-from fhat.numerics import logsumexp
+from fhat.belief import Belief, confidence, prior_belief, uniform_prior_log_posterior
+from fhat.numerics import log_normalize, logsumexp
+from fhat.strategy import score_all, tilted_alternate_log_weights
 
 
 def simplex_grid(dim: int, step: float) -> np.ndarray:
@@ -133,3 +137,95 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
         if z is not None:
             z += llr[:, u, y].T
     return lb, z
+
+
+# ---------------------------------------------------------------------------
+# Reference exact enumeration: the recursive tree walk and per-leaf loop
+# ---------------------------------------------------------------------------
+
+class _ZeroRng:
+    def random(self):
+        return 0.0
+
+
+def reference_select_experiment(spec, belief, rng) -> int:
+    """The scalar selector as it was before it became select_rows on a
+    block of one: 1-D arrays, one belief at a time."""
+    if spec.kind == "ors":
+        cum = np.cumsum(spec.sample_alpha)
+        return int(min(int((cum <= rng.random()).sum()), len(cum) - 1))
+    if spec.kind in ("das", "das-rs"):
+        if spec.s_value >= 1.0:
+            w = np.exp(tilted_alternate_log_weights(belief.log_prob, spec.reference, 1.0))
+            scores = -(spec.kl @ w)
+        else:
+            scores = score_all(spec.model, spec.reference, belief, spec.s_value, spec.mu)
+        if spec.kind == "das-rs":
+            scores = np.where(spec.support_mask, scores, np.inf)
+        return int(np.argmin(scores))
+    if spec.kind == "chernoff-det":
+        log_bar = uniform_prior_log_posterior(belief, spec.model)
+        i = spec.reference
+        alts = np.concatenate([log_bar[:i], log_bar[i + 1:]])
+        k = int(np.argmax(alts))
+        return int(spec.chernoff_u[k])
+    if spec.kind == "symmetric":
+        log_bar = uniform_prior_log_posterior(belief, spec.model)
+        i_hat = int(np.argmax(log_bar))
+        return reference_select_experiment(spec.inner[i_hat], belief, rng)
+    raise ValueError(f"unknown strategy kind {spec.kind!r}")
+
+
+def reference_enumerate_paths(model, spec, N):
+    """Depth-first recursion over the observation tree, one node and one
+    scalar selector call at a time."""
+    rng = _ZeroRng()
+
+    def rec(loglik, exps, obs, depth):
+        if depth == N:
+            yield exps, obs, loglik
+            return
+        b = Belief(log_normalize(model.log_prior + loglik))
+        u = reference_select_experiment(spec, b, rng)
+        for y in model.support_indices(u):
+            yield from rec(loglik + model.log_kernel[:, u, y],
+                           exps + (u,), obs + (int(y),), depth + 1)
+
+    yield from rec(np.zeros(model.num_hypotheses), (), (), 0)
+
+
+def reference_enumerate_exact(model, spec, rule, N):
+    """(psi, phi, gamma, leaves) from a per-leaf loop: scalar log-sum-exp
+    increments and masses added leaf by leaf."""
+    refs = tuple(sorted(rule.thresholds))
+    prior = prior_belief(model)
+    prior_conf = {i: confidence(prior, i) for i in refs}
+    M = model.num_hypotheses
+    declare_mass = {i: np.zeros(M) for i in refs}   # P_h[declare i] per h
+    total_mass = np.zeros(M)
+    leaves = 0
+    for _, _, loglik in reference_enumerate_paths(model, spec, N):
+        leaves += 1
+        path_p = np.exp(loglik)
+        total_mass += path_p
+        lb = model.log_prior + loglik
+        cleared = []
+        for i in refs:
+            alts = list(model.alternates(i))
+            inc = (lb[i] - logsumexp(lb[alts])) - prior_conf[i]
+            if inc >= rule.thresholds[i]:
+                cleared.append(i)
+        if rule.kind == "symmetric" and len(cleared) > 1:
+            raise ValueError("two hypotheses cleared their symmetric thresholds")
+        if cleared:
+            declare_mass[cleared[0]] += path_p
+    if np.any(np.abs(total_mass - 1.0) > 1e-9):
+        raise RuntimeError("enumeration did not cover the observation tree")
+    psi, phi = {}, {}
+    for i in refs:
+        psi[i] = float(declare_mass[i][i])
+        w = np.array([model.prior[j] / (1.0 - model.prior[i]) if j != i else 0.0
+                      for j in range(M)])
+        phi[i] = float(np.dot(w, declare_mass[i]))
+    gamma = sum(phi[i] * (1.0 - model.prior[i]) for i in refs)
+    return psi, phi, gamma, leaves

@@ -88,6 +88,22 @@ kernel:
         manifest = json.loads((tmp_path / "row.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "simulate" and manifest["seed"] == 3
 
+    def test_output_replaces_longer_file(self, capsys, tmp_path):
+        """An existing output file and manifest longer than the new ones
+        are replaced whole: the CSV equals one written to a fresh path,
+        and the manifest parses with nothing left over."""
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        manifest = tmp_path / "reused.csv.manifest.json"
+        for path in (reused, manifest):
+            path.write_text("x" * 5000 + "\n")
+        argv = ["simulate", "--model", "table1", "--strategy", "das",
+                "--reference", "0", "--horizon", "6", "--trials", "200",
+                "--seed", "3"]
+        for path in (fresh, reused):
+            assert run(capsys, *argv, "--output", str(path))[0] == 0
+        assert reused.read_text() == fresh.read_text()
+        assert json.loads(manifest.read_text())["output"] == "reused.csv"
+
     def test_symmetric_rows_per_hypothesis(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "table1",
                            "--strategy", "symmetric", "--horizon", "10",

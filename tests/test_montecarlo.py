@@ -7,11 +7,14 @@ import pytest
 
 from conftest import random_model
 from fhat import montecarlo as mc
-from fhat.belief import confidence, prior_belief
+from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model
+from fhat.numerics import log_normalize
 from fhat.strategy import (KINDS, asymmetric_rule, build_strategy,
-                           empirical_rule, symmetric_rule)
-from oracles import REFERENCE_CHUNK, reference_chunk
+                           empirical_rule, select_experiment, select_rows,
+                           symmetric_rule)
+from oracles import (REFERENCE_CHUNK, reference_chunk, reference_enumerate_exact,
+                     reference_enumerate_paths, reference_select_experiment)
 
 
 def identical_rows_model():
@@ -142,6 +145,28 @@ class TestEstimate:
             for c_inc, zbar in runs[:-1]:
                 assert np.array_equal(c_inc, c_all[:len(c_inc)])
                 assert np.array_equal(zbar, z_all[:len(zbar)])
+
+
+class TestChunkDraws:
+    def test_skipped_draws_match_full_draws(self):
+        """Drawing only the blocks of a row range gives that range of the
+        full chunk's draws, and leaves the generator as drawing the full
+        chunk does: same counter and key, buffer used up, step after
+        step."""
+        ranges = [(0, n) for n in (1, 3, 4, 7, 3000, 8191, mc.CHUNK)]
+        ranges += [(r, r + 1) for r in (0, 3, 4, 4093, 8188, 8191)]
+        for lo, hi in ranges:
+            fast = mc._chunk_generator(3, 0, 1, 2)
+            full = mc._chunk_generator(3, 0, 1, 2)
+            for _ in range(3):
+                got = mc._chunk_draws(fast, lo, hi)
+                assert got.tobytes() == full.random(mc.CHUNK)[lo:hi].tobytes()
+                a, b = fast.bit_generator.state, full.bit_generator.state
+                for part in ("counter", "key"):
+                    assert np.array_equal(a["state"][part], b["state"][part])
+                assert (a["buffer_pos"], a["has_uint32"]) == (4, 0)
+                assert (b["buffer_pos"], b["has_uint32"]) == (4, 0)
+            assert fast.random(5).tobytes() == full.random(5).tobytes()
 
 
 class TestEngineKernel:
@@ -316,6 +341,99 @@ class TestEnumerate:
         assert set(rep.psi) == {0, 1, 2}
         assert rep.gamma <= sum(math.exp(-rule.thresholds[i]) * (1 - t1.prior[i])
                                 for i in range(3)) + 1e-12
+
+
+def four_hypothesis_model():
+    """A random binary-observation model with three alternates per
+    reference, on which every strategy kind builds."""
+    rng = np.random.default_rng(41)
+    while True:
+        m = random_model(rng, max_hyp=4, max_exp=3, max_obs=2)
+        if m.num_hypotheses == 4:
+            try:
+                build_strategy(m, "symmetric", 8)
+                return m
+            except ValueError:
+                continue
+
+
+class TestEnumerateOracle:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_recursive_walk(self, t1, t2, kind):
+        """The block walk yields the leaves of the node-by-node recursion
+        in oracles.reference_enumerate_paths, in the same order and with
+        the same loglik bits, and enumerate_exact gives exactly the psi,
+        phi, gamma and leaf count of the scalar per-leaf loop.  `ors` is
+        a point mass on the last experiment."""
+        for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
+            M = m.num_hypotheses
+            deep = 8 if m.num_observations == 2 else 7
+            for N in (1, 4, deep):
+                if kind == "symmetric":
+                    spec = build_strategy(m, kind, N)
+                    games = {i: spec.inner[i].game for i in range(M)}
+                    rules = [symmetric_rule(m, games, N, 0.5)]
+                else:
+                    alpha = np.eye(m.num_experiments)[-1] if kind == "ors" else None
+                    spec = build_strategy(m, kind, N, reference=0,
+                                          sample_alpha=alpha)
+                    rules = [empirical_rule(0, theta * N, 0.05)
+                             for theta in (0.025, 0.25)]
+                got = list(mc.enumerate_paths(m, spec, N))
+                want = list(reference_enumerate_paths(m, spec, N))
+                assert len(got) == len(want)
+                for (e, o, ll), (e0, o0, ll0) in zip(got, want):
+                    assert e == e0 and o == o0
+                    assert ll.tobytes() == ll0.tobytes()
+                for rule in rules:
+                    rep = mc.enumerate_exact(m, spec, rule, N)
+                    assert ((rep.psi, rep.phi, rep.gamma, rep.leaves)
+                            == reference_enumerate_exact(m, spec, rule, N))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_selection_matches_scalar(self, t1, t2, kind):
+        """select_rows on a block, and select_experiment on each row,
+        pick what the 1-D oracles.reference_select_experiment picks, on
+        beliefs reached by random histories (table1's lattice has exact
+        ties) at horizons where s_N clamps to 1 and where it is below 1;
+        `ors` also with a sampling mixture and a seeded generator, which
+        both must consume alike.  A batched score product w @ mu.T
+        rounds some near-ties differently and fails it."""
+        rng = np.random.default_rng(53)
+        tilts = set()
+        for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
+            M, U, Y = m.kernel.shape
+            ll = np.zeros((400, M))
+            for step in range(30):
+                u = rng.integers(U, size=ll.shape[0])
+                nth = (rng.random(ll.shape[0]) * m.support[u].sum(axis=1)).astype(int)
+                y = [np.flatnonzero(m.support[a])[b] for a, b in zip(u, nth)]
+                ll += m.log_kernel[:, u, y].T
+            lp = log_normalize(m.log_prior + ll, axis=1)
+            for N in (4, 60, 400):
+                if kind == "symmetric":
+                    spec = build_strategy(m, kind, N)
+                    tilts.update(inner.s_value < 1 for inner in spec.inner)
+                else:
+                    alpha = np.eye(U)[-1] if kind == "ors" else None
+                    spec = build_strategy(m, kind, N, reference=0,
+                                          sample_alpha=alpha)
+                    tilts.add(spec.s_value < 1)
+                want = [reference_select_experiment(spec, Belief(row), mc._ZeroRng())
+                        for row in lp]
+                assert select_rows(spec, lp, mc._ZeroRng()).tolist() == want
+                assert [select_experiment(spec, Belief(row), mc._ZeroRng())
+                        for row in lp] == want
+            if kind == "ors":
+                spec = build_strategy(m, kind, 60, reference=0)
+                gens = [np.random.default_rng(9) for _ in range(3)]
+                want = [reference_select_experiment(spec, Belief(row), gens[0])
+                        for row in lp]
+                assert select_rows(spec, lp, gens[1]).tolist() == want
+                assert [select_experiment(spec, Belief(row), gens[2])
+                        for row in lp] == want
+                assert len({g.random() for g in gens}) == 1
+        assert tilts == {False, True}
 
 
 class TestBestThresholdSearch:
