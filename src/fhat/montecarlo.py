@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +38,9 @@ CHUNK = 8192
 ENUM_STEP_CAP = 10
 ENUM_BLOCK = 128           # tree nodes expanded at once (bounds peak memory)
 JACKKNIFE_BATCHES = 100
+# Results one shared sweep run may hold: per horizon, the calibration and
+# estimation increments and the weighted LLRs, 24 bytes per trial.
+_SHARED_BYTES = 32 << 20
 
 # Stream purposes: estimation, threshold calibration, alternate mixture.
 PURPOSE_ESTIMATE = 0
@@ -86,9 +88,11 @@ def _first_best(columns, largest: bool) -> np.ndarray:
     return pick
 
 
-def _select_batch(spec: StrategySpec, lb: np.ndarray, exp_draws: np.ndarray) -> np.ndarray:
+def _select_batch(spec: StrategySpec, lb: np.ndarray,
+                  exp_draws: np.ndarray | None) -> np.ndarray:
     """Vectorized select_experiment on (possibly unnormalized) log
-    beliefs; identical tie-breaking (the first index wins) and the same
+    beliefs; `exp_draws` may be None when _reads_draws(spec) is False.
+    Identical tie-breaking (the first index wins) and the same
     s = 1 rule: ``das``/``das-rs`` maximize w @ kl.T, the s -> 1- limit
     of the tilted score, when s_value >= 1.  Reductions over the short
     axis run column by column, and every value they compare carries the
@@ -135,8 +139,9 @@ def _select_batch(spec: StrategySpec, lb: np.ndarray, exp_draws: np.ndarray) -> 
         for i in range(model.num_hypotheses):
             rows = np.flatnonzero(i_hat == i)
             if rows.size:
+                draws = None if exp_draws is None else np.take(exp_draws, rows)
                 u[rows] = _select_batch(spec.inner[i], np.take(lb, rows, axis=0),
-                                        np.take(exp_draws, rows))
+                                        draws)
         return u
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
@@ -153,14 +158,28 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
     return out
 
 
-def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, N: int,
+def _reads_draws(spec: StrategySpec) -> bool:
+    """True when selection reads the experiment draws: ``ors`` samples
+    with them, on its own or as the symmetric composite's inner rule."""
+    if spec.kind == "symmetric":
+        return any(_reads_draws(inner) for inner in spec.inner)
+    return spec.kind == "ors"
+
+
+def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, n_rows: int, refs: tuple,
                     zbar_weights: np.ndarray | None):
-    """Simulate the first n_rows trials of one chunk.  Each step draws
-    only the randoms of those rows and skips the rest of the chunk's
-    (_chunk_draws), so the stream layout (and with it prefix stability
-    and run_trial replays) does not depend on n_rows."""
+    """Simulate the first n_rows trials of one chunk to the last of the
+    ascending `horizons`, and return (c_inc, zbar) stacked over them.
+
+    Each step draws only the randoms of those rows and skips the rest of
+    the chunk's (_chunk_draws); a rule that never reads the experiment
+    draws skips all of them.  Either way the stream layout (and with it
+    prefix stability and run_trial replays) does not depend on n_rows
+    or on the rule.  A trial's first n steps are the same for every
+    horizon >= n, so the state at each horizon is recorded on the way
+    to the last; a run of one horizon is the tuple (N,)."""
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
     M, U, Y = model.kernel.shape
     lb = np.tile(model.log_prior, (n_rows, 1))
@@ -174,25 +193,34 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, N: int,
     if track_z:
         llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
         z = np.zeros((n_rows, M - 1))
-    for _ in range(N):
-        exp_draws = _chunk_draws(gen, 0, n_rows)
-        obs_draws = _chunk_draws(gen, 0, n_rows)
-        u = _select_batch(spec, lb, exp_draws)
-        row = u * Y
-        for cum in cum_cols:
-            row += obs_draws >= cum[u]
-        lb += np.take(logk_rows, row, axis=0)
+    reads = _reads_draws(spec)
+    exp_draws = None
+    c_incs, zbars = [], []
+    step = 0
+    for stop in horizons:
+        for _ in range(step, stop):
+            if reads:
+                exp_draws = _chunk_draws(gen, 0, n_rows)
+            else:   # where drawing the chunk's uniforms leaves it
+                gen.bit_generator.advance(CHUNK // 4)
+            obs_draws = _chunk_draws(gen, 0, n_rows)
+            u = _select_batch(spec, lb, exp_draws)
+            row = u * Y
+            for cum in cum_cols:
+                row += obs_draws >= cum[u]
+            lb += np.take(logk_rows, row, axis=0)
+            if track_z:
+                z += np.take(llr_rows, row, axis=0)
+        step = stop
+        c_incs.append(_confidence_increments(model, lb, refs))
         if track_z:
-            z += np.take(llr_rows, row, axis=0)
-    c_inc = _confidence_increments(model, lb, refs)
-    zbar = None
-    if track_z:
-        # weighted column sum in fixed order: the same bits for a trial
-        # whatever the number of rows in its chunk
-        zbar = z[:, 0] * zbar_weights[0]
-        for k in range(1, M - 1):
-            zbar += z[:, k] * zbar_weights[k]
-    return c_inc, zbar
+            # weighted column sum in fixed order: the same bits for a
+            # trial whatever the number of rows in its chunk
+            zbar = z[:, 0] * zbar_weights[0]
+            for k in range(1, M - 1):
+                zbar += z[:, k] * zbar_weights[k]
+            zbars.append(zbar)
+    return np.stack(c_incs), np.stack(zbars) if track_z else None
 
 
 def _chunk_task(args):
@@ -202,31 +230,52 @@ def _chunk_task(args):
 def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
                      true_hyp: int, trials: int, master_seed: int,
                      purpose: int = PURPOSE_ESTIMATE, refs: tuple = (),
-                     zbar_weights=None, workers: int = 0):
-    """Run `trials` trials under X = true_hyp.
+                     zbar_weights=None, workers: int = 0,
+                     snapshots=None):
+    """Run `trials` trials of N steps under X = true_hyp.
 
     Returns (c_inc, zbar): confidence increments per requested reference
     hypothesis, and the weighted total-LLR samples when `zbar_weights`
-    is given (weights over the alternates of refs[0]).
+    is given (weights over the alternates of refs[0]).  Rules other than
+    ``ors`` never read the experiment draws, so no step makes them (the
+    stream advances past them).
+
+    `snapshots`, strictly ascending horizons below N, also records the
+    trials' state at each of them on the same run (a trial's first n
+    steps do not depend on the horizon).  When it is given, even as an
+    empty tuple, c_inc and zbar have a leading axis over
+    (*snapshots, N), and entry k is bit for bit what a run of that
+    many steps returns; without it they are entry -1 alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if snapshots is not None:
+        snapshots = tuple(int(n) for n in snapshots)
+        if any(not 0 <= a < b for a, b in zip(snapshots, (*snapshots[1:], N))):
+            raise ValueError("snapshots must be strictly ascending horizons in [0, N)")
     refs = tuple(refs) if refs else (true_hyp,)
+    horizons = (*(snapshots or ()), N)
     w = None if zbar_weights is None else np.asarray(zbar_weights, dtype=float)
     n_chunks = (trials + CHUNK - 1) // CHUNK
     tasks = []
     for c in range(n_chunks):
         rows = min(CHUNK, trials - c * CHUNK)
-        tasks.append((model, spec, N, true_hyp, master_seed, purpose, c, rows, refs, w))
+        tasks.append((model, spec, horizons, true_hyp, master_seed, purpose, c,
+                      rows, refs, w))
     if workers and workers > 1 and n_chunks > 1:
+        # imported here: its modules take about 10 ms to import, which
+        # serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_task, tasks))
     else:
         results = [_chunk_task(t) for t in tasks]
-    c_inc = np.concatenate([r[0] for r in results], axis=0)
+    c_inc = np.concatenate([r[0] for r in results], axis=1)
     zbar = None
     if w is not None:
-        zbar = np.concatenate([r[1] for r in results], axis=0)
+        zbar = np.concatenate([r[1] for r in results], axis=1)
+    if snapshots is None:
+        return c_inc[-1], None if zbar is None else zbar[-1]
     return c_inc, zbar
 
 
@@ -247,7 +296,8 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     trials and 17 of 252 ``das`` trials are not replayed.  The returned trajectory is
     bitwise-reproducible across runs and worker counts.  Each step draws
     only the block of randoms that holds this trial's and skips the rest
-    of the chunk's (_chunk_draws).
+    of the chunk's (_chunk_draws); it skips the experiment draws whole
+    for rules that never read them (all but ``ors``), as the engine does.
     """
     chunk_idx, row = divmod(trial_index, CHUNK)
     gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)
@@ -255,8 +305,13 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     traj = new_trajectory(model, ref, beta_star=beta_star)
     lb = model.log_prior.copy()[None, :]          # engine's raw state
     cumk = np.cumsum(model.kernel[true_hypothesis], axis=1)
+    reads = _reads_draws(spec)
+    exp_draw = None
     for _ in range(N):
-        exp_draw = _chunk_draws(gen, row, row + 1)
+        if reads:
+            exp_draw = _chunk_draws(gen, row, row + 1)
+        else:
+            gen.bit_generator.advance(CHUNK // 4)
         obs_draw = _chunk_draws(gen, row, row + 1)[0]
         u = int(_select_batch(spec, lb, exp_draw)[0])
         y = int(min(int((cumk[u] <= obs_draw).sum()), model.num_observations - 1))
@@ -684,16 +739,27 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
 
     The symmetric composite row reports min_i psi_hat, gamma via the
     log-sum-exp channel and ln(1/gamma) in the log_inv_phi column.
+
+    Rows come in the order of `kinds`, then of `horizons`; a repeated
+    horizon is simulated once.  A kind whose spec is horizon_free()
+    (``ors``, ``chernoff-det``) runs its ascending distinct horizons in
+    groups, one calibration and one estimation run to each group's
+    longest, and the group's other horizons take their trials' state on
+    the way there: the same bits as runs of their own.  A group holds
+    as many horizons as fit _SHARED_BYTES of results (13 at 100 000
+    trials, 170 at 8192), so memory does not grow with the horizon
+    list.  Other kinds run each horizon on its own.
     """
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
     if strong == "binary" and nu is None:
         raise ValueError("the binary closed-form strong bound needs nu")
+    horizons = list(horizons)
     rows = []
     for kind in kinds:
-        for N in horizons:
-            eps = epsilon_fn(N)
-            if kind == "symmetric":
+        if kind == "symmetric":
+            for N in horizons:
+                eps = epsilon_fn(N)
                 spec = build_strategy(model, kind, N, epsilon=eps,
                                       inner_kind=inner_kind)
                 games = {i: spec.inner[i].game for i in range(model.num_hypotheses)}
@@ -714,36 +780,60 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
                     phi_db=float(nats_to_db(log_inv)),
                     gamma_hat=gamma, weak_bound=weak, strong_bound=math.inf,
                     seed=seed))
-                continue
+            continue
 
-            spec = build_strategy(model, kind, N, reference=reference,
-                                  epsilon=eps)
-            theta = best_threshold_search(model, spec, N, eps, trials,
-                                          seed=seed, workers=workers)
-            rule = empirical_rule(reference, theta, eps)
-            want_z = strong == "empirical"
-            zw = spec.game.beta_star if want_z else None
-            c_inc, zbar = simulate_measure(model, spec, N, reference, trials,
-                                           seed, PURPOSE_ESTIMATE,
-                                           refs=(reference,), zbar_weights=zw,
-                                           workers=workers)
-            dec = decisions_from_increments(c_inc, (reference,), rule)
-            psi = float(np.mean(dec == reference))
-            est = estimate_phi_lse(c_inc[:, 0], dec == reference)
-            weak = bounds_mod.weak_converse(spec.game, model, N, eps)
-            if strong == "binary":
-                strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
-            elif strong == "empirical":
-                h1 = bounds_mod.cross_entropy_start(model, spec.game)
-                _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
-            else:
-                strong_abs = math.inf
-            phi_lse = math.exp(-est.log_inv_phi) if not est.is_lower_bound else 0.0
-            rows.append(SweepRow(
-                strategy=kind, N=N, epsilon=eps, theta=theta, psi_hat=psi,
-                psi_se=math.sqrt(psi * (1 - psi) / trials),
-                log_inv_phi=est.log_inv_phi, log_inv_phi_se=est.se,
-                phi_db=float(nats_to_db(est.log_inv_phi)),
-                gamma_hat=(1.0 - model.prior[reference]) * phi_lse,
-                weak_bound=weak, strong_bound=strong_abs, seed=seed))
+        cells = {}
+        for N in horizons:
+            if N not in cells:
+                eps = epsilon_fn(N)
+                cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
+                                                epsilon=eps))
+        stops = sorted(cells)
+        size = 1
+        if stops and cells[stops[0]][1].horizon_free():
+            size = max(1, _SHARED_BYTES // (24 * trials))
+        made = {}
+        for g in range(0, len(stops), size):
+            group = stops[g:g + size]
+            spec = cells[group[-1]][1]
+            zw = spec.game.beta_star if strong == "empirical" else None
+            cal, _ = simulate_measure(model, spec, group[-1], reference, trials,
+                                      seed, PURPOSE_CALIBRATE, refs=(reference,),
+                                      workers=workers, snapshots=group[:-1])
+            inc, z = simulate_measure(model, spec, group[-1], reference, trials,
+                                      seed, PURPOSE_ESTIMATE, refs=(reference,),
+                                      zbar_weights=zw, workers=workers,
+                                      snapshots=group[:-1])
+            for k, N in enumerate(group):
+                made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
+                                     inc[k], None if z is None else z[k],
+                                     trials, seed, strong, nu)
+        rows.extend(replace(made[N]) for N in horizons)
     return rows
+
+
+def _sweep_row(model, kind, reference, N, eps, spec, cal_inc, c_inc, zbar,
+               trials, seed, strong, nu) -> SweepRow:
+    """One asymmetric sweep row from its calibration increments, its
+    estimation increments and (strong="empirical") its weighted LLRs."""
+    theta = best_threshold_search(model, spec, N, eps, trials, c_inc=cal_inc)
+    rule = empirical_rule(reference, theta, eps)
+    dec = decisions_from_increments(c_inc, (reference,), rule)
+    psi = float(np.mean(dec == reference))
+    est = estimate_phi_lse(c_inc[:, 0], dec == reference)
+    weak = bounds_mod.weak_converse(spec.game, model, N, eps)
+    if strong == "binary":
+        strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
+    elif strong == "empirical":
+        h1 = bounds_mod.cross_entropy_start(model, spec.game)
+        _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
+    else:
+        strong_abs = math.inf
+    phi_lse = math.exp(-est.log_inv_phi) if not est.is_lower_bound else 0.0
+    return SweepRow(
+        strategy=kind, N=N, epsilon=eps, theta=theta, psi_hat=psi,
+        psi_se=math.sqrt(psi * (1 - psi) / trials),
+        log_inv_phi=est.log_inv_phi, log_inv_phi_se=est.se,
+        phi_db=float(nats_to_db(est.log_inv_phi)),
+        gamma_hat=(1.0 - model.prior[reference]) * phi_lse,
+        weak_bound=weak, strong_bound=strong_abs, seed=seed)

@@ -149,6 +149,14 @@ class StrategySpec:
             return all(inner.is_deterministic() for inner in self.inner)
         return True
 
+    def horizon_free(self) -> bool:
+        """True when the selection does not depend on the horizon the
+        spec was built for: ``ors`` samples the game's mixture and
+        ``chernoff-det`` reads a table of the game, neither uses N or
+        epsilon, so specs of one kind built for any two horizons select
+        alike."""
+        return self.kind in ("ors", "chernoff-det")
+
 
 def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                    reference: int | None = None, epsilon: float | None = None,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fhat import montecarlo as mc
 from fhat.cli import main
 from fhat.model import serialize_model, table1
 
@@ -133,6 +134,19 @@ class TestSweep:
         assert code == 0
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2
+
+    def test_workers_default_read_at_call_time(self, capsys, monkeypatch):
+        """The parser is built once per process, yet each call takes
+        FHAT_WORKERS as set at that call; --workers still overrides it."""
+        seen = []
+        monkeypatch.setattr(mc, "sweep",
+                            lambda *a, **k: seen.append(k["workers"]) or [])
+        for env, flags in (("3", ()), ("0", ()), ("3", ("--workers", "1"))):
+            monkeypatch.setenv("FHAT_WORKERS", env)
+            code, _, _ = run(capsys, "sweep", "--model", "table1",
+                             "--strategies", "das", "--horizons", "5", *flags)
+            assert code == 0
+        assert seen == [3, 0, 1]
 
     def test_manifest_rerun_reproduces_csv(self, capsys, tmp_path):
         """Byte-for-byte reproduction from the manifest at a different

@@ -147,6 +147,32 @@ class TestEstimate:
                 assert np.array_equal(zbar, z_all[:len(zbar)])
 
 
+class TestSnapshots:
+    def test_snapshots_match_runs_of_their_own(self, t2):
+        """The state recorded at each snapshot horizon on the way to N
+        is bit for bit that of a run of its own, over a partial second
+        chunk and for kinds that do and do not read experiment draws."""
+        T = mc.CHUNK + 5
+        stops = (0, 3, 11)
+        for kind in ("ors", "das-rs", "chernoff-det"):
+            spec = build_strategy(t2, kind, horizon=20, reference=0)
+            zw = spec.game.beta_star
+            c_all, z_all = mc.simulate_measure(t2, spec, 20, 1, T, 8, refs=(0,),
+                                               zbar_weights=zw, snapshots=stops)
+            assert c_all.shape == (4, T, 1) and z_all.shape == (4, T)
+            for k, N in enumerate((*stops, 20)):
+                c, z = mc.simulate_measure(t2, spec, N, 1, T, 8, refs=(0,),
+                                           zbar_weights=zw)
+                assert c_all[k].tobytes() == c.tobytes()
+                assert z_all[k].tobytes() == z.tobytes()
+
+    def test_rejects_snapshots_out_of_order(self, t1):
+        spec = build_strategy(t1, "ors", horizon=10, reference=0)
+        for bad in ((5, 3), (4, 4), (10,), (-1,)):
+            with pytest.raises(ValueError, match="snapshots"):
+                mc.simulate_measure(t1, spec, 10, 0, 10, 1, snapshots=bad)
+
+
 class TestChunkDraws:
     def test_skipped_draws_match_full_draws(self):
         """Drawing only the blocks of a row range gives that range of the
@@ -186,8 +212,10 @@ class TestEngineKernel:
                 zw = None if kind == "symmetric" else spec.game.beta_star
                 for h in range(M):
                     for rows in (1, 7, mc.CHUNK):
-                        c_inc, zbar = mc._simulate_chunk(m, spec, N, h, 5, 0, 1,
+                        c_inc, zbar = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1,
                                                          rows, refs, zw)
+                        c_inc = c_inc[0]
+                        zbar = None if zbar is None else zbar[0]
                         lb, z = reference_chunk(m, spec, N, h, 5, 0, 1, rows,
                                                 None if zw is None else 0)
                         assert np.array_equal(
@@ -496,6 +524,68 @@ class TestSweep:
         assert row.strategy == "symmetric"
         assert 0 <= row.psi_hat <= 1
         assert row.gamma_hat >= 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_shared_horizons_match_single_cells(self, t1, t2, workers):
+        """ors and chernoff-det run once to their longest horizon; each
+        row equals, field for field, the row of a sweep of its horizon
+        alone, with unsorted and repeated horizons and a partial second
+        chunk."""
+        horizons = [12, 5, 30, 12]
+        T = mc.CHUNK + 1
+        cases = [(t1, ["ors"], dict(strong="binary", nu=0.6)),
+                 (t2, ["ors", "chernoff-det"], dict(strong="empirical"))]
+        for m, kinds, kw in cases:
+            rows = mc.sweep(m, kinds, 0, horizons, T, 19, workers=workers, **kw)
+            alone = [mc.sweep(m, [kind], 0, [N], T, 19, workers=workers, **kw)[0]
+                     for kind in kinds for N in horizons]
+            assert [(r.strategy, r.N) for r in rows] == \
+                [(kind, N) for kind in kinds for N in horizons]
+            for a, b in zip(rows, alone):
+                for name, value in vars(a).items():
+                    other = getattr(b, name)
+                    assert value == other or (value != value and other != other), name
+
+    def test_horizon_groups_bound_memory(self, t2, monkeypatch):
+        """A horizon list longer than the result budget runs in groups,
+        each to its own longest horizon; a repeated horizon of any kind
+        runs once.  Rows still equal those of sweeps of one horizon."""
+        T = 500
+        calls = []
+        run = mc.simulate_measure
+
+        def counted(model, spec, N, *args, **kw):
+            calls.append((spec.kind, N, tuple(kw["snapshots"])))
+            return run(model, spec, N, *args, **kw)
+
+        horizons = [12, 5, 30, 12, 7]
+        alone = {(kind, N): mc.sweep(t2, [kind], 0, [N], T, 4, strong="empirical")[0]
+                 for kind in ("ors", "das-rs") for N in set(horizons)}
+        monkeypatch.setattr(mc, "_SHARED_BYTES", 24 * T * 2)
+        monkeypatch.setattr(mc, "simulate_measure", counted)
+        rows = mc.sweep(t2, ["ors", "das-rs"], 0, horizons, T, 4, strong="empirical")
+        assert calls[::2] == [("ors", 7, (5,)), ("ors", 30, (12,)),
+                              ("das-rs", 5, ()), ("das-rs", 7, ()),
+                              ("das-rs", 12, ()), ("das-rs", 30, ())]
+        assert calls[1::2] == calls[::2]
+        for row in rows:
+            assert vars(row) == vars(alone[(row.strategy, row.N)])
+        assert [(r.strategy, r.N) for r in rows] == \
+            [(kind, N) for kind in ("ors", "das-rs") for N in horizons]
+
+    def test_shared_horizons_reject_like_single_cells(self, t1):
+        """A horizon the single-cell path rejects raises the same error
+        in a shared sweep."""
+        def error(kind, horizons, **kw):
+            with pytest.raises(Exception) as info:
+                mc.sweep(t1, [kind], 0, horizons, 50, 0, **kw)
+            return type(info.value), str(info.value)
+
+        for kw in ({}, {"epsilon_fn": lambda N: 0.05}):
+            want = error("das", [5, 0], **kw)
+            for kind in ("ors", "chernoff-det"):
+                assert error(kind, [5, 0], **kw) == want
+                assert error(kind, [0], **kw) == want
 
     def test_unknown_strong_channel(self, t1):
         with pytest.raises(ValueError, match="strong"):

@@ -12,7 +12,7 @@ from fhat.game import solve
 from fhat.model import kl_divergence, make_model
 from fhat.montecarlo import _select_batch
 from fhat.numerics import log_normalize, logsumexp
-from fhat.strategy import (InferenceRule, asymmetric_rule, build_strategy,
+from fhat.strategy import (KINDS, InferenceRule, asymmetric_rule, build_strategy,
                            criterion_holds, default_epsilon, default_n_prime,
                            empirical_rule, infer, mgf, mgf_matrix, score_M,
                            s_schedule, select_experiment, symmetric_rule,
@@ -221,6 +221,24 @@ class TestSelectExperiment:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError, match="distinguishable"):
                 build_strategy(m, "symmetric", horizon=50)
+
+
+class TestHorizonFree:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exactly_the_kinds_built_from_the_game_alone(self, t1, t2, kind):
+        """horizon_free() holds for ors and chernoff-det only, and their
+        selection tables are the same at every horizon under either
+        epsilon schedule (the N-dependent default and a fixed one)."""
+        for m in ((t1,) if kind == "symmetric" else (t1, t2)):
+            ref = None if kind == "symmetric" else 0
+            specs = [build_strategy(m, kind, N, reference=ref, epsilon=eps)
+                     for N in (5, 60, 500) for eps in (default_epsilon(N), 0.1)]
+            free = kind in ("ors", "chernoff-det")
+            assert all(s.horizon_free() == free for s in specs)
+            if free:
+                for s in specs[1:]:
+                    assert s.sample_alpha.tobytes() == specs[0].sample_alpha.tobytes()
+                    assert s.chernoff_u.tobytes() == specs[0].chernoff_u.tobytes()
 
 
 class TestCriterion:
