@@ -15,7 +15,7 @@ import numpy as np
 
 from fhat import montecarlo as mc
 from fhat.model import table1
-from fhat.strategy import build_strategy, default_epsilon, symmetric_rule
+from fhat.strategy import build_strategy, default_epsilon, symmetric_setup
 
 
 def main() -> int:
@@ -34,9 +34,7 @@ def main() -> int:
     points = []
     for N, T in zip(args.horizons, trials):
         eps = default_epsilon(N)
-        spec = build_strategy(model, "symmetric", N, epsilon=eps)
-        games = {i: spec.inner[i].game for i in range(3)}
-        rule = symmetric_rule(model, games, N, eps)
+        spec, rule = symmetric_setup(model, N, eps)
         rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N, T,
                                               args.seed, args.workers))
         points.append((N, rep.gamma_hat_lse))

@@ -40,6 +40,8 @@ def weak_converse(game: GameSolution, model: HypothesisModel, N: int,
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    if N < 1:
+        raise ValueError(f"horizon must be at least 1, got {N}")
     h1 = cross_entropy_start(model, game)
     return (game.value + h1 / N + LN2 / N) / (1.0 - epsilon)
 

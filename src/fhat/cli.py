@@ -22,9 +22,8 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import montecarlo as mc
 from .model import BUILTIN_MODELS, ModelError, resolve_model
-from .numerics import nats_to_db
 from .strategy import (KINDS, asymmetric_rule, build_strategy,
-                       default_epsilon, empirical_rule, symmetric_rule)
+                       default_epsilon, empirical_rule, symmetric_setup)
 
 STRATEGY_CHOICES = tuple(KINDS)
 
@@ -101,9 +100,6 @@ def _emit(args, content: str, subcommand: str, flags: dict, seed=None) -> None:
 
 def cmd_solve_game(args) -> int:
     model = resolve_model(args.model)
-    if not 0 <= args.reference < model.num_hypotheses:
-        raise ModelError(
-            f"reference {args.reference} out of range for {model.num_hypotheses} hypotheses")
     from .game import solve, verify_minimax
     sol = solve(model, args.reference)
     rep = verify_minimax(sol, 1e-8)
@@ -135,57 +131,43 @@ def _simulate_flags(args) -> dict:
             "inner": args.inner}
 
 
+def _spec_and_rule(args, model, N: int):
+    """The strategy and inference rule that `simulate` and `enumerate`
+    evaluate: the symmetric composite with its own rule, or the
+    asymmetric strategy with a fixed --theta, a calibrated threshold
+    (simulate --calibrate) or the theory threshold."""
+    eps = _epsilon_fn(args)(N)
+    if args.strategy == "symmetric":
+        return symmetric_setup(model, N, eps, args.inner)
+    i = args.reference
+    spec = build_strategy(model, args.strategy, N, reference=i, epsilon=eps)
+    if args.theta is not None:
+        return spec, empirical_rule(i, args.theta, eps)
+    if getattr(args, "calibrate", False):
+        theta = mc.best_threshold_search(model, spec, N, eps, args.trials,
+                                         seed=args.seed, workers=args.workers)
+        return spec, empirical_rule(i, theta, eps)
+    return spec, asymmetric_rule(model, spec.game, N, eps)
+
+
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ModelError("--trials must be at least 1")
     model = resolve_model(args.model)
     N = args.horizon
-    eps = args.epsilon if args.epsilon is not None else default_epsilon(N)
-    workers = args.workers
-    rows = []
-    if args.strategy == "symmetric":
-        spec = build_strategy(model, "symmetric", N, epsilon=eps,
-                              inner_kind=args.inner)
-        games = {i: spec.inner[i].game for i in range(model.num_hypotheses)}
-        rule = symmetric_rule(model, games, N, eps)
-        rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N,
-                                              args.trials, args.seed, workers))
-        for i in sorted(rule.thresholds):
-            est = rep.lse[i]
-            rows.append(mc.SweepRow(
-                strategy="symmetric", N=N, epsilon=eps,
-                theta=rule.thresholds[i], psi_hat=rep.psi_hat[i],
-                psi_se=rep.psi_se[i], log_inv_phi=est.log_inv_phi,
-                log_inv_phi_se=est.se,
-                phi_db=float(nats_to_db(est.log_inv_phi)),
-                gamma_hat=rep.gamma_hat_lse, weak_bound=math.nan,
-                strong_bound=math.nan, seed=args.seed))
-    else:
-        if args.reference is None:
-            raise ModelError(f"--strategy {args.strategy} needs --reference")
-        if not 0 <= args.reference < model.num_hypotheses:
-            raise ModelError(f"--reference {args.reference} out of range")
-        i = args.reference
-        spec = build_strategy(model, args.strategy, N, reference=i, epsilon=eps)
-        if args.theta is not None:
-            rule = empirical_rule(i, args.theta, eps)
-        elif args.calibrate:
-            theta = mc.best_threshold_search(model, spec, N, eps, args.trials,
-                                             seed=args.seed, workers=workers)
-            rule = empirical_rule(i, theta, eps)
-        else:
-            rule = asymmetric_rule(model, spec.game, N, eps)
-        rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N,
-                                              args.trials, args.seed, workers))
-        est = rep.lse[i]
-        weak = bounds_mod.weak_converse(spec.game, model, N, eps)
-        rows.append(mc.SweepRow(
-            strategy=args.strategy, N=N, epsilon=eps,
-            theta=rule.thresholds[i], psi_hat=rep.psi_hat[i],
-            psi_se=rep.psi_se[i], log_inv_phi=est.log_inv_phi,
-            log_inv_phi_se=est.se, phi_db=float(nats_to_db(est.log_inv_phi)),
-            gamma_hat=rep.gamma_hat, weak_bound=weak,
-            strong_bound=math.inf, seed=args.seed))
+    spec, rule = _spec_and_rule(args, model, N)
+    rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N, args.trials,
+                                          args.seed, args.workers))
+    # one row per thresholded hypothesis; the symmetric rows share the
+    # log-sum-exp gamma and have no bound columns
+    symmetric = rule.kind == "symmetric"
+    rows = [mc.SweepRow(
+        strategy=args.strategy, N=N, epsilon=rule.epsilon, theta=theta,
+        psi_hat=rep.psi_hat[i], psi_se=rep.psi_se[i],
+        log_inv_phi=rep.lse[i].log_inv_phi, log_inv_phi_se=rep.lse[i].se,
+        gamma_hat=rep.gamma_hat_lse if symmetric else rep.gamma_hat,
+        weak_bound=math.nan if symmetric else bounds_mod.weak_converse(
+            spec.game, model, N, rule.epsilon),
+        strong_bound=math.nan if symmetric else math.inf, seed=args.seed)
+        for i, theta in sorted(rule.thresholds.items())]
     _emit(args, mc.rows_to_csv(rows), "simulate", _simulate_flags(args), args.seed)
     return 0
 
@@ -246,17 +228,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     model = resolve_model(args.model)
-    eps = args.epsilon if args.epsilon is not None else default_epsilon(args.horizon)
-    spec = build_strategy(model, args.strategy, args.horizon,
-                          reference=args.reference, epsilon=eps,
-                          inner_kind=args.inner)
-    if args.strategy == "symmetric":
-        games = {i: spec.inner[i].game for i in range(model.num_hypotheses)}
-        rule = symmetric_rule(model, games, args.horizon, eps)
-    elif args.theta is not None:
-        rule = empirical_rule(args.reference, args.theta, eps)
-    else:
-        rule = asymmetric_rule(model, spec.game, args.horizon, eps)
+    spec, rule = _spec_and_rule(args, model, args.horizon)
     rep = mc.enumerate_exact(model, spec, rule, args.horizon,
                              step_cap=max(args.horizon, mc.ENUM_STEP_CAP))
     lines = [f"leaves: {rep.leaves}"]

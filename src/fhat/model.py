@@ -47,11 +47,11 @@ class HypothesisModel:
     log_prior: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        # make_model passes the log kernel it took the LLR bound from
+        if self.log_kernel is None:
+            object.__setattr__(self, "log_kernel", _log_kernel(self.kernel))
         with np.errstate(divide="ignore"):
-            logk = np.where(self.kernel > 0, np.log(np.where(self.kernel > 0, self.kernel, 1.0)), -np.inf)
-            logp = np.log(self.prior)
-        object.__setattr__(self, "log_kernel", logk)
-        object.__setattr__(self, "log_prior", logp)
+            object.__setattr__(self, "log_prior", np.log(self.prior))
         for arr in (self.kernel, self.prior, self.support, self.log_kernel, self.log_prior):
             arr.setflags(write=False)
 
@@ -72,6 +72,12 @@ class HypothesisModel:
 
     def alternates(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.num_hypotheses) if j != i)
+
+
+def _log_kernel(kernel: np.ndarray) -> np.ndarray:
+    """log kernel, -inf off the support."""
+    with np.errstate(divide="ignore"):
+        return np.where(kernel > 0, np.log(np.where(kernel > 0, kernel, 1.0)), -np.inf)
 
 
 def make_model(hypotheses, experiments, observations, kernel, prior,
@@ -125,14 +131,10 @@ def make_model(hypotheses, experiments, observations, kernel, prior,
     if abs(prior.sum() - 1.0) > ROW_SUM_TOL:
         raise ModelError(f"prior sums to {prior.sum()!r}, not 1 within {ROW_SUM_TOL}")
 
-    with np.errstate(divide="ignore"):
-        logk = np.where(kernel > 0, np.log(np.where(kernel > 0, kernel, 1.0)), -np.inf)
-    B = 0.0
-    for u in range(U):
-        idx = np.flatnonzero(support[u])
-        lk = logk[:, u, idx]                       # (M, |support|)
-        diffs = np.abs(lk[:, None, :] - lk[None, :, :])
-        B = max(B, float(diffs.max()))
+    logk = _log_kernel(kernel)
+    # the largest |log p_i - log p_j| on a symbol is max - min over the
+    # hypotheses; rounding is monotone, so also the largest rounded one
+    B = max(float(np.ptp(logk[:, u, support[u]], axis=0).max()) for u in range(U))
     B += float(llr_slack)
     if not np.isfinite(B):
         raise ModelError("LLR bound is not finite")
@@ -142,7 +144,7 @@ def make_model(hypotheses, experiments, observations, kernel, prior,
         B = 1.0
 
     model = HypothesisModel(hypotheses, experiments, observations,
-                            kernel, prior, support, B)
+                            kernel, prior, support, B, log_kernel=logk)
     if not assumption_pairwise_informative(model):
         warnings.warn(
             "some experiment fails to distinguish some pair of hypotheses "

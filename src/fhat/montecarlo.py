@@ -17,7 +17,6 @@ down to e^{-hundreds}.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from .numerics import (largest_remainder_allocation, log_normalize,
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
                        default_epsilon, empirical_rule, infer,
-                       select_experiment, select_rows, symmetric_rule)
+                       select_experiment, select_rows, symmetric_setup)
 
 CHUNK = 8192
 ENUM_STEP_CAP = 10
@@ -424,102 +423,81 @@ class SimulationReport:
     gamma_hat_lse: float = math.nan
     gamma_lse_se: float = math.nan
     histogram: dict = field(default_factory=dict)
-    wall_clock: float = math.nan
 
 
-def _histogram(model: HypothesisModel, decisions: np.ndarray) -> dict:
-    hist = {}
-    for i, name in enumerate(model.hypotheses):
-        hist[name] = int(np.sum(decisions == i))
-    hist["inconclusive"] = int(np.sum(decisions == -1))
-    return hist
+def _batch_estimates(c_inc: np.ndarray, col: int, dec: np.ndarray, i: int):
+    """psi_hat, its binomial SE and the log-sum-exp ln(1/phi) of one
+    estimation batch under X = i (increments for i in column `col`)."""
+    hit = dec == i
+    psi = float(np.mean(hit))
+    return (psi, math.sqrt(psi * (1 - psi) / hit.size),
+            estimate_phi_lse(c_inc[:, col], hit))
+
+
+def _gamma(model: HypothesisModel, phi: dict) -> float:
+    """gamma = sum_i (1 - prior(i)) phi(i) over the hypotheses in `phi`."""
+    return sum((1.0 - model.prior[i]) * p for i, p in phi.items())
+
+
+def _gamma_lse(model: HypothesisModel, lse: dict) -> tuple[float, float]:
+    """gamma from the log-sum-exp estimates `lse`, and its SE; a
+    lower-bound estimate counts as phi = 0."""
+    phi = {i: 0.0 if e.is_lower_bound else math.exp(-e.log_inv_phi)
+           for i, e in lse.items()}
+    var = sum(((1.0 - model.prior[i]) * phi[i] * e.se) ** 2 for i, e in lse.items()
+              if not e.is_lower_bound and np.isfinite(e.se))
+    return _gamma(model, phi), math.sqrt(var)
 
 
 def estimate(config: SimulationConfig) -> SimulationReport:
     """Monte Carlo estimates of psi, phi (both channels) and gamma.
 
-    psi_hat(i) and the log-sum-exp channel come from trials under X = i;
-    the plain phi_hat(i) from trials under the alternate mixture with
-    weights prior(j)/(1 - prior(i)), allocated by largest remainder.
+    psi_hat(i) and the log-sum-exp channel come from the estimation batch
+    under X = i.  The symmetric rule runs such a batch under every
+    hypothesis, and its plain phi_hat(i) is the stratified sum of the
+    other batches' rates of declaring i, weighted prior(j)/(1 - prior(i)).
+    Otherwise phi_hat(i) comes from trials under the alternate mixture
+    with those weights, allocated by largest remainder.
     """
-    t0 = time.perf_counter()
-    model, rule = config.model, config.rule
+    model, rule, T = config.model, config.rule, config.trials
     refs = tuple(sorted(rule.thresholds))
-    T = config.trials
+    symmetric = rule.kind == "symmetric"
     report = SimulationReport(horizon=config.horizon, trials=T, seed=config.seed)
-    prior = model.prior
 
-    if rule.kind == "symmetric":
-        # One batch per true hypothesis serves psi, the mixture phis and
-        # the log-sum-exp channel simultaneously.
-        dec_by_hyp, inc_by_hyp = {}, {}
-        for h in range(model.num_hypotheses):
-            c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
-                                        T, config.seed, PURPOSE_ESTIMATE,
-                                        refs=refs, workers=config.workers)
-            dec = decisions_from_increments(c_inc, refs, rule)
-            dec_by_hyp[h], inc_by_hyp[h] = dec, c_inc
-            report.histogram[model.hypotheses[h]] = _histogram(model, dec)
-        for i in refs:
-            psi = float(np.mean(dec_by_hyp[i] == i))
-            report.psi_hat[i] = psi
-            report.psi_se[i] = math.sqrt(psi * (1 - psi) / T)
-            var = 0.0
-            phi = 0.0
-            for j in range(model.num_hypotheses):
-                if j == i:
-                    continue
-                w = prior[j] / (1.0 - prior[i])
-                p = float(np.mean(dec_by_hyp[j] == i))
-                phi += w * p
-                var += (w ** 2) * p * (1 - p) / T
-            report.phi_hat[i] = phi
-            report.phi_se[i] = math.sqrt(var)
-            col = refs.index(i)
-            report.lse[i] = estimate_phi_lse(inc_by_hyp[i][:, col],
-                                             dec_by_hyp[i] == i)
-    else:
-        (i,) = refs
-        c_inc, _ = simulate_measure(model, config.spec, config.horizon, i, T,
-                                    config.seed, PURPOSE_ESTIMATE, refs=refs,
+    def run(h, trials, purpose):
+        c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
+                                    trials, config.seed, purpose, refs=refs,
                                     workers=config.workers)
-        dec = decisions_from_increments(c_inc, refs, rule)
-        psi = float(np.mean(dec == i))
-        report.psi_hat[i] = psi
-        report.psi_se[i] = math.sqrt(psi * (1 - psi) / T)
-        report.lse[i] = estimate_phi_lse(c_inc[:, 0], dec == i)
-        report.histogram[model.hypotheses[i]] = _histogram(model, dec)
+        return c_inc, decisions_from_increments(c_inc, refs, rule)
 
+    dec_by_hyp = {}
+    for h in range(model.num_hypotheses) if symmetric else refs:
+        c_inc, dec_by_hyp[h] = run(h, T, PURPOSE_ESTIMATE)
+        report.histogram[model.hypotheses[h]] = {
+            name: int(np.sum(dec_by_hyp[h] == k))
+            for k, name in [*enumerate(model.hypotheses), (-1, "inconclusive")]}
+        if h in rule.thresholds:
+            report.psi_hat[h], report.psi_se[h], report.lse[h] = _batch_estimates(
+                c_inc, refs.index(h), dec_by_hyp[h], h)
+
+    for i in refs:
         alts = model.alternates(i)
-        weights = [prior[j] / (1.0 - prior[i]) for j in alts]
-        alloc = largest_remainder_allocation(weights, T)
-        hits = 0
-        for j, t_j in zip(alts, alloc):
-            if t_j == 0:
-                continue
-            cj, _ = simulate_measure(model, config.spec, config.horizon, j,
-                                     int(t_j), config.seed, PURPOSE_MIXTURE,
-                                     refs=refs, workers=config.workers)
-            dj = decisions_from_increments(cj, refs, rule)
-            hits += int(np.sum(dj == i))
-        phi = hits / T
-        report.phi_hat[i] = phi
-        report.phi_se[i] = math.sqrt(phi * (1 - phi) / T)
+        weights = [model.prior[j] / (1.0 - model.prior[i]) for j in alts]
+        if symmetric:
+            rates = [float(np.mean(dec_by_hyp[j] == i)) for j in alts]
+            report.phi_hat[i] = sum(w * p for w, p in zip(weights, rates))
+            report.phi_se[i] = math.sqrt(sum((w ** 2) * p * (1 - p) / T
+                                             for w, p in zip(weights, rates)))
+        else:
+            hits = 0
+            for j, t_j in zip(alts, largest_remainder_allocation(weights, T)):
+                if t_j:
+                    hits += int(np.sum(run(j, int(t_j), PURPOSE_MIXTURE)[1] == i))
+            phi = hits / T
+            report.phi_hat[i], report.phi_se[i] = phi, math.sqrt(phi * (1 - phi) / T)
 
-    gamma = sum(report.phi_hat.get(i, 0.0) * (1.0 - prior[i]) for i in refs)
-    report.gamma_hat = gamma
-    if all(i in report.lse for i in refs):
-        g = 0.0
-        var = 0.0
-        for i in refs:
-            est = report.lse[i]
-            phi_i = 0.0 if est.is_lower_bound else math.exp(-est.log_inv_phi)
-            g += (1.0 - prior[i]) * phi_i
-            if not est.is_lower_bound and np.isfinite(est.se):
-                var += ((1.0 - prior[i]) * phi_i * est.se) ** 2
-        report.gamma_hat_lse = g
-        report.gamma_lse_se = math.sqrt(var)
-    report.wall_clock = time.perf_counter() - t0
+    report.gamma_hat = _gamma(model, report.phi_hat)
+    report.gamma_hat_lse, report.gamma_lse_se = _gamma_lse(model, report.lse)
     return report
 
 
@@ -642,8 +620,7 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
         w = np.array([model.prior[j] / (1.0 - model.prior[i]) if j != i else 0.0
                       for j in range(M)])
         phi[i] = float(np.dot(w, declare_mass[i]))
-    gamma = sum(phi[i] * (1.0 - model.prior[i]) for i in refs)
-    return ExactReport(psi=psi, phi=phi, gamma=gamma, leaves=leaves)
+    return ExactReport(psi=psi, phi=phi, gamma=_gamma(model, phi), leaves=leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +676,15 @@ class SweepRow:
     psi_se: float
     log_inv_phi: float
     log_inv_phi_se: float
-    phi_db: float
     gamma_hat: float
     weak_bound: float      # rate bound, nats per step
     strong_bound: float    # absolute bound, nats
     seed: int
+
+    @property
+    def phi_db(self) -> float:
+        """10 log10(1/phi), from log_inv_phi."""
+        return float(nats_to_db(self.log_inv_phi))
 
 
 CSV_COLUMNS = ("strategy", "N", "epsilon", "theta", "psi_hat", "psi_se",
@@ -760,26 +741,21 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
         if kind == "symmetric":
             for N in horizons:
                 eps = epsilon_fn(N)
-                spec = build_strategy(model, kind, N, epsilon=eps,
-                                      inner_kind=inner_kind)
-                games = {i: spec.inner[i].game for i in range(model.num_hypotheses)}
-                rule = symmetric_rule(model, games, N, eps)
+                spec, rule = symmetric_setup(model, N, eps, inner_kind)
                 rep = estimate(SimulationConfig(model, spec, rule, N, trials,
                                                 seed, workers))
                 gamma = rep.gamma_hat_lse
-                log_inv = -math.log(gamma) if gamma > 0 else math.inf
-                rel_se = (rep.gamma_lse_se / gamma) if gamma > 0 else math.nan
-                weak = min(bounds_mod.weak_converse(games[i], model, N, eps)
-                           for i in games)
                 rows.append(SweepRow(
                     strategy=kind, N=N, epsilon=eps,
                     theta=min(rule.thresholds.values()),
                     psi_hat=min(rep.psi_hat.values()),
                     psi_se=max(rep.psi_se.values()),
-                    log_inv_phi=log_inv, log_inv_phi_se=rel_se,
-                    phi_db=float(nats_to_db(log_inv)),
-                    gamma_hat=gamma, weak_bound=weak, strong_bound=math.inf,
-                    seed=seed))
+                    log_inv_phi=-math.log(gamma) if gamma > 0 else math.inf,
+                    log_inv_phi_se=rep.gamma_lse_se / gamma if gamma > 0 else math.nan,
+                    gamma_hat=gamma,
+                    weak_bound=min(bounds_mod.weak_converse(inner.game, model, N, eps)
+                                   for inner in spec.inner),
+                    strong_bound=math.inf, seed=seed))
             continue
 
         cells = {}
@@ -819,8 +795,7 @@ def _sweep_row(model, kind, reference, N, eps, spec, cal_inc, c_inc, zbar,
     theta = best_threshold_search(model, spec, N, eps, trials, c_inc=cal_inc)
     rule = empirical_rule(reference, theta, eps)
     dec = decisions_from_increments(c_inc, (reference,), rule)
-    psi = float(np.mean(dec == reference))
-    est = estimate_phi_lse(c_inc[:, 0], dec == reference)
+    psi, psi_se, est = _batch_estimates(c_inc, 0, dec, reference)
     weak = bounds_mod.weak_converse(spec.game, model, N, eps)
     if strong == "binary":
         strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
@@ -829,11 +804,8 @@ def _sweep_row(model, kind, reference, N, eps, spec, cal_inc, c_inc, zbar,
         _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
     else:
         strong_abs = math.inf
-    phi_lse = math.exp(-est.log_inv_phi) if not est.is_lower_bound else 0.0
     return SweepRow(
         strategy=kind, N=N, epsilon=eps, theta=theta, psi_hat=psi,
-        psi_se=math.sqrt(psi * (1 - psi) / trials),
-        log_inv_phi=est.log_inv_phi, log_inv_phi_se=est.se,
-        phi_db=float(nats_to_db(est.log_inv_phi)),
-        gamma_hat=(1.0 - model.prior[reference]) * phi_lse,
+        psi_se=psi_se, log_inv_phi=est.log_inv_phi, log_inv_phi_se=est.se,
+        gamma_hat=_gamma_lse(model, {reference: est})[0],
         weak_bound=weak, strong_bound=strong_abs, seed=seed)

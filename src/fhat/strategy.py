@@ -40,6 +40,8 @@ CRITERION_SLACK = 1e-12
 
 def default_epsilon(N: int) -> float:
     """Correct-inference slack used by the experiments: min(0.05, 10/N)."""
+    if N < 1:
+        raise ValueError(f"horizon must be at least 1, got {N}")
     return min(0.05, 10.0 / N)
 
 
@@ -365,6 +367,16 @@ def symmetric_rule(model: HypothesisModel, games: dict[int, GameSolution],
         if thresholds[i] <= -c1:
             raise ValueError("symmetric threshold fails the uniqueness bound")
     return InferenceRule("symmetric", thresholds, epsilon)
+
+
+def symmetric_setup(model: HypothesisModel, N: int, epsilon: float,
+                    inner_kind: str = "das") -> tuple[StrategySpec, InferenceRule]:
+    """The symmetric composite for horizon N and its rule, thresholded
+    with the game of each hypothesis's inner rule."""
+    spec = build_strategy(model, "symmetric", N, epsilon=epsilon,
+                          inner_kind=inner_kind)
+    games = {i: inner.game for i, inner in enumerate(spec.inner)}
+    return spec, symmetric_rule(model, games, N, epsilon)
 
 
 def infer(final_belief: Belief, prior: Belief, rule: InferenceRule) -> int | None:

@@ -165,6 +165,59 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+def csv_rows(text):
+    header, *lines = text.strip().split("\n")
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestCrossPath:
+    """`simulate` and `sweep` evaluate a cell with the same streams, so at
+    the same seed, trials and N their rows agree column by column."""
+
+    @pytest.mark.parametrize("model,kind", [("table1", "das"),
+                                            ("table2", "chernoff-det"),
+                                            ("table2", "ors")])
+    def test_calibrated_simulate_row_is_sweep_row(self, capsys, model, kind):
+        common = ("--model", model, "--reference", "0", "--trials", "3000",
+                  "--seed", "11")
+        code, sim, _ = run(capsys, "simulate", *common, "--strategy", kind,
+                           "--horizon", "30", "--calibrate")
+        assert code == 0
+        code, swp, _ = run(capsys, "sweep", *common, "--strategies", kind,
+                           "--horizons", "30")
+        assert code == 0
+        (a,), (b,) = csv_rows(sim), csv_rows(swp)
+        # gamma_hat: the plain mixture channel against the log-sum-exp one
+        assert a.pop("gamma_hat") != b.pop("gamma_hat")
+        assert a == b
+
+    def test_symmetric_sweep_row_summarizes_simulate_rows(self, capsys):
+        common = ("--model", "table1", "--trials", "3000", "--seed", "11")
+        code, sim, _ = run(capsys, "simulate", *common, "--strategy",
+                           "symmetric", "--horizon", "30")
+        assert code == 0
+        code, swp, _ = run(capsys, "sweep", *common, "--strategies",
+                           "symmetric", "--horizons", "30")
+        assert code == 0
+        rows, (row,) = csv_rows(sim), csv_rows(swp)
+        assert len(rows) == 3
+        for col, pick in (("theta", min), ("psi_hat", min), ("psi_se", max)):
+            assert float(row[col]) == pick(float(r[col]) for r in rows)
+        assert {r["gamma_hat"] for r in rows} == {row["gamma_hat"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--strategies", "das", "--horizons", "0"),
+    ("bounds", "--reference", "0", "--horizons", "0"),
+    ("bounds", "--reference", "0", "--horizons", "0", "--epsilon", "0.05"),
+    ("simulate", "--strategy", "das", "--reference", "0", "--horizon", "0"),
+    ("enumerate", "--strategy", "das", "--reference", "0", "--horizon", "0"),
+])
+def test_horizon_zero_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv, "--model", "table1")
+    assert code == 2 and err.startswith("fhat: error:") and "horizon" in err
+
+
 class TestBoundsAndEnumerate:
     def test_bounds_table(self, capsys):
         code, out, _ = run(capsys, "bounds", "--model", "table1",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
-from fhat.model import (ModelError, assumption_pairwise_informative,
+from fhat.model import (HypothesisModel, ModelError,
+                        assumption_pairwise_informative,
                         kl_divergence, kl_matrix, llr_table, load_model,
                         log_likelihood_ratio, make_model, serialize_model,
                         table1)
@@ -163,6 +164,24 @@ class TestLogLikelihoodRatio:
                         for i in range(m.num_hypotheses)
                         for j in range(m.num_hypotheses))
             assert worst <= m.llr_bound + 1e-15
+
+    def test_bound_is_largest_ratio_and_log_tables_agree(self):
+        """With no slack the bound is exactly the largest |LLR| taken pair
+        by pair, and a model built directly derives the log kernel that
+        make_model bounded the LLRs with."""
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            m = random_model(rng)
+            worst = max(abs(log_likelihood_ratio(m, i, j, u, int(y)))
+                        for u in range(m.num_experiments)
+                        for y in m.support_indices(u)
+                        for i in range(m.num_hypotheses)
+                        for j in range(m.num_hypotheses))
+            assert m.llr_bound == (worst if worst > 0 else 1.0)
+            direct = HypothesisModel(m.hypotheses, m.experiments, m.observations,
+                                     m.kernel, m.prior, m.support, m.llr_bound)
+            assert np.array_equal(direct.log_kernel, m.log_kernel)
+            assert np.array_equal(direct.log_prior, m.log_prior)
 
 
 class TestBuiltins:
