@@ -135,9 +135,15 @@ def _spec_and_rule(args, model, N: int):
     """The strategy and inference rule that `simulate` and `enumerate`
     evaluate: the symmetric composite with its own rule, or the
     asymmetric strategy with a fixed --theta, a calibrated threshold
-    (simulate --calibrate) or the theory threshold."""
+    (simulate --calibrate) or the theory threshold.  The symmetric
+    composite thresholds every hypothesis by its own rule, so it refuses
+    --reference, --theta and --calibrate."""
     eps = _epsilon_fn(args)(N)
     if args.strategy == "symmetric":
+        for flag in ("reference", "theta", "calibrate"):
+            value = getattr(args, flag, None)
+            if value is not None and value is not False:
+                raise ValueError(f"--{flag} does not apply to --strategy symmetric")
         return symmetric_setup(model, N, eps, args.inner)
     i = args.reference
     spec = build_strategy(model, args.strategy, N, reference=i, epsilon=eps)
@@ -229,8 +235,7 @@ def cmd_bounds(args) -> int:
 def cmd_enumerate(args) -> int:
     model = resolve_model(args.model)
     spec, rule = _spec_and_rule(args, model, args.horizon)
-    rep = mc.enumerate_exact(model, spec, rule, args.horizon,
-                             step_cap=max(args.horizon, mc.ENUM_STEP_CAP))
+    rep = mc.enumerate_exact(model, spec, rule, args.horizon)
     lines = [f"leaves: {rep.leaves}"]
     for i in sorted(rep.psi):
         lines.append(f"psi[{model.hypotheses[i]}]: {mc.fmt9(rep.psi[i])}")

@@ -3,9 +3,9 @@
 The simulation engine is vectorized over trials and organized in
 fixed-size chunks of 8192 trials.  Chunk c of the stream (seed, purpose,
 hypothesis) draws its randomness from an independent counter-based
-generator keyed by exactly those integers, so results are bit-identical
-for any worker count and, except for the symmetric composite (see
-run_trial), any trial budget that covers the same trials.
+generator keyed by exactly those integers, and a trial's experiment
+picks depend on its own state alone, so results are bit-identical for
+any worker count and any trial budget that covers the same trials.
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -25,13 +25,13 @@ from . import bounds as bounds_mod
 from .belief import (confidence, new_trajectory, prior_belief,
                      step_trajectory)
 from .model import HypothesisModel, llr_table
-from .numerics import (largest_remainder_allocation, log_normalize,
-                       logsumexp, nats_to_db)
+from .numerics import largest_remainder_allocation, logsumexp, nats_to_db
 # select_experiment is not called here; perfbench's tracer wraps it
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
-                       default_epsilon, empirical_rule, infer,
-                       select_experiment, select_rows, symmetric_setup)
+                       default_epsilon, empirical_rule, infer, reads_draws,
+                       select_experiment, symmetric_setup)
+from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
 ENUM_STEP_CAP = 10
@@ -71,80 +71,6 @@ def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _first_best(columns, largest: bool) -> np.ndarray:
-    """Per row, the label of the smallest (largest) of `columns`, a list
-    of (label, 1-D array) pairs.  A column replaces the incumbent only
-    when strictly better, so the first column wins ties, as
-    np.argmin/np.argmax do."""
-    better, keep = (np.greater, np.maximum) if largest else (np.less, np.minimum)
-    label, best = columns[0]
-    pick = np.full(best.shape[0], label, dtype=np.int64)
-    for n, (label, col) in enumerate(columns[1:], start=2):
-        won = better(col, best)
-        pick = np.where(won, label, pick)
-        if n < len(columns):
-            best = keep(best, col)
-    return pick
-
-
-def _select_batch(spec: StrategySpec, lb: np.ndarray,
-                  exp_draws: np.ndarray | None) -> np.ndarray:
-    """Vectorized select_experiment on (possibly unnormalized) log
-    beliefs; `exp_draws` may be None when _reads_draws(spec) is False.
-    Identical tie-breaking (the first index wins) and the same
-    s = 1 rule: ``das``/``das-rs`` maximize w @ kl.T, the s -> 1- limit
-    of the tilted score, when s_value >= 1.  Reductions over the short
-    axis run column by column, and every value they compare carries the
-    same bits as with np.argmin/np.argmax and numerics.logsumexp."""
-    model = spec.model
-    if spec.kind == "ors":
-        # inverse CDF: #{cum <= r} over all but the last column, which
-        # is the clip to the last experiment (cum never decreases)
-        u = np.zeros(lb.shape[0], dtype=np.int64)
-        for c in np.cumsum(spec.sample_alpha)[:-1]:
-            u += exp_draws >= c
-        return u
-    if spec.kind in ("das", "das-rs"):
-        # tilted weights exp(c - logsumexp(c)), with logsumexp's max,
-        # exp and in-order sum taken column by column (lb is finite, so
-        # its guard against an infinite max never applies)
-        cols = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
-        top = cols[0]
-        for c in cols[1:]:
-            top = np.maximum(top, c)
-        total = np.exp(cols[0] - top)
-        for c in cols[1:]:
-            total += np.exp(c - top)
-        lse = np.log(total) + top
-        w = np.empty((lb.shape[0], len(cols)))
-        for k, c in enumerate(cols):
-            w[:, k] = np.exp(c - lse)
-        # one product over the whole batch: its BLAS rounding decides
-        # near-ties, so a row-wise form would change results
-        limit = spec.s_value >= 1.0
-        scores = w @ spec.kl.T if limit else w @ spec.mu.T
-        allowed = (np.flatnonzero(spec.support_mask) if spec.kind == "das-rs"
-                   else range(scores.shape[1]))
-        return _first_best([(v, scores[:, v]) for v in allowed], largest=limit)
-    lp = model.log_prior
-    if spec.kind == "chernoff-det":
-        alts = model.alternates(spec.reference)
-        return _first_best([(spec.chernoff_u[k], lb[:, j] - lp[j])
-                            for k, j in enumerate(alts)], largest=True)
-    if spec.kind == "symmetric":
-        i_hat = _first_best([(i, lb[:, i] - lp[i]) for i in range(lp.size)],
-                            largest=True)
-        u = np.empty(lb.shape[0], dtype=np.int64)
-        for i in range(model.num_hypotheses):
-            rows = np.flatnonzero(i_hat == i)
-            if rows.size:
-                draws = None if exp_draws is None else np.take(exp_draws, rows)
-                u[rows] = _select_batch(spec.inner[i], np.take(lb, rows, axis=0),
-                                        draws)
-        return u
-    raise ValueError(f"unknown strategy kind {spec.kind!r}")
-
-
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
                            refs) -> np.ndarray:
     """C_i(final) - C_i(prior) for each reference, from unnormalized
@@ -155,14 +81,6 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
         alts = list(model.alternates(i))
         out[:, col] = (lb[:, i] - logsumexp(lb[:, alts], axis=1)) - confidence(prior, i)
     return out
-
-
-def _reads_draws(spec: StrategySpec) -> bool:
-    """True when selection reads the experiment draws: ``ors`` samples
-    with them, on its own or as the symmetric composite's inner rule."""
-    if spec.kind == "symmetric":
-        return any(_reads_draws(inner) for inner in spec.inner)
-    return spec.kind == "ors"
 
 
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
@@ -192,7 +110,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     if track_z:
         llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
         z = np.zeros((n_rows, M - 1))
-    reads = _reads_draws(spec)
+    reads = reads_draws(spec)
     exp_draws = None
     c_incs, zbars = [], []
     step = 0
@@ -286,17 +204,14 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
 
     Replays the randomness that the vectorized engine assigns to trial
     `trial_index` of the given stream and selects with the engine's own
-    _select_batch on the same raw log-likelihood state, but as a batch
-    of one row.  Where the tilted score is a matrix product (``das``,
-    ``das-rs`` and the symmetric composite's inner rules), a one-row
-    product can round differently from a many-row one, so a knife-edge
-    near-tie may resolve differently and the replay leave the engine's
-    path: on ``table1`` at N = 30-200, 36 of 252 sampled ``symmetric``
-    trials and 17 of 252 ``das`` trials are not replayed.  The returned trajectory is
-    bitwise-reproducible across runs and worker counts.  Each step draws
-    only the block of randoms that holds this trial's and skips the rest
-    of the chunk's (_chunk_draws); it skips the experiment draws whole
-    for rules that never read them (all but ``ors``), as the engine does.
+    selector on the same raw log-likelihood state, as a batch of one
+    row.  A row's pick does not depend on the other rows of its batch,
+    so the replay follows the engine's path step for step, for every
+    strategy kind.  The returned trajectory is bitwise-reproducible
+    across runs and worker counts.  Each step draws only the block of
+    randoms that holds this trial's and skips the rest of the chunk's
+    (_chunk_draws); it skips the experiment draws whole for rules that
+    never read them (all but ``ors``), as the engine does.
     """
     chunk_idx, row = divmod(trial_index, CHUNK)
     gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)
@@ -304,7 +219,7 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     traj = new_trajectory(model, ref, beta_star=beta_star)
     lb = model.log_prior.copy()[None, :]          # engine's raw state
     cumk = np.cumsum(model.kernel[true_hypothesis], axis=1)
-    reads = _reads_draws(spec)
+    reads = reads_draws(spec)
     exp_draw = None
     for _ in range(N):
         if reads:
@@ -505,14 +420,6 @@ def estimate(config: SimulationConfig) -> SimulationReport:
 # Exact enumeration (small-horizon oracle)
 # ---------------------------------------------------------------------------
 
-class _ZeroRng:
-    """Stands in for the rng of deterministic strategies; a point-mass
-    sampler fed 0.0 lands on its single positive-mass experiment."""
-
-    def random(self):
-        return 0.0
-
-
 def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
                  step_cap: int):
     """The leaves of the observation tree in depth-first order, as blocks
@@ -522,9 +429,9 @@ def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
     its children (parent-major, symbols ascending), and the children are
     walked on slice by slice in order, so the leaves come out in
     depth-first order and memory stays bounded by the depth.  A node's
-    experiment is select_experiment's pick for its belief, computed for
-    a block of rows at once by select_rows and once per distinct
-    log-likelihood row: the pick is a function of that row's bits alone.
+    experiment is the selector's pick for its raw log belief (log prior
+    plus loglik; zero draws for a point-mass ``ors``), made for a block
+    of rows at once and once per distinct log-likelihood row.
     """
     if N > step_cap:
         raise ValueError(f"horizon {N} above enumeration cap {step_cap}")
@@ -532,7 +439,7 @@ def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
         raise ValueError("exact enumeration needs a deterministic strategy")
     M, U, Y = model.kernel.shape
     logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
-    rng = _ZeroRng()
+    zero_draws = reads_draws(spec)
     picks = {}
 
     no_steps = np.zeros((1, 0), dtype=np.int64)
@@ -548,8 +455,9 @@ def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
             if key not in picks:
                 new.setdefault(key, r)
         if new:
-            lp = log_normalize(model.log_prior + loglik[list(new.values())], axis=1)
-            picks.update(zip(new, select_rows(spec, lp, rng).tolist()))
+            lb = model.log_prior + loglik[list(new.values())]
+            u = _select_batch(spec, lb, np.zeros(len(new)) if zero_draws else None)
+            picks.update(zip(new, u.tolist()))
         u = np.array([picks[key] for key in keys], dtype=np.int64)
         parent, y = np.nonzero(model.support[u])
         u = u[parent]

@@ -17,7 +17,12 @@ Five selection rules share one interface:
                       hypothesis from a uniform-prior posterior, then
                       delegate to that hypothesis's inner rule.
 
-Tie-breaking is lowest index everywhere so runs are reproducible.
+One selector, select_batch, picks for a batch of beliefs; the engine,
+run_trial, select_experiment (a batch of one) and exact enumeration all
+call it.  A row's pick depends on that row alone, and values within a
+relative TIE_RTOL of the row's best are ties that go to the first
+label, so the pick is a function of the state and not of the rounding
+of the path that reached it.
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ from . import game as game_mod
 from .belief import Belief, confidence, prior_belief
 from .game import GameSolution
 from .model import HypothesisModel, kl_divergence
-from .numerics import log_normalize, logsumexp
+from .numerics import logsumexp
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
 SUPPORT_EPS = 1e-12
 CRITERION_SLACK = 1e-12
+# Relative width of a tie in selection: rounding differences between
+# paths to the same state are far below it, real score gaps far above.
+TIE_RTOL = 1e-12
 
 
 def default_epsilon(N: int) -> float:
@@ -207,65 +215,103 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                         mu=mu, kl=kl, support_mask=mask, chernoff_u=chern)
 
 
-def select_experiment(spec: StrategySpec, belief: Belief, rng) -> int:
-    """Pick the next experiment.  `rng` (numpy Generator) is consumed
-    only by randomized kinds; ties go to the lowest index.
-
-    ``das`` and ``das-rs`` minimize the tilted score mu @ w for s < 1.
-    At s >= 1 every score is exactly 1, so they minimize the s -> 1-
-    limit instead: -(kl @ w), with w the normalized alternate beliefs,
-    i.e. they maximize sum_j w_j D(p_j^u || p_i^u).
-    """
-    return int(select_rows(spec, belief.log_prob[None, :], rng)[0])
-
-
-def _drop_column(a: np.ndarray, i: int) -> np.ndarray:
-    return np.concatenate([a[:, :i], a[:, i + 1:]], axis=1)
-
-
-def select_rows(spec: StrategySpec, log_beliefs: np.ndarray, rng) -> np.ndarray:
-    """select_experiment for each row of log_beliefs, an (n, M) array of
-    normalized log beliefs.  Randomized kinds draw rng.random() once per
-    row.  A row's pick does not depend on the other rows: the elementwise
-    steps and the row-wise log-sum-exps round as on a single row (numpy
-    sums a row of a few columns in the order it sums a 1-D array), and
-    the score's matrix-vector product runs row by row, since BLAS may
-    round a many-row product differently from a one-row one."""
-    n = log_beliefs.shape[0]
-    if spec.kind == "ors":
-        # Inverse CDF with the count-of-(cum <= r) convention; a draw of
-        # exactly 0.0 then lands on the first positive-mass experiment.
-        cum = np.cumsum(spec.sample_alpha)
-        r = np.array([rng.random() for _ in range(n)])
-        return np.minimum((cum <= r[:, None]).sum(axis=1), len(cum) - 1)
-    if spec.kind in ("das", "das-rs"):
-        limit = spec.s_value >= 1.0
-        w = (1.0 if limit else spec.s_value) * _drop_column(log_beliefs, spec.reference)
-        total = logsumexp(w, axis=1, keepdims=True)
-        if not np.all(np.isfinite(total)):
-            raise ValueError("all alternate mass is zero; score undefined")
-        w = np.exp(w - total)
-        table = spec.kl if limit else spec.mu
-        scores = np.array([table @ row for row in w])
-        if limit:
-            scores = -scores
-        if spec.kind == "das-rs":
-            scores = np.where(spec.support_mask, scores, np.inf)
-        return np.argmin(scores, axis=1)
-    # the uniform-prior posterior (belief.uniform_prior_log_posterior)
-    log_bar = log_normalize(log_beliefs - spec.model.log_prior, axis=1)
-    if spec.kind == "chernoff-det":
-        k = np.argmax(_drop_column(log_bar, spec.reference), axis=1)
-        return spec.chernoff_u[k]
+def reads_draws(spec: StrategySpec) -> bool:
+    """True when selection reads the experiment draws: ``ors`` samples
+    with them, on its own or as the symmetric composite's inner rule."""
     if spec.kind == "symmetric":
-        i_hat = np.argmax(log_bar, axis=1)
-        u = np.empty(n, dtype=np.int64)
+        return any(reads_draws(inner) for inner in spec.inner)
+    return spec.kind == "ors"
+
+
+def _first_best(columns, largest: bool, scale: float = 0.0) -> np.ndarray:
+    """Per row, the first label of `columns`, a list of (label, 1-D
+    array) pairs, whose value is within TIE_RTOL * (|best| + scale) of
+    the row's smallest (largest) value `best`.  `scale` is the magnitude
+    beyond |best| at which the values were rounded."""
+    keep, beyond = (np.maximum, np.less) if largest else (np.minimum, np.greater)
+    best = columns[0][1]
+    for _, col in columns[1:]:
+        best = keep(best, col)
+    slack = TIE_RTOL * (np.abs(best) + scale)
+    bar = best - slack if largest else best + slack
+    # the first tied column's position is the count of untied ones
+    # before it (a gather is cheaper than a np.where per column)
+    untied = beyond(columns[0][1], bar)
+    first = untied.astype(np.int64)
+    for _, col in columns[1:-1]:
+        untied &= beyond(col, bar)
+        first += untied
+    labels = [label for label, _ in columns]
+    return first if labels == list(range(len(labels))) else np.take(labels, first)
+
+
+def select_batch(spec: StrategySpec, lb: np.ndarray,
+                 exp_draws: np.ndarray | None) -> np.ndarray:
+    """The experiment picked for each row of `lb`, an (n, M) array of log
+    beliefs, normalized or not; `exp_draws` holds one uniform per row and
+    may be None when reads_draws(spec) is False.
+
+    Every step is elementwise or runs column by column in a fixed order,
+    so a row's pick does not depend on the other rows.  ``das`` and
+    ``das-rs`` minimize the tilted score sum_j w_j mu[u, j] with the
+    unnormalized weights w_j = exp(c_j - max c), c_j = s lb_j; at s >= 1,
+    where every tilted score is 1, they maximize its s -> 1- limit
+    sum_j w_j D(p_j^u || p_i^u).  ``chernoff-det`` and the symmetric
+    composite take the largest lb_j - log prior_j, rounded at the
+    magnitude |best| + max |log prior|.  Ties go to the first label.
+    """
+    model = spec.model
+    if spec.kind == "ors":
+        # inverse CDF: #{cum <= r} over all but the last column, which
+        # is the clip to the last experiment (cum never decreases); a
+        # draw of 0.0 lands on the first positive-mass experiment
+        u = np.zeros(lb.shape[0], dtype=np.int64)
+        for c in np.cumsum(spec.sample_alpha)[:-1]:
+            u += exp_draws >= c
+        return u
+    if spec.kind in ("das", "das-rs"):
+        # a positive factor per row moves no argmin or argmax, so the
+        # weights need no normalization
+        cols = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
+        top = cols[0]
+        for c in cols[1:]:
+            top = np.maximum(top, c)
+        if not np.isfinite(top).all():
+            raise ValueError("all alternate mass is zero; score undefined")
+        w = [np.exp(c - top) for c in cols]
+        limit = spec.s_value >= 1.0
+        table = spec.kl if limit else spec.mu
+        allowed = (np.flatnonzero(spec.support_mask) if spec.kind == "das-rs"
+                   else range(table.shape[0]))
+        # each score summed over the alternates in ascending order
+        scores = [(v, sum(wk * table[v, k] for k, wk in enumerate(w))) for v in allowed]
+        return _first_best(scores, largest=limit)
+    lp = model.log_prior
+    scale = float(np.max(np.abs(lp)))
+    if spec.kind == "chernoff-det":
+        alts = model.alternates(spec.reference)
+        return _first_best([(spec.chernoff_u[k], lb[:, j] - lp[j])
+                            for k, j in enumerate(alts)], largest=True, scale=scale)
+    if spec.kind == "symmetric":
+        # the uniform-prior maximum-likelihood hypothesis picks the rule
+        i_hat = _first_best([(i, lb[:, i] - lp[i]) for i in range(lp.size)],
+                            largest=True, scale=scale)
+        u = np.empty(lb.shape[0], dtype=np.int64)
         for i, inner in enumerate(spec.inner):
             rows = np.flatnonzero(i_hat == i)
             if rows.size:
-                u[rows] = select_rows(inner, log_beliefs[rows], rng)
+                draws = None if exp_draws is None else np.take(exp_draws, rows)
+                u[rows] = select_batch(inner, np.take(lb, rows, axis=0), draws)
         return u
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
+
+
+def select_experiment(spec: StrategySpec, belief: Belief, rng) -> int:
+    """Pick the next experiment: select_batch on a batch of one.  `rng`
+    (numpy Generator) gives the one draw that randomized kinds read and
+    is not touched otherwise."""
+    draws = np.array([rng.random()]) if reads_draws(spec) else None
+    return int(select_batch(spec, belief.log_prob[None, :], draws)[0])
 
 
 # ---------------------------------------------------------------------------

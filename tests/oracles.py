@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own computational
 paths: the game oracle is an exhaustive simplex grid search, the
 binomial CDF is exact rational arithmetic, the Monte Carlo step loop
 uses whole-array numpy reductions where the engine works column by
-column, and exact enumeration recurses node by node with a scalar
-selector and a scalar per-leaf loop where the library walks blocks of
-nodes and selects for a block of beliefs at once.
+column, the selectors score with BLAS products on normalized beliefs
+where the library sums elementwise over unnormalized ones, and exact
+enumeration recurses node by node with a scalar selector and a scalar
+per-leaf loop where the library walks blocks of nodes and selects for a
+block of beliefs at once.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ import numpy as np
 
 from fhat.belief import Belief, confidence, prior_belief, uniform_prior_log_posterior
 from fhat.numerics import log_normalize, logsumexp
-from fhat.strategy import score_all, tilted_alternate_log_weights
+from fhat.strategy import TIE_RTOL, score_all, tilted_alternate_log_weights
 
 
 def simplex_grid(dim: int, step: float) -> np.ndarray:
@@ -78,9 +80,23 @@ def _reference_inv_cdf(cum_rows, draws):
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
+def reference_first_tied(values, largest, scale=0.0):
+    """Per row of `values`, the first column within TIE_RTOL * (|best| +
+    scale) of the row's smallest (largest) value, by whole-row
+    reductions: the library's tie rule."""
+    if largest:
+        best = values.max(axis=1, keepdims=True)
+        tied = values >= best - TIE_RTOL * (np.abs(best) + scale)
+    else:
+        best = values.min(axis=1, keepdims=True)
+        tied = values <= best + TIE_RTOL * (np.abs(best) + scale)
+    return np.argmax(tied, axis=1)
+
+
 def reference_select(spec, lb, exp_draws):
     """Experiment choice per row with whole-row numpy reductions
-    (np.argmin/np.argmax, numerics.logsumexp, an inverse-CDF gather)."""
+    (numerics.logsumexp, a BLAS score product, the tie rule by row
+    reductions, an inverse-CDF gather)."""
     model = spec.model
     if spec.kind == "ors":
         cum = np.cumsum(spec.sample_alpha)
@@ -90,16 +106,19 @@ def reference_select(spec, lb, exp_draws):
         alts = list(model.alternates(spec.reference))
         w = spec.s_value * lb[:, alts]
         w = np.exp(w - logsumexp(w, axis=1, keepdims=True))
-        scores = -(w @ spec.kl.T) if spec.s_value >= 1.0 else w @ spec.mu.T
+        limit = spec.s_value >= 1.0
+        scores = w @ (spec.kl if limit else spec.mu).T
         if spec.kind == "das-rs":
-            scores = np.where(spec.support_mask[None, :], scores, np.inf)
-        return np.argmin(scores, axis=1)
+            scores = np.where(spec.support_mask[None, :], scores,
+                              -np.inf if limit else np.inf)
+        return reference_first_tied(scores, limit)
+    scale = np.abs(model.log_prior).max()
+    lbar = lb - model.log_prior[None, :]
     if spec.kind == "chernoff-det":
-        lbar = lb - model.log_prior[None, :]
         alts = list(model.alternates(spec.reference))
-        return spec.chernoff_u[np.argmax(lbar[:, alts], axis=1)]
+        return spec.chernoff_u[reference_first_tied(lbar[:, alts], True, scale)]
     if spec.kind == "symmetric":
-        i_hat = np.argmax(lb - model.log_prior[None, :], axis=1)
+        i_hat = reference_first_tied(lbar, True, scale)
         u = np.zeros(lb.shape[0], dtype=np.int64)
         for i in range(model.num_hypotheses):
             mask = i_hat == i
@@ -143,35 +162,40 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
 # Reference exact enumeration: the recursive tree walk and per-leaf loop
 # ---------------------------------------------------------------------------
 
-class _ZeroRng:
+class ZeroRng:
+    """A generator whose every draw is 0.0: a point-mass sampler fed it
+    lands on its single positive-mass experiment."""
+
     def random(self):
         return 0.0
 
 
 def reference_select_experiment(spec, belief, rng) -> int:
-    """The scalar selector as it was before it became select_rows on a
-    block of one: 1-D arrays, one belief at a time."""
+    """The scalar selector on a normalized Belief: 1-D arrays, one belief
+    at a time, matrix-vector score products and the tie rule by row
+    reductions."""
     if spec.kind == "ors":
         cum = np.cumsum(spec.sample_alpha)
         return int(min(int((cum <= rng.random()).sum()), len(cum) - 1))
     if spec.kind in ("das", "das-rs"):
-        if spec.s_value >= 1.0:
+        limit = spec.s_value >= 1.0
+        if limit:
             w = np.exp(tilted_alternate_log_weights(belief.log_prob, spec.reference, 1.0))
-            scores = -(spec.kl @ w)
+            scores = spec.kl @ w
         else:
             scores = score_all(spec.model, spec.reference, belief, spec.s_value, spec.mu)
         if spec.kind == "das-rs":
-            scores = np.where(spec.support_mask, scores, np.inf)
-        return int(np.argmin(scores))
+            scores = np.where(spec.support_mask, scores, -np.inf if limit else np.inf)
+        return int(reference_first_tied(scores[None, :], limit)[0])
+    scale = np.abs(spec.model.log_prior).max()
+    log_bar = uniform_prior_log_posterior(belief, spec.model)
     if spec.kind == "chernoff-det":
-        log_bar = uniform_prior_log_posterior(belief, spec.model)
         i = spec.reference
         alts = np.concatenate([log_bar[:i], log_bar[i + 1:]])
-        k = int(np.argmax(alts))
+        k = int(reference_first_tied(alts[None, :], True, scale)[0])
         return int(spec.chernoff_u[k])
     if spec.kind == "symmetric":
-        log_bar = uniform_prior_log_posterior(belief, spec.model)
-        i_hat = int(np.argmax(log_bar))
+        i_hat = int(reference_first_tied(log_bar[None, :], True, scale)[0])
         return reference_select_experiment(spec.inner[i_hat], belief, rng)
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
@@ -179,7 +203,7 @@ def reference_select_experiment(spec, belief, rng) -> int:
 def reference_enumerate_paths(model, spec, N):
     """Depth-first recursion over the observation tree, one node and one
     scalar selector call at a time."""
-    rng = _ZeroRng()
+    rng = ZeroRng()
 
     def rec(loglik, exps, obs, depth):
         if depth == N:

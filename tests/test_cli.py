@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fhat
 from fhat import montecarlo as mc
 from fhat.cli import main
 from fhat.model import serialize_model, table1
@@ -218,6 +220,28 @@ def test_horizon_zero_exits_2(capsys, argv):
     assert code == 2 and err.startswith("fhat: error:") and "horizon" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--reference", "0"),
+    ("simulate", "--theta", "1.5"),
+    ("simulate", "--calibrate"),
+    ("enumerate", "--reference", "0"),
+    ("enumerate", "--theta", "1.5"),
+])
+def test_symmetric_refuses_asymmetric_flags(capsys, argv):
+    """The symmetric composite thresholds every hypothesis by its own
+    rule; a flag it would ignore exits 2 and is named."""
+    code, _, err = run(capsys, *argv, "--model", "table1", "--strategy",
+                       "symmetric", "--horizon", "4")
+    assert code == 2 and argv[1] in err and "symmetric" in err
+
+
+def test_package_version_matches_pyproject():
+    """The manifest's version and the packaged one cannot drift."""
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == fhat.__version__
+
+
 class TestBoundsAndEnumerate:
     def test_bounds_table(self, capsys):
         code, out, _ = run(capsys, "bounds", "--model", "table1",
@@ -250,6 +274,12 @@ class TestBoundsAndEnumerate:
                            "--strategy", "symmetric", "--horizon", "4")
         assert code == 0
         assert "gamma:" in out
+
+    def test_enumerate_above_cap_exits_2(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--model", "table1",
+                           "--strategy", "das", "--reference", "0",
+                           "--horizon", str(mc.ENUM_STEP_CAP + 1), "--theta", "0.5")
+        assert code == 2 and "enumeration cap" in err
 
     def test_missing_model_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--reference", "0")

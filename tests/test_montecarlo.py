@@ -11,10 +11,10 @@ from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model
 from fhat.numerics import log_normalize
 from fhat.strategy import (KINDS, asymmetric_rule, build_strategy,
-                           empirical_rule, select_experiment, select_rows,
-                           symmetric_rule)
-from oracles import (REFERENCE_CHUNK, reference_chunk, reference_enumerate_exact,
-                     reference_enumerate_paths, reference_select_experiment)
+                           empirical_rule, select_experiment, symmetric_rule)
+from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
+                     reference_enumerate_exact, reference_enumerate_paths,
+                     reference_select_experiment)
 
 
 def identical_rows_model():
@@ -69,16 +69,19 @@ class TestRunTrial:
 
     def test_scalar_matches_vectorized_engine(self, t1, t2):
         """The per-trial path replays exactly the chunked engine, also
-        with more than two observation symbols."""
+        with more than two observation symbols, and on table1's lattice,
+        where exact score ties are common."""
         y4 = kernel_models()[-1]
         cases = [(t1, ("ors", "das", "chernoff-det"), (12,)),
+                 (t1, ("das", "symmetric"), (60, 200)),
                  (t2, ("das-rs", "chernoff-det"), (12, 40)),
                  (y4, ("ors", "das", "das-rs", "chernoff-det"), (12, 60))]
         for m, kinds, horizons in cases:
             prior = prior_belief(m)
             for kind in kinds:
                 for N in horizons:
-                    spec = build_strategy(m, kind, horizon=N, reference=0)
+                    spec = build_strategy(m, kind, horizon=N, reference=None
+                                          if kind == "symmetric" else 0)
                     rule = empirical_rule(0, 0.0, 0.05)
                     c_inc, _ = mc.simulate_measure(m, spec, N, 1, 40, 77, refs=(0,))
                     for t in (0, 13, 39):
@@ -131,7 +134,8 @@ class TestEstimate:
 
     def test_trial_budget_extension_is_prefix_stable(self, t1, t2):
         """Adding trials never changes the trials already simulated, nor
-        their weighted LLRs, even for a trial alone in its chunk."""
+        their weighted LLRs, even for a trial alone in its chunk, and
+        under every hypothesis for the symmetric composite."""
         spec = build_strategy(t1, "das", horizon=5, reference=0)
         a, _ = mc.simulate_measure(t1, spec, 5, 0, 100, 42, refs=(0,))
         b, _ = mc.simulate_measure(t1, spec, 5, 0, 2000, 42, refs=(0,))
@@ -145,6 +149,17 @@ class TestEstimate:
             for c_inc, zbar in runs[:-1]:
                 assert np.array_equal(c_inc, c_all[:len(c_inc)])
                 assert np.array_equal(zbar, z_all[:len(zbar)])
+        # the symmetric composite hands each inner rule the rows whose ML
+        # hypothesis it serves, a batch that changes with the budget
+        for N in (30, 60, 120, 200):
+            spec = build_strategy(t1, "symmetric", N)
+            for h in range(3):
+                full, _ = mc.simulate_measure(t1, spec, N, h, mc.CHUNK, 3,
+                                              refs=(0, 1, 2))
+                for T in (1, 7, 100, 1000):
+                    part, _ = mc.simulate_measure(t1, spec, N, h, T, 3,
+                                                  refs=(0, 1, 2))
+                    assert np.array_equal(part, full[:T])
 
 
 class TestSnapshots:
@@ -225,6 +240,56 @@ class TestEngineKernel:
                             for k in range(1, M - 1):
                                 expect = expect + z[:, k] * zw[k]
                             assert np.array_equal(zbar, expect)
+
+
+def count_state_picks(m, spec, N):
+    """{count state n[u, y]: picks} over the nodes above depth N of the
+    observation tree, each node selecting on its log belief in the
+    engine's form (a running sum from the log prior) and in
+    enumeration's (log prior plus a running sum from zero).  Nodes with
+    the same counts and the same bits are merged."""
+    M, U, Y = m.kernel.shape
+    logk_rows = m.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    counts = np.zeros((1, U * Y), dtype=np.int64)
+    lb, ll = m.log_prior[None, :].copy(), np.zeros((1, M))
+    picks = {}
+    for _ in range(N):
+        u = mc._select_batch(spec, lb, None)
+        v = mc._select_batch(spec, m.log_prior + ll, None)
+        for key, a, b in zip(counts, u.tolist(), v.tolist()):
+            picks.setdefault(key.tobytes(), set()).update((a, b))
+        parent, y = np.nonzero(m.support[u])
+        row = u[parent] * Y + y
+        counts = counts[parent]
+        counts[np.arange(row.size), row] += 1
+        lb, ll = lb[parent] + logk_rows[row], ll[parent] + logk_rows[row]
+        bits = np.hstack([counts, lb.view(np.int64), ll.view(np.int64)])
+        _, keep = np.unique(bits, axis=0, return_index=True)
+        counts, lb, ll = counts[keep], lb[keep], ll[keep]
+    return picks
+
+
+class TestStateSelection:
+    def test_picks_are_a_function_of_the_count_state(self, t1, t2):
+        """Paths that reach the same counts n[u, y] sum their log
+        beliefs in different orders and round differently; every
+        deterministic rule still picks one experiment per count state.
+        On table1's lattice many states are exact ties."""
+        rng = np.random.default_rng(5)
+        models = [(t1, 14), (t2, 14)]
+        while len(models) < 5:
+            m = random_model(rng, max_exp=2, max_obs=3)
+            try:
+                build_strategy(m, "symmetric", 10)
+            except ValueError:
+                continue
+            models.append((m, 10))
+        for m, N in models:
+            for kind in ("das", "das-rs", "chernoff-det", "symmetric"):
+                spec = build_strategy(m, kind, N, reference=None
+                                      if kind == "symmetric" else 0)
+                picks = count_state_picks(m, spec, N)
+                assert all(len(p) == 1 for p in picks.values()), (m.kernel.shape, kind)
 
 
 class TestLsePhiEstimator:
@@ -420,13 +485,13 @@ class TestEnumerateOracle:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_selection_matches_scalar(self, t1, t2, kind):
-        """select_rows on a block, and select_experiment on each row,
-        pick what the 1-D oracles.reference_select_experiment picks, on
-        beliefs reached by random histories (table1's lattice has exact
-        ties) at horizons where s_N clamps to 1 and where it is below 1;
-        `ors` also with a sampling mixture and a seeded generator, which
-        both must consume alike.  A batched score product w @ mu.T
-        rounds some near-ties differently and fails it."""
+        """The selector on a block of rows, fed raw log beliefs or their
+        normalized form, and select_experiment on each row pick what the
+        1-D oracles.reference_select_experiment picks, on beliefs reached
+        by random histories (table1's lattice has exact ties) at horizons
+        where s_N clamps to 1 and where it is below 1; `ors` also with a
+        sampling mixture and a seeded generator, which select_experiment
+        and the oracle must consume alike."""
         rng = np.random.default_rng(53)
         tilts = set()
         for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
@@ -437,7 +502,8 @@ class TestEnumerateOracle:
                 nth = (rng.random(ll.shape[0]) * m.support[u].sum(axis=1)).astype(int)
                 y = [np.flatnonzero(m.support[a])[b] for a, b in zip(u, nth)]
                 ll += m.log_kernel[:, u, y].T
-            lp = log_normalize(m.log_prior + ll, axis=1)
+            lb = m.log_prior + ll
+            lp = log_normalize(lb, axis=1)
             for N in (4, 60, 400):
                 if kind == "symmetric":
                     spec = build_strategy(m, kind, N)
@@ -447,17 +513,20 @@ class TestEnumerateOracle:
                     spec = build_strategy(m, kind, N, reference=0,
                                           sample_alpha=alpha)
                     tilts.add(spec.s_value < 1)
-                want = [reference_select_experiment(spec, Belief(row), mc._ZeroRng())
+                want = [reference_select_experiment(spec, Belief(row), ZeroRng())
                         for row in lp]
-                assert select_rows(spec, lp, mc._ZeroRng()).tolist() == want
-                assert [select_experiment(spec, Belief(row), mc._ZeroRng())
+                for rows in (lb, lp):
+                    got = mc._select_batch(spec, rows, np.zeros(len(rows)))
+                    assert got.tolist() == want
+                assert [select_experiment(spec, Belief(row), ZeroRng())
                         for row in lp] == want
             if kind == "ors":
                 spec = build_strategy(m, kind, 60, reference=0)
                 gens = [np.random.default_rng(9) for _ in range(3)]
                 want = [reference_select_experiment(spec, Belief(row), gens[0])
                         for row in lp]
-                assert select_rows(spec, lp, gens[1]).tolist() == want
+                draws = np.array([gens[1].random() for _ in lp])
+                assert mc._select_batch(spec, lp, draws).tolist() == want
                 assert [select_experiment(spec, Belief(row), gens[2])
                         for row in lp] == want
                 assert len({g.random() for g in gens}) == 1
