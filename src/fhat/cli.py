@@ -22,7 +22,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import montecarlo as mc
 from .model import BUILTIN_MODELS, ModelError, resolve_model
-from .strategy import (KINDS, asymmetric_rule, build_strategy,
+from .strategy import (INNER_KINDS, KINDS, asymmetric_rule, build_strategy,
                        default_epsilon, empirical_rule, symmetric_setup)
 
 STRATEGY_CHOICES = tuple(KINDS)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed inference threshold (nats)")
     sp.add_argument("--calibrate", action="store_true",
                     help="find the threshold by binary search instead of theory")
-    sp.add_argument("--inner", default="das",
+    sp.add_argument("--inner", default="das", choices=INNER_KINDS,
                     help="inner strategy kind for the symmetric composite")
     sp.set_defaults(func=cmd_simulate)
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="none", help="strong-bound overlay channel")
     sp.add_argument("--nu", type=float, default=None,
                     help="nu for the binary closed-form strong bound")
-    sp.add_argument("--inner", default="das")
+    sp.add_argument("--inner", default="das", choices=INNER_KINDS)
     sp.add_argument("--manifest", default=None,
                     help="replay a previous sweep from its manifest file")
     sp.set_defaults(func=cmd_sweep)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--inner", default="das")
+    sp.add_argument("--inner", default="das", choices=INNER_KINDS)
     sp.set_defaults(func=cmd_enumerate)
     return p
 

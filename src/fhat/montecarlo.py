@@ -646,14 +646,15 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     horizons = list(horizons)
     rows = []
     for kind in kinds:
+        made = {}
         if kind == "symmetric":
-            for N in horizons:
+            for N in dict.fromkeys(horizons):
                 eps = epsilon_fn(N)
                 spec, rule = symmetric_setup(model, N, eps, inner_kind)
                 rep = estimate(SimulationConfig(model, spec, rule, N, trials,
                                                 seed, workers))
                 gamma = rep.gamma_hat_lse
-                rows.append(SweepRow(
+                made[N] = SweepRow(
                     strategy=kind, N=N, epsilon=eps,
                     theta=min(rule.thresholds.values()),
                     psi_hat=min(rep.psi_hat.values()),
@@ -663,35 +664,33 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
                     gamma_hat=gamma,
                     weak_bound=min(bounds_mod.weak_converse(inner.game, model, N, eps)
                                    for inner in spec.inner),
-                    strong_bound=math.inf, seed=seed))
-            continue
-
-        cells = {}
-        for N in horizons:
-            if N not in cells:
-                eps = epsilon_fn(N)
-                cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
-                                                epsilon=eps))
-        stops = sorted(cells)
-        size = 1
-        if stops and cells[stops[0]][1].horizon_free():
-            size = max(1, _SHARED_BYTES // (24 * trials))
-        made = {}
-        for g in range(0, len(stops), size):
-            group = stops[g:g + size]
-            spec = cells[group[-1]][1]
-            zw = spec.game.beta_star if strong == "empirical" else None
-            cal, _ = simulate_measure(model, spec, group[-1], reference, trials,
-                                      seed, PURPOSE_CALIBRATE, refs=(reference,),
-                                      workers=workers, snapshots=group[:-1])
-            inc, z = simulate_measure(model, spec, group[-1], reference, trials,
-                                      seed, PURPOSE_ESTIMATE, refs=(reference,),
-                                      zbar_weights=zw, workers=workers,
-                                      snapshots=group[:-1])
-            for k, N in enumerate(group):
-                made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
-                                     inc[k], None if z is None else z[k],
-                                     trials, seed, strong, nu)
+                    strong_bound=math.inf, seed=seed)
+        else:
+            cells = {}
+            for N in horizons:
+                if N not in cells:
+                    eps = epsilon_fn(N)
+                    cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
+                                                    epsilon=eps))
+            stops = sorted(cells)
+            size = 1
+            if stops and cells[stops[0]][1].horizon_free():
+                size = max(1, _SHARED_BYTES // (24 * trials))
+            for g in range(0, len(stops), size):
+                group = stops[g:g + size]
+                spec = cells[group[-1]][1]
+                zw = spec.game.beta_star if strong == "empirical" else None
+                cal, _ = simulate_measure(model, spec, group[-1], reference, trials,
+                                          seed, PURPOSE_CALIBRATE, refs=(reference,),
+                                          workers=workers, snapshots=group[:-1])
+                inc, z = simulate_measure(model, spec, group[-1], reference, trials,
+                                          seed, PURPOSE_ESTIMATE, refs=(reference,),
+                                          zbar_weights=zw, workers=workers,
+                                          snapshots=group[:-1])
+                for k, N in enumerate(group):
+                    made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
+                                         inc[k], None if z is None else z[k],
+                                         trials, seed, strong, nu)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 

@@ -39,6 +39,8 @@ from .model import HypothesisModel, kl_divergence
 from .numerics import logsumexp
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
+# the kinds the symmetric composite can delegate to
+INNER_KINDS = ("ors", "das", "das-rs", "chernoff-det")
 SUPPORT_EPS = 1e-12
 CRITERION_SLACK = 1e-12
 # Relative width of a tie in selection: rounding differences between
@@ -184,7 +186,7 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
         epsilon = default_epsilon(horizon)
 
     if kind == "symmetric":
-        if inner_kind not in ("ors", "das", "das-rs", "chernoff-det"):
+        if inner_kind not in INNER_KINDS:
             raise ValueError(f"invalid inner kind {inner_kind!r}")
         inner = []
         for i in range(model.num_hypotheses):
@@ -232,8 +234,11 @@ def _first_best(columns, largest: bool, scale: float = 0.0) -> np.ndarray:
     best = columns[0][1]
     for _, col in columns[1:]:
         best = keep(best, col)
-    slack = TIE_RTOL * (np.abs(best) + scale)
-    bar = best - slack if largest else best + slack
+    bar = np.abs(best)
+    if scale:
+        bar += scale
+    bar *= TIE_RTOL
+    (np.subtract if largest else np.add)(best, bar, out=bar)
     # the first tied column's position is the count of untied ones
     # before it (a gather is cheaper than a np.where per column)
     untied = beyond(columns[0][1], bar)
@@ -259,6 +264,14 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     sum_j w_j D(p_j^u || p_i^u).  ``chernoff-det`` and the symmetric
     composite take the largest lb_j - log prior_j, rounded at the
     magnitude |best| + max |log prior|.  Ties go to the first label.
+
+    The symmetric composite counts its maximum-likelihood labels, runs
+    the most common label's inner rule on the whole batch in place, and
+    then overwrites the rows of each other label with that label's rule
+    run on those rows alone.  Since a pick depends on its row alone,
+    the common rule's picks on rows it does not own change nothing; and
+    as those rows' own hypothesis is among its alternates with a finite
+    log belief, they cannot make it raise.
     """
     model = spec.model
     if spec.kind == "ors":
@@ -272,19 +285,26 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     if spec.kind in ("das", "das-rs"):
         # a positive factor per row moves no argmin or argmax, so the
         # weights need no normalization
-        cols = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
-        top = cols[0]
-        for c in cols[1:]:
-            top = np.maximum(top, c)
+        w = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
+        top = w[0].copy()
+        for c in w[1:]:
+            np.maximum(top, c, out=top)
         if not np.isfinite(top).all():
             raise ValueError("all alternate mass is zero; score undefined")
-        w = [np.exp(c - top) for c in cols]
+        for c in w:
+            np.exp(np.subtract(c, top, out=c), out=c)
         limit = spec.s_value >= 1.0
         table = spec.kl if limit else spec.mu
         allowed = (np.flatnonzero(spec.support_mask) if spec.kind == "das-rs"
                    else range(table.shape[0]))
-        # each score summed over the alternates in ascending order
-        scores = [(v, sum(wk * table[v, k] for k, wk in enumerate(w))) for v in allowed]
+        # each score summed over the alternates in ascending order, with
+        # `top` (no longer read) as scratch for the products
+        scores = []
+        for v in allowed:
+            score = w[0] * table[v, 0]
+            for k in range(1, len(w)):
+                score += np.multiply(w[k], table[v, k], out=top)
+            scores.append((v, score))
         return _first_best(scores, largest=limit)
     lp = model.log_prior
     scale = float(np.max(np.abs(lp)))
@@ -296,10 +316,12 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
         # the uniform-prior maximum-likelihood hypothesis picks the rule
         i_hat = _first_best([(i, lb[:, i] - lp[i]) for i in range(lp.size)],
                             largest=True, scale=scale)
-        u = np.empty(lb.shape[0], dtype=np.int64)
+        counts = np.bincount(i_hat, minlength=lp.size)
+        common = int(np.argmax(counts))
+        u = select_batch(spec.inner[common], lb, exp_draws)
         for i, inner in enumerate(spec.inner):
-            rows = np.flatnonzero(i_hat == i)
-            if rows.size:
+            if i != common and counts[i]:
+                rows = np.flatnonzero(i_hat == i)
                 draws = None if exp_draws is None else np.take(exp_draws, rows)
                 u[rows] = select_batch(inner, np.take(lb, rows, axis=0), draws)
         return u

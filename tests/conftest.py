@@ -5,6 +5,7 @@ import pytest
 
 from fhat.belief import new_trajectory, step_trajectory
 from fhat.model import make_model, table1, table2
+from fhat.strategy import build_strategy
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +47,20 @@ def random_model(rng, max_hyp=5, max_exp=5, max_obs=4, floor=0.25,
 def sample_observation(model, rng, truth, u):
     cum = np.cumsum(model.kernel[truth, u])
     return int(min(int((cum <= rng.random()).sum()), model.num_observations - 1))
+
+
+def four_hypothesis_model():
+    """A random binary-observation model with three alternates per
+    reference, on which every strategy kind builds."""
+    rng = np.random.default_rng(41)
+    while True:
+        m = random_model(rng, max_hyp=4, max_exp=3, max_obs=2)
+        if m.num_hypotheses == 4:
+            try:
+                build_strategy(m, "symmetric", 8)
+                return m
+            except ValueError:
+                continue
 
 
 def random_trajectory(model, rng, max_steps=50, reference=None, beta_star=None):

@@ -235,6 +235,20 @@ def test_symmetric_refuses_asymmetric_flags(capsys, argv):
     assert code == 2 and argv[1] in err and "symmetric" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--strategy", "das", "--reference", "0", "--horizon", "20",
+     "--trials", "100"),
+    ("sweep", "--strategies", "das", "--horizons", "20", "--trials", "100"),
+    ("enumerate", "--strategy", "das", "--reference", "0", "--horizon", "3"),
+])
+def test_unknown_inner_kind_exits_2(capsys, argv):
+    """--inner must name an inner kind even where the strategy does not
+    read it."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--model", "table1", "--inner", "bogus"])
+    assert info.value.code == 2 and "--inner" in capsys.readouterr().err
+
+
 def test_package_version_matches_pyproject():
     """The manifest's version and the packaged one cannot drift."""
     tomllib = pytest.importorskip("tomllib")     # Python 3.11+

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import four_hypothesis_model, random_model
 from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model
 from fhat.numerics import log_normalize
-from fhat.strategy import (KINDS, asymmetric_rule, build_strategy,
+from fhat.strategy import (INNER_KINDS, KINDS, asymmetric_rule, build_strategy,
                            empirical_rule, select_experiment, symmetric_rule)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
@@ -211,18 +211,24 @@ class TestChunkDraws:
 
 
 class TestEngineKernel:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_reference_step_loop(self, t1, t2, kind):
+    @pytest.mark.parametrize("kind,inner", [
+        *(pytest.param(kind, "das", id=kind) for kind in KINDS),
+        *(pytest.param("symmetric", inner, id=f"symmetric-{inner}")
+          for inner in INNER_KINDS if inner != "das")])
+    def test_matches_reference_step_loop(self, t1, t2, kind, inner):
         """The engine's column-wise step loop gives bit for bit the
         confidence increments of the plain whole-array step loop in
         oracles.reference_chunk, and as weighted LLR that loop's total
-        LLRs times the weights, summed in ascending alternate order."""
+        LLRs times the weights, summed in ascending alternate order.
+        The symmetric composite runs with each inner kind: with `ors`
+        its most common rule reads the whole chunk's experiment draws
+        and the others read their rows' draws."""
         assert mc.CHUNK == REFERENCE_CHUNK
         for m in (t1, t2, *kernel_models()):
             M = m.num_hypotheses
             refs = tuple(range(M)) if kind == "symmetric" else (0,)
             for N in (8, 60):     # tilt 1 on every model; below 1 on all but the Y = 2 one
-                spec = build_strategy(m, kind, N,
+                spec = build_strategy(m, kind, N, inner_kind=inner,
                                       reference=None if kind == "symmetric" else 0)
                 zw = None if kind == "symmetric" else spec.game.beta_star
                 for h in range(M):
@@ -436,20 +442,6 @@ class TestEnumerate:
                                 for i in range(3)) + 1e-12
 
 
-def four_hypothesis_model():
-    """A random binary-observation model with three alternates per
-    reference, on which every strategy kind builds."""
-    rng = np.random.default_rng(41)
-    while True:
-        m = random_model(rng, max_hyp=4, max_exp=3, max_obs=2)
-        if m.num_hypotheses == 4:
-            try:
-                build_strategy(m, "symmetric", 8)
-                return m
-            except ValueError:
-                continue
-
-
 class TestEnumerateOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_recursive_walk(self, t1, t2, kind):
@@ -593,6 +585,29 @@ class TestSweep:
         assert row.strategy == "symmetric"
         assert 0 <= row.psi_hat <= 1
         assert row.gamma_hat >= 0
+
+    def test_repeated_symmetric_horizon_runs_once(self, t1, monkeypatch):
+        """The symmetric composite, like the other kinds, simulates each
+        distinct horizon once, and every row equals the row of a sweep
+        of its horizon alone."""
+        horizons = [60, 60, 30, 60]
+        alone = {N: mc.sweep(t1, ["symmetric"], 0, [N], 2000, 5)[0]
+                 for N in set(horizons)}
+        calls = []
+        run = mc.estimate
+
+        def counted(config):
+            calls.append(config.horizon)
+            return run(config)
+
+        monkeypatch.setattr(mc, "estimate", counted)
+        rows = mc.sweep(t1, ["symmetric"], 0, horizons, 2000, 5)
+        assert sorted(calls) == sorted(set(horizons))
+        assert [r.N for r in rows] == horizons
+        for row in rows:
+            for name, value in vars(row).items():
+                other = getattr(alone[row.N], name)
+                assert value == other or (value != value and other != other), name
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_shared_horizons_match_single_cells(self, t1, t2, workers):

@@ -1,22 +1,25 @@
 """Selection strategies, tilt/threshold schedules, inference rules."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import four_hypothesis_model, random_model
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.game import solve
 from fhat.model import kl_divergence, make_model
 from fhat.montecarlo import _select_batch
 from fhat.numerics import log_normalize, logsumexp
-from fhat.strategy import (KINDS, InferenceRule, asymmetric_rule, build_strategy,
-                           criterion_holds, default_epsilon, default_n_prime,
-                           empirical_rule, infer, mgf, mgf_matrix, score_M,
-                           s_schedule, select_experiment, symmetric_rule,
-                           threshold_asymmetric, threshold_symmetric)
+from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
+                           build_strategy, criterion_holds, default_epsilon,
+                           default_n_prime, empirical_rule, infer, mgf, mgf_matrix,
+                           reads_draws, score_M, s_schedule, select_batch,
+                           select_experiment, symmetric_rule, threshold_asymmetric,
+                           threshold_symmetric)
+from oracles import reference_select
 
 LN15 = math.log(1.5)
 
@@ -221,6 +224,72 @@ class TestSelectExperiment:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError, match="distinguishable"):
                 build_strategy(m, "symmetric", horizon=50)
+
+
+def edge_batches(m, rng):
+    """(name, lb) batches of raw log beliefs whose uniform-prior
+    maximum-likelihood labels are arranged to stress the symmetric
+    composite's dispatch."""
+    M = m.num_hypotheses
+
+    def rows(labels, ties=False):
+        labels = np.asarray(labels)
+        lbar = rng.uniform(-4.0, 0.0, (len(labels), M))
+        lbar[np.arange(len(labels)), labels] = 0.5
+        if ties:
+            # every third row below label M - 1 ties with the next
+            # hypothesis, which leaves the label its first maximum
+            tied = np.flatnonzero((np.arange(len(labels)) % 3 == 0) & (labels < M - 1))
+            lbar[tied, labels[tied] + 1] = 0.5
+        assert np.array_equal(np.argmax(lbar, axis=1), labels)
+        return lbar + m.log_prior
+
+    yield "empty", np.zeros((0, M))
+    for i in range(M):
+        yield f"all rows of {i}", rows([i] * 40)
+    yield "tied counts, every label", rows(np.tile(np.arange(M), 12), ties=True)
+    yield "tied counts, all but 0", rows(np.repeat(np.arange(1, M), 12), ties=True)
+    labels = np.repeat(np.arange(M), [40] + [4] * (M - 1))
+    lb = rows(labels)
+    minority = np.arange(40, len(labels))
+    # -inf on a hypothesis other than the row's own, which leaves a
+    # finite alternate for every rule
+    lb[minority, (labels[minority] + 1) % M] = -np.inf
+    yield "-inf in minority rows", lb
+
+
+SELECT_CASES = [*(pytest.param(kind, None, id=kind) for kind in INNER_KINDS),
+                *(pytest.param("symmetric", inner, id=f"symmetric-{inner}")
+                  for inner in INNER_KINDS)]
+
+
+class TestSelectBatchEdges:
+    @pytest.mark.parametrize("kind,inner", SELECT_CASES)
+    def test_edge_batches(self, t1, t2, kind, inner):
+        """On an empty batch, a batch one rule owns, tied label counts
+        and minority rows with -inf log beliefs, the picks are int64,
+        equal row-by-row batches of one and oracles.reference_select,
+        and raise no warning, at tilt 1 and below it."""
+        rng = np.random.default_rng(67)
+        for m in (t1, t2, four_hypothesis_model()):
+            for N in (8, 300):
+                if kind == "symmetric":
+                    spec = build_strategy(m, kind, N, inner_kind=inner)
+                else:
+                    spec = build_strategy(m, kind, N, reference=0)
+                for name, lb in edge_batches(m, rng):
+                    draws = rng.random(lb.shape[0])
+                    given = draws if reads_draws(spec) else None
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = select_batch(spec, lb, given)
+                        one = [select_batch(spec, lb[r:r + 1],
+                                            None if given is None else given[r:r + 1])
+                               for r in range(lb.shape[0])]
+                        want = reference_select(spec, lb, draws)
+                    assert got.dtype == np.int64 and got.shape == (lb.shape[0],), name
+                    assert got.tolist() == [int(u[0]) for u in one], name
+                    assert got.tolist() == want.tolist(), name
 
 
 class TestHorizonFree:
