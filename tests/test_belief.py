@@ -12,9 +12,9 @@ from fhat.belief import (Belief, confidence, confidence_increment,
                          step_trajectory, tilde_belief, tilde_log,
                          update_belief, uniform_prior_log_posterior)
 from fhat.model import ModelError, make_model
-from fhat.montecarlo import enumerate_paths
 from fhat.numerics import logsumexp
 from fhat.strategy import build_strategy
+from oracles import reference_enumerate_paths
 
 LN15 = math.log(1.5)
 
@@ -247,7 +247,7 @@ class TestLikelihoodRatioOfHistories:
             prior = prior_belief(m)
             lt1 = tilde_log(prior, i)
             alts = [j for j in range(m.num_hypotheses) if j != i]
-            for exps, obs, loglik in enumerate_paths(m, spec, 4):
+            for exps, obs, loglik in reference_enumerate_paths(m, spec, 4):
                 log_p = loglik[i]
                 log_q = logsumexp(lt1 + loglik[alts])
                 b = prior
@@ -271,7 +271,7 @@ class TestTiltedSupermartingale:
             prior = prior_belief(m)
             lt1 = tilde_log(prior, i)
             alts = [j for j in range(m.num_hypotheses) if j != i]
-            leaves = list(enumerate_paths(m, spec, 6))
+            leaves = list(reference_enumerate_paths(m, spec, 6))
             from fhat.model import llr_table
             L = llr_table(m, i)
             for s in (0.25, 0.5, 0.75, 1.0):

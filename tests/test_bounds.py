@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from fhat import bounds
 from fhat.game import solve
-from fhat.montecarlo import enumerate_paths
 from fhat.strategy import build_strategy
 
-from oracles import binomial_cdf_exact, binomial_quantile_exact
+from oracles import (binomial_cdf_exact, binomial_quantile_exact,
+                     reference_enumerate_paths)
 
 LN15 = math.log(1.5)
 LN2 = math.log(2)
@@ -155,7 +155,7 @@ class TestWeightedLlrLattice:
         for kind in ("das", "chernoff-det"):
             for N in (1, 3, 6, 10):
                 spec = build_strategy(t1, kind, horizon=N, reference=0)
-                for exps, obs, _ in enumerate_paths(t1, spec, N):
+                for exps, obs, _ in reference_enumerate_paths(t1, spec, N):
                     z = np.zeros(2)
                     for u, y in zip(exps, obs):
                         z += L[:, u, y]

@@ -10,7 +10,7 @@ import pytest
 import fhat
 from fhat import montecarlo as mc
 from fhat.cli import main
-from fhat.model import serialize_model, table1
+from fhat.model import make_model, serialize_model, table1
 
 
 def run(capsys, *argv):
@@ -289,11 +289,20 @@ class TestBoundsAndEnumerate:
         assert code == 0
         assert "gamma:" in out
 
-    def test_enumerate_above_cap_exits_2(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--model", "table1",
+    def test_enumerate_above_cap_exits_2(self, capsys, tmp_path):
+        """das on this four-symbol model spreads over enough experiments
+        that its count states pass mc.ENUM_STATE_CAP within 17 steps."""
+        kernel = np.random.default_rng(3).uniform(0.25, 1.0, (4, 5, 4))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        m = make_model([f"h{i}" for i in range(4)], [f"u{u}" for u in range(5)],
+                       [f"y{y}" for y in range(4)], kernel, np.full(4, 0.25))
+        path = tmp_path / "wide.yaml"
+        path.write_text(serialize_model(m))
+        code, _, err = run(capsys, "enumerate", "--model", str(path),
                            "--strategy", "das", "--reference", "0",
-                           "--horizon", str(mc.ENUM_STEP_CAP + 1), "--theta", "0.5")
+                           "--horizon", "20", "--theta", "0.5")
         assert code == 2 and "enumeration cap" in err
+        assert err.rstrip().endswith(str(mc.ENUM_STATE_CAP))
 
     def test_missing_model_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--reference", "0")

@@ -1,6 +1,10 @@
 """Model layer: parsing, validation, derived quantities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,23 @@ class TestLoadModel:
     def test_parse_failure(self):
         with pytest.raises(ModelError, match="parse|key-value"):
             load_model("[:::")
+
+    def test_unclosed_flow_sequence_is_a_parse_error(self):
+        with pytest.raises(ModelError, match="cannot parse"):
+            load_model("hypotheses: [a, b\n")
+
+    def test_builtin_models_do_not_import_yaml(self):
+        """PyYAML is imported by load_model alone: a fresh interpreter
+        that imports the CLI and resolves a built-in model never loads
+        it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, warnings; warnings.simplefilter('ignore'); "
+                "import fhat.cli; from fhat.model import resolve_model; "
+                "resolve_model('table1'); print('yaml' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_missing_field(self):
         with pytest.raises(ModelError, match="missing field"):

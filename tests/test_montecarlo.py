@@ -353,17 +353,23 @@ class TestEnumerate:
     def test_rejects_randomized_strategies(self, t1):
         spec = build_strategy(t1, "ors", horizon=2, reference=0)
         with pytest.raises(ValueError, match="deterministic"):
-            list(mc.enumerate_paths(t1, spec, 2))
+            mc.enumerate_exact(t1, spec, empirical_rule(0, 0.5, 0.05), 2)
 
     def test_rejects_horizon_above_cap(self, t1):
+        """A horizon whose live count states exceed the state cap
+        raises; one at the cap runs."""
         spec = build_strategy(t1, "das", horizon=11, reference=0)
+        rule = empirical_rule(0, 0.5, 0.05)
+        states = mc.enumerate_exact(t1, spec, rule, 11).states
+        assert 1 < states < 2 ** 11
+        mc.enumerate_exact(t1, spec, rule, 11, state_cap=states)
         with pytest.raises(ValueError, match="cap"):
-            list(mc.enumerate_paths(t1, spec, 11))
+            mc.enumerate_exact(t1, spec, rule, 11, state_cap=states - 1)
 
     def test_leaf_masses_are_distributions(self, t2):
         spec = build_strategy(t2, "das-rs", horizon=5, reference=0)
         total = np.zeros(3)
-        for _, _, loglik in mc.enumerate_paths(t2, spec, 5):
+        for _, _, loglik in reference_enumerate_paths(t2, spec, 5):
             total += np.exp(loglik)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
@@ -389,7 +395,7 @@ class TestEnumerate:
             prior_conf = confidence(prior_belief(model), 0)
             alts = list(model.alternates(0))
             expectation = 0.0
-            for _, _, loglik in mc.enumerate_paths(model, spec, N):
+            for _, _, loglik in reference_enumerate_paths(model, spec, N):
                 lb = model.log_prior + loglik
                 inc = (lb[0] - logsumexp(lb[alts])) - prior_conf
                 if inc >= theta:
@@ -441,15 +447,38 @@ class TestEnumerate:
         assert rep.gamma <= sum(math.exp(-rule.thresholds[i]) * (1 - t1.prior[i])
                                 for i in range(3)) + 1e-12
 
+    def test_past_the_old_cap_agrees_with_monte_carlo(self, t1, t2):
+        """At N = 60, far past the 2^10 leaves a tree walk managed, the
+        exact psi and phi agree with 30 000 simulated trials within 3 SE
+        (phi through the log-sum-exp estimator), for every hypothesis of
+        the symmetric composite."""
+        N = 60
+        sym = build_strategy(t1, "symmetric", N)
+        games = {i: sym.inner[i].game for i in range(3)}
+        cells = [(t1, build_strategy(t1, "das", N, reference=0),
+                  empirical_rule(0, 3.0, 0.05)),
+                 (t2, build_strategy(t2, "das-rs", N, reference=0),
+                  empirical_rule(0, 3.0, 0.05)),
+                 (t1, sym, symmetric_rule(t1, games, N, 0.05))]
+        for model, spec, rule in cells:
+            exact = mc.enumerate_exact(model, spec, rule, N)
+            assert exact.leaves == 2 ** N
+            rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N, 30000, 1))
+            assert set(exact.psi) == set(rule.thresholds)
+            for i in exact.psi:
+                assert abs(rep.psi_hat[i] - exact.psi[i]) <= 3 * rep.psi_se[i]
+                est = rep.lse[i]
+                assert abs(est.log_inv_phi + math.log(exact.phi[i])) <= 3 * est.se
+
 
 class TestEnumerateOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_recursive_walk(self, t1, t2, kind):
-        """The block walk yields the leaves of the node-by-node recursion
-        in oracles.reference_enumerate_paths, in the same order and with
-        the same loglik bits, and enumerate_exact gives exactly the psi,
-        phi, gamma and leaf count of the scalar per-leaf loop.  `ors` is
-        a point mass on the last experiment."""
+        """The count-state dynamic program gives the psi, phi and gamma
+        of the scalar per-leaf loop over the node-by-node recursion in
+        oracles.reference_enumerate_paths to 1e-12 relative (it sums in
+        another order), and exactly its leaf count.  `ors` is a point
+        mass on the last experiment."""
         for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
             M = m.num_hypotheses
             deep = 8 if m.num_observations == 2 else 7
@@ -464,16 +493,16 @@ class TestEnumerateOracle:
                                           sample_alpha=alpha)
                     rules = [empirical_rule(0, theta * N, 0.05)
                              for theta in (0.025, 0.25)]
-                got = list(mc.enumerate_paths(m, spec, N))
-                want = list(reference_enumerate_paths(m, spec, N))
-                assert len(got) == len(want)
-                for (e, o, ll), (e0, o0, ll0) in zip(got, want):
-                    assert e == e0 and o == o0
-                    assert ll.tobytes() == ll0.tobytes()
                 for rule in rules:
                     rep = mc.enumerate_exact(m, spec, rule, N)
-                    assert ((rep.psi, rep.phi, rep.gamma, rep.leaves)
-                            == reference_enumerate_exact(m, spec, rule, N))
+                    psi, phi, gamma, leaves = reference_enumerate_exact(
+                        m, spec, rule, N)
+                    assert rep.leaves == leaves
+                    assert rep.psi.keys() == psi.keys() == phi.keys()
+                    for got, want in [*((rep.psi[i], psi[i]) for i in psi),
+                                      *((rep.phi[i], phi[i]) for i in phi),
+                                      (rep.gamma, gamma)]:
+                        assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_selection_matches_scalar(self, t1, t2, kind):
