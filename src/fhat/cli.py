@@ -2,9 +2,10 @@
 
 Subcommands: solve-game, simulate, sweep, bounds, enumerate.  Every
 output file is written together with a `<file>.manifest.json` recording
-the tool version, resolved flags and seed, so the exact run can be
-reproduced (`fhat sweep --manifest <file>` replays a sweep and emits a
-byte-identical CSV at any worker count).
+the tool, numpy and python versions, the stream's generator, the resolved
+flags and seed, so the exact run can be reproduced (`fhat sweep
+--manifest <file>` replays a sweep and emits a byte-identical CSV at any
+worker count, with a warning if another version wrote the manifest).
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -71,27 +74,31 @@ def _write_text(path: str, text: str) -> None:
         fh.truncate()
 
 
-def _write_with_manifest(path: str, content: str, subcommand: str, flags: dict,
-                         seed) -> None:
-    _write_text(path, content)
+# parsed values that do not change a run's output, or are recorded apart
+_NOT_FLAGS = ("command", "func", "manifest", "output", "seed", "workers")
+
+
+def _emit(args, content: str) -> None:
+    """Write `content` to --output with its manifest, or to stdout.  The
+    manifest's flags are every option of the subcommand, as resolved."""
+    if not args.output:
+        sys.stdout.write(content)
+        return
+    _write_text(args.output, content)
     manifest = {
         "tool": "fhat",
         "version": __version__,
+        "rng": mc.STREAM_RNG,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "subcommand": subcommand,
-        "flags": flags,
-        "seed": seed,
-        "output": os.path.basename(path),
+        "subcommand": args.command,
+        "flags": {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS},
+        "seed": getattr(args, "seed", None),
+        "output": os.path.basename(args.output),
     }
-    _write_text(path + ".manifest.json",
+    _write_text(args.output + ".manifest.json",
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _emit(args, content: str, subcommand: str, flags: dict, seed=None) -> None:
-    if getattr(args, "output", None):
-        _write_with_manifest(args.output, content, subcommand, flags, seed)
-    else:
-        sys.stdout.write(content)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +125,8 @@ def cmd_solve_game(args) -> int:
         lines.append("  " + model.experiments[u] + ": "
                      + " ".join(mc.fmt9(float(v)) for v in sol.payoff_matrix[u]))
     lines.append(f"duality_gap: {mc.fmt9(rep.gap)}")
-    _emit(args, "\n".join(lines) + "\n", "solve-game",
-          {"model": args.model, "reference": args.reference}, None)
+    _emit(args, "\n".join(lines) + "\n")
     return 0
-
-
-def _simulate_flags(args) -> dict:
-    return {"model": args.model, "strategy": args.strategy,
-            "reference": args.reference, "horizon": args.horizon,
-            "trials": args.trials, "epsilon": args.epsilon,
-            "theta": args.theta, "calibrate": args.calibrate,
-            "inner": args.inner}
 
 
 def _spec_and_rule(args, model, N: int):
@@ -174,15 +172,8 @@ def cmd_simulate(args) -> int:
             spec.game, model, N, rule.epsilon),
         strong_bound=math.nan if symmetric else math.inf, seed=args.seed)
         for i, theta in sorted(rule.thresholds.items())]
-    _emit(args, mc.rows_to_csv(rows), "simulate", _simulate_flags(args), args.seed)
+    _emit(args, mc.rows_to_csv(rows))
     return 0
-
-
-def _sweep_flags(args) -> dict:
-    return {"model": args.model, "strategies": args.strategies,
-            "reference": args.reference, "horizons": args.horizons,
-            "trials": args.trials, "epsilon": args.epsilon,
-            "strong": args.strong, "nu": args.nu, "inner": args.inner}
 
 
 def cmd_sweep(args) -> int:
@@ -191,6 +182,10 @@ def cmd_sweep(args) -> int:
             manifest = json.load(fh)
         if manifest.get("subcommand") != "sweep":
             raise ModelError(f"{args.manifest} is not a sweep manifest")
+        if manifest.get("version") != __version__:
+            print(f"fhat: warning: {args.manifest} was written by fhat "
+                  f"{manifest.get('version')}, not {__version__}; the CSV may "
+                  "differ from the original", file=sys.stderr)
         flags = manifest["flags"]
         for key, value in flags.items():
             setattr(args, key, value)
@@ -209,7 +204,7 @@ def cmd_sweep(args) -> int:
                     args.seed, epsilon_fn=_epsilon_fn(args),
                     strong=args.strong, nu=args.nu, workers=args.workers,
                     inner_kind=args.inner)
-    _emit(args, mc.rows_to_csv(rows), "sweep", _sweep_flags(args), args.seed)
+    _emit(args, mc.rows_to_csv(rows))
     return 0
 
 
@@ -225,10 +220,7 @@ def cmd_bounds(args) -> int:
         lines.append(",".join(mc.fmt9(v) for v in
                               (r.N, r.epsilon, r.weak_rate, r.strong_abs,
                                r.strong_db, r.asymptotic_rate)))
-    _emit(args, "\n".join(lines) + "\n", "bounds",
-          {"model": args.model, "reference": args.reference,
-           "horizons": args.horizons, "nu": args.nu,
-           "epsilon": args.epsilon}, None)
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -241,10 +233,7 @@ def cmd_enumerate(args) -> int:
         lines.append(f"psi[{model.hypotheses[i]}]: {mc.fmt9(rep.psi[i])}")
         lines.append(f"phi[{model.hypotheses[i]}]: {mc.fmt9(rep.phi[i])}")
     lines.append(f"gamma: {mc.fmt9(rep.gamma)}")
-    _emit(args, "\n".join(lines) + "\n", "enumerate",
-          {"model": args.model, "strategy": args.strategy,
-           "reference": args.reference, "horizon": args.horizon,
-           "theta": args.theta}, None)
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 The simulation engine is vectorized over trials and organized in
 fixed-size chunks of 8192 trials.  Chunk c of the stream (seed, purpose,
-hypothesis) draws its randomness from an independent counter-based
-generator keyed by exactly those integers, and a trial's experiment
+hypothesis) draws its randomness from its own jump-ahead generator seeded
+from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
 
@@ -39,6 +39,9 @@ from .strategy import (InferenceRule, StrategySpec, build_strategy,
 from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
+# the chunk generator, by name: recorded in every manifest, and looked
+# up at call time so that importing fhat does not import numpy.random
+STREAM_RNG = "PCG64DXSM"
 ENUM_STATE_CAP = 1 << 18  # live count states (bounds enumeration memory)
 JACKKNIFE_BATCHES = 100
 # Results one shared sweep run may hold: per horizon, the calibration and
@@ -57,21 +60,21 @@ PURPOSE_MIXTURE = 2
 
 def _chunk_generator(master_seed: int, purpose: int, hyp: int, chunk: int):
     ss = np.random.SeedSequence((int(master_seed), int(purpose), int(hyp), int(chunk)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(getattr(np.random, STREAM_RNG)(ss))
 
 
 def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
     """Uniforms lo..hi-1 of the next CHUNK draws of a chunk generator,
-    which is left where drawing all CHUNK of them would leave it.
-    Philox makes doubles four at a time and ``advance(k)`` skips k such
-    blocks, so only the blocks holding the wanted draws are made; a
-    full chunk is one gen.random(CHUNK) and skips nothing."""
-    first, end = lo // 4, -(-hi // 4)
-    if first:
-        gen.bit_generator.advance(first)
-    out = gen.random(4 * (end - first))[lo - 4 * first:hi - 4 * first]
-    if end < CHUNK // 4:
-        gen.bit_generator.advance(CHUNK // 4 - end)
+    which is left where drawing all CHUNK of them would leave it.  Each
+    step of a chunk takes CHUNK experiment draws, then CHUNK observation
+    draws, and trial t reads entry t of each.  Each double is one 64-bit
+    output and ``advance(k)`` skips k outputs, so only the wanted draws
+    are made; a full chunk is one gen.random(CHUNK) and skips nothing."""
+    if lo:
+        gen.bit_generator.advance(lo)
+    out = gen.random(hi - lo)
+    if hi < CHUNK:
+        gen.bit_generator.advance(CHUNK - hi)
     return out
 
 
@@ -123,7 +126,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             if reads:
                 exp_draws = _chunk_draws(gen, 0, n_rows)
             else:   # where drawing the chunk's uniforms leaves it
-                gen.bit_generator.advance(CHUNK // 4)
+                gen.bit_generator.advance(CHUNK)
             obs_draws = _chunk_draws(gen, 0, n_rows)
             u = _select_batch(spec, lb, exp_draws)
             row = u * Y
@@ -212,10 +215,10 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     row.  A row's pick does not depend on the other rows of its batch,
     so the replay follows the engine's path step for step, for every
     strategy kind.  The returned trajectory is bitwise-reproducible
-    across runs and worker counts.  Each step draws only the block of
-    randoms that holds this trial's and skips the rest of the chunk's
-    (_chunk_draws); it skips the experiment draws whole for rules that
-    never read them (all but ``ors``), as the engine does.
+    across runs and worker counts.  Each step draws only this trial's
+    randoms and skips the rest of the chunk's (_chunk_draws); it skips
+    the experiment draws whole for rules that never read them (all but
+    ``ors``), as the engine does.
     """
     chunk_idx, row = divmod(trial_index, CHUNK)
     gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)
@@ -229,7 +232,7 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
         if reads:
             exp_draw = _chunk_draws(gen, row, row + 1)
         else:
-            gen.bit_generator.advance(CHUNK // 4)
+            gen.bit_generator.advance(CHUNK)
         obs_draw = _chunk_draws(gen, row, row + 1)[0]
         u = int(_select_batch(spec, lb, exp_draw)[0])
         y = int(min(int((cumk[u] <= obs_draw).sum()), model.num_observations - 1))

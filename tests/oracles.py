@@ -135,7 +135,7 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
     beliefs (n_rows, M) and, when track_llr_of = i is given, the total
     LLRs (n_rows, M-1) of i against its alternates (else None)."""
     ss = np.random.SeedSequence((master_seed, purpose, true_hyp, chunk_idx))
-    gen = np.random.Generator(np.random.Philox(ss))
+    gen = np.random.Generator(np.random.PCG64DXSM(ss))
     lb = np.tile(model.log_prior, (n_rows, 1))
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
     z = None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,26 @@ class TestSweep:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_manifest_from_other_version_warns(self, capsys, tmp_path):
+        """A manifest written by another version still replays, with a
+        one-line warning that the CSV may differ from the original."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        code, _, err = run(capsys, "sweep", "--model", "table1",
+                           "--strategies", "ors", "--reference", "0",
+                           "--horizons", "6", "--trials", "300",
+                           "--seed", "4", "--output", str(a))
+        assert code == 0 and err == ""
+        path = tmp_path / "a.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = "0.2.0"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "sweep", "--manifest", str(path),
+                           "--output", str(b))
+        assert code == 0 and a.read_bytes() == b.read_bytes()
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and "warning" in lines[0]
+        assert "0.2.0" in lines[0] and "may differ" in lines[0]
+
 
 def csv_rows(text):
     header, *lines = text.strip().split("\n")
@@ -288,6 +309,28 @@ class TestBoundsAndEnumerate:
                            "--strategy", "symmetric", "--horizon", "4")
         assert code == 0
         assert "gamma:" in out
+
+    def test_manifest_records_stream_versions_and_every_flag(self, capsys,
+                                                             tmp_path):
+        """The manifest names the random stream's generator and the tool,
+        numpy and python versions, and its flags are every option that
+        shapes the output, --inner and --epsilon included."""
+        path = tmp_path / "sym.txt"
+        code, _, _ = run(capsys, "enumerate", "--model", "table1",
+                         "--strategy", "symmetric", "--horizon", "4",
+                         "--inner", "chernoff-det", "--epsilon", "0.1",
+                         "--output", str(path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "sym.txt.manifest.json").read_text())
+        assert manifest["version"] == fhat.__version__
+        assert manifest["rng"] == "PCG64DXSM"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["python"] == platform.python_version()
+        assert manifest["subcommand"] == "enumerate" and manifest["seed"] is None
+        assert manifest["flags"] == {
+            "model": "table1", "strategy": "symmetric", "reference": None,
+            "horizon": 4, "theta": None, "epsilon": 0.1,
+            "inner": "chernoff-det"}
 
     def test_enumerate_above_cap_exits_2(self, capsys, tmp_path):
         """das on this four-symbol model spreads over enough experiments

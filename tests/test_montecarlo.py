@@ -90,6 +90,21 @@ class TestRunTrial:
                         inc = confidence(traj.belief, 0) - confidence(prior, 0)
                         np.testing.assert_allclose(inc, c_inc[t, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["ors", "das"])
+    def test_replays_past_the_first_chunk(self, t1, kind):
+        """Trials at the end of chunk 0 and in the partial chunk 1 of a
+        9000-trial run replay the engine: the per-row skips land on the
+        same draws whether or not the rule reads the experiment ones."""
+        N = 40
+        spec = build_strategy(t1, kind, horizon=N, reference=0)
+        rule = empirical_rule(0, 0.0, 0.05)
+        c_inc, _ = mc.simulate_measure(t1, spec, N, 1, 9000, 11, refs=(0,))
+        prior = prior_belief(t1)
+        for t in (8191, 8192, 8193, 8999):
+            traj, _ = mc.run_trial(t1, spec, rule, N, 1, seed=11, trial_index=t)
+            inc = confidence(traj.belief, 0) - confidence(prior, 0)
+            np.testing.assert_allclose(inc, c_inc[t, 0], atol=1e-12)
+
 
 class TestEstimate:
     def test_rule_that_always_accepts(self, t1):
@@ -190,9 +205,9 @@ class TestSnapshots:
 
 class TestChunkDraws:
     def test_skipped_draws_match_full_draws(self):
-        """Drawing only the blocks of a row range gives that range of the
-        full chunk's draws, and leaves the generator as drawing the full
-        chunk does: same counter and key, buffer used up, step after
+        """Drawing only a row range gives that range of the full chunk's
+        draws, and leaves the generator as drawing the full chunk does:
+        same state and increment, no buffered half-word, step after
         step."""
         ranges = [(0, n) for n in (1, 3, 4, 7, 3000, 8191, mc.CHUNK)]
         ranges += [(r, r + 1) for r in (0, 3, 4, 4093, 8188, 8191)]
@@ -203,10 +218,9 @@ class TestChunkDraws:
                 got = mc._chunk_draws(fast, lo, hi)
                 assert got.tobytes() == full.random(mc.CHUNK)[lo:hi].tobytes()
                 a, b = fast.bit_generator.state, full.bit_generator.state
-                for part in ("counter", "key"):
-                    assert np.array_equal(a["state"][part], b["state"][part])
-                assert (a["buffer_pos"], a["has_uint32"]) == (4, 0)
-                assert (b["buffer_pos"], b["has_uint32"]) == (4, 0)
+                for part in ("state", "inc"):
+                    assert a["state"][part] == b["state"][part]
+                assert a["has_uint32"] == b["has_uint32"] == 0
             assert fast.random(5).tobytes() == full.random(5).tobytes()
 
 
