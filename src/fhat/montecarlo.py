@@ -27,15 +27,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .belief import (confidence, new_trajectory, prior_belief,
-                     step_trajectory)
+from .belief import confidence, new_trajectory, prior_belief, step_trajectory
 from .model import HypothesisModel, llr_table
 from .numerics import largest_remainder_allocation, logsumexp, nats_to_db
 # select_experiment is not called here; perfbench's tracer wraps it
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
-                       default_epsilon, empirical_rule, infer, reads_draws,
-                       select_experiment, symmetric_setup)
+                       decisions_from_increments, default_epsilon,
+                       empirical_rule, reads_draws, select_experiment,
+                       symmetric_setup)
 from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
@@ -92,21 +92,29 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
 
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
-                    chunk_idx: int, n_rows: int, refs: tuple,
-                    zbar_weights: np.ndarray | None):
-    """Simulate the first n_rows trials of one chunk to the last of the
-    ascending `horizons`, and return (c_inc, zbar) stacked over them.
+                    chunk_idx: int, lo: int, hi: int, refs: tuple,
+                    zbar_weights: np.ndarray | None, path: list | None = None):
+    """Simulate trials lo..hi-1 of one chunk to the last of the ascending
+    `horizons`, and return (c_inc, zbar) stacked over them; a list
+    `path` gets each step's (u, y) arrays appended.
 
     Each step draws only the randoms of those rows and skips the rest of
     the chunk's (_chunk_draws); a rule that never reads the experiment
-    draws skips all of them.  Either way the stream layout (and with it
-    prefix stability and run_trial replays) does not depend on n_rows
-    or on the rule.  A trial's first n steps are the same for every
-    horizon >= n, so the state at each horizon is recorded on the way
-    to the last; a run of one horizon is the tuple (N,)."""
-    gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
+    draws skips all of them.  Either way the stream layout does not
+    depend on the rule, and a row's results are the same bits in any
+    range that holds it (prefix stability, one-row run_trial).  A
+    trial's first n steps are the same for every horizon >= n, so the
+    state at each horizon is recorded on the way to the last; a run of
+    one horizon is the tuple (N,)."""
     M, U, Y = model.kernel.shape
-    lb = np.tile(model.log_prior, (n_rows, 1))
+    if horizons[0] < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
+    if not 0 <= true_hyp < M:
+        raise ValueError(f"true hypothesis {true_hyp} outside [0, {M})")
+    if chunk_idx < 0:
+        raise ValueError(f"trial index must be >= 0, got {chunk_idx * CHUNK + lo}")
+    gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
+    lb = np.tile(model.log_prior, (hi - lo, 1))
     # inverse-CDF sampling as #{cum <= r} over all but the last column,
     # which is the clip to the last symbol (cum never decreases)
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
@@ -116,7 +124,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     track_z = zbar_weights is not None
     if track_z:
         llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
-        z = np.zeros((n_rows, M - 1))
+        z = np.zeros((hi - lo, M - 1))
     reads = reads_draws(spec)
     exp_draws = None
     c_incs, zbars = [], []
@@ -124,14 +132,16 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     for stop in horizons:
         for _ in range(step, stop):
             if reads:
-                exp_draws = _chunk_draws(gen, 0, n_rows)
+                exp_draws = _chunk_draws(gen, lo, hi)
             else:   # where drawing the chunk's uniforms leaves it
                 gen.bit_generator.advance(CHUNK)
-            obs_draws = _chunk_draws(gen, 0, n_rows)
+            obs_draws = _chunk_draws(gen, lo, hi)
             u = _select_batch(spec, lb, exp_draws)
             row = u * Y
             for cum in cum_cols:
                 row += obs_draws >= cum[u]
+            if path is not None:
+                path.append((u, row - u * Y))
             lb += np.take(logk_rows, row, axis=0)
             if track_z:
                 z += np.take(llr_rows, row, axis=0)
@@ -185,7 +195,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     for c in range(n_chunks):
         rows = min(CHUNK, trials - c * CHUNK)
         tasks.append((model, spec, horizons, true_hyp, master_seed, purpose, c,
-                      rows, refs, w))
+                      0, rows, refs, w))
     if workers and workers > 1 and n_chunks > 1:
         # imported here: its modules take about 10 ms to import, which
         # serial runs never need
@@ -207,61 +217,26 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
               N: int, true_hypothesis: int, seed: int,
               purpose: int = PURPOSE_ESTIMATE, trial_index: int = 0,
               beta_star=None):
-    """Scalar reference path for a single trial.
-
-    Replays the randomness that the vectorized engine assigns to trial
-    `trial_index` of the given stream and selects with the engine's own
-    selector on the same raw log-likelihood state, as a batch of one
-    row.  A row's pick does not depend on the other rows of its batch,
-    so the replay follows the engine's path step for step, for every
-    strategy kind.  The returned trajectory is bitwise-reproducible
-    across runs and worker counts.  Each step draws only this trial's
-    randoms and skips the rest of the chunk's (_chunk_draws); it skips
-    the experiment draws whole for rules that never read them (all but
-    ``ors``), as the engine does.
-    """
+    """Trial `trial_index` of the given stream: the engine run on its
+    one row, so it takes the engine's path and gets the engine's
+    decision (None to abstain) bit for bit, for every strategy kind.
+    The trajectory, for the rule's first hypothesis and with z_bar when
+    `beta_star` is given, steps the belief layer along that path."""
     chunk_idx, row = divmod(trial_index, CHUNK)
-    gen = _chunk_generator(seed, purpose, true_hypothesis, chunk_idx)
-    ref = min(rule.thresholds) if rule.thresholds else (spec.reference or 0)
-    traj = new_trajectory(model, ref, beta_star=beta_star)
-    lb = model.log_prior.copy()[None, :]          # engine's raw state
-    cumk = np.cumsum(model.kernel[true_hypothesis], axis=1)
-    reads = reads_draws(spec)
-    exp_draw = None
-    for _ in range(N):
-        if reads:
-            exp_draw = _chunk_draws(gen, row, row + 1)
-        else:
-            gen.bit_generator.advance(CHUNK)
-        obs_draw = _chunk_draws(gen, row, row + 1)[0]
-        u = int(_select_batch(spec, lb, exp_draw)[0])
-        y = int(min(int((cumk[u] <= obs_draw).sum()), model.num_observations - 1))
-        lb = lb + model.log_kernel[:, u, y][None, :]
-        traj = step_trajectory(traj, u, y)
-    decision = infer(traj.belief, prior_belief(model), rule)
-    return traj, decision
+    refs = tuple(sorted(rule.thresholds))
+    path = []
+    c_inc, _ = _simulate_chunk(model, spec, (N,), true_hypothesis, seed, purpose,
+                               chunk_idx, row, row + 1, refs, None, path)
+    traj = new_trajectory(model, refs[0], beta_star=beta_star)
+    for u, y in path:
+        traj = step_trajectory(traj, int(u[0]), int(y[0]))
+    decision = int(decisions_from_increments(c_inc[0], refs, rule)[0])
+    return traj, None if decision < 0 else decision
 
 
 # ---------------------------------------------------------------------------
-# Decisions and estimators
+# Estimators
 # ---------------------------------------------------------------------------
-
-def decisions_from_increments(c_inc: np.ndarray, refs: tuple,
-                              rule: InferenceRule) -> np.ndarray:
-    """Vectorized inference: -1 encodes the inconclusive declaration."""
-    T = c_inc.shape[0]
-    flags = np.zeros((T, len(refs)), dtype=bool)
-    for col, i in enumerate(refs):
-        if i in rule.thresholds:
-            flags[:, col] = c_inc[:, col] >= rule.thresholds[i]
-    counts = flags.sum(axis=1)
-    if rule.kind == "symmetric" and np.any(counts > 1):
-        raise ValueError("two hypotheses cleared their symmetric thresholds")
-    dec = np.full(T, -1, dtype=np.int64)
-    hit = counts >= 1
-    dec[hit] = np.asarray(refs)[np.argmax(flags[hit], axis=1)]
-    return dec
-
 
 @dataclass(frozen=True)
 class LsePhiEstimate:

@@ -17,12 +17,16 @@ Five selection rules share one interface:
                       hypothesis from a uniform-prior posterior, then
                       delegate to that hypothesis's inner rule.
 
-One selector, select_batch, picks for a batch of beliefs; the engine,
-run_trial, select_experiment (a batch of one) and exact enumeration all
-call it.  A row's pick depends on that row alone, and values within a
-relative TIE_RTOL of the row's best are ties that go to the first
-label, so the pick is a function of the state and not of the rounding
-of the path that reached it.
+One selector, select_batch, picks for a batch of beliefs; the engine
+(and with it run_trial, a one-row engine run), select_experiment (a
+batch of one) and exact enumeration all call it.  A row's pick depends
+on that row alone, and values within a relative TIE_RTOL of the row's
+best are ties that go to the first label, so the pick is a function of
+the state and not of the rounding of the path that reached it.
+
+One threshold rule, decisions_from_increments, decides for a batch of
+confidence increments: Monte Carlo estimation, run_trial, enumeration
+and infer (a batch of one) all apply it.
 """
 
 from __future__ import annotations
@@ -447,15 +451,29 @@ def symmetric_setup(model: HypothesisModel, N: int, epsilon: float,
     return spec, symmetric_rule(model, games, N, epsilon)
 
 
+def decisions_from_increments(c_inc: np.ndarray, refs: tuple,
+                              rule: InferenceRule) -> np.ndarray:
+    """The rule on each row of confidence increments C_i(final) -
+    C_i(prior), one column per hypothesis of `refs`: the first to reach
+    its threshold, or -1 for the inconclusive declaration."""
+    T = c_inc.shape[0]
+    flags = np.zeros((T, len(refs)), dtype=bool)
+    for col, i in enumerate(refs):
+        if i in rule.thresholds:
+            flags[:, col] = c_inc[:, col] >= rule.thresholds[i]
+    counts = flags.sum(axis=1)
+    if rule.kind == "symmetric" and np.any(counts > 1):
+        raise ValueError("two hypotheses cleared their symmetric thresholds")
+    dec = np.full(T, -1, dtype=np.int64)
+    hit = counts >= 1
+    dec[hit] = np.asarray(refs)[np.argmax(flags[hit], axis=1)]
+    return dec
+
+
 def infer(final_belief: Belief, prior: Belief, rule: InferenceRule) -> int | None:
-    """Apply the rule to the run's final belief.  Returns the declared
-    hypothesis index, or None for the inconclusive declaration."""
-    cleared = [i for i, theta in rule.thresholds.items()
-               if confidence(final_belief, i) - confidence(prior, i) >= theta]
-    if rule.kind in ("asymmetric", "empirical"):
-        return cleared[0] if cleared else None
-    if len(cleared) > 1:
-        raise ValueError(
-            f"hypotheses {cleared} both cleared their symmetric thresholds; "
-            "thresholds are misconfigured (must exceed -C_i(prior))")
-    return cleared[0] if cleared else None
+    """decisions_from_increments on the run's final belief, a batch of
+    one: the declared hypothesis index, or None to abstain."""
+    refs = tuple(sorted(rule.thresholds))
+    c_inc = np.array([[confidence(final_belief, i) - confidence(prior, i) for i in refs]])
+    decision = int(decisions_from_increments(c_inc, refs, rule)[0])
+    return None if decision < 0 else decision

@@ -10,8 +10,9 @@ from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model
 from fhat.numerics import log_normalize
-from fhat.strategy import (INNER_KINDS, KINDS, asymmetric_rule, build_strategy,
-                           empirical_rule, select_experiment, symmetric_rule)
+from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
+                           build_strategy, empirical_rule, select_experiment,
+                           symmetric_rule)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
                      reference_select_experiment)
@@ -104,6 +105,79 @@ class TestRunTrial:
             traj, _ = mc.run_trial(t1, spec, rule, N, 1, seed=11, trial_index=t)
             inc = confidence(traj.belief, 0) - confidence(prior, 0)
             np.testing.assert_allclose(inc, c_inc[t, 0], atol=1e-12)
+
+    def test_decides_as_the_engine_on_the_boundary(self, t1, t2):
+        """With the threshold set to a trial's own engine increment, the
+        inclusive rule accepts it in the engine, and run_trial returns
+        that decision: it decides on the engine's increments, not on a
+        renormalized belief that may land a rounding error below."""
+        rng = np.random.default_rng(3)
+        for m in (t1, t2):
+            for kind in INNER_KINDS:
+                for N in (12, 40):
+                    spec = build_strategy(m, kind, horizon=N, reference=0)
+                    c_inc, _ = mc.simulate_measure(m, spec, N, 0, 64, 21, refs=(0,))
+                    for t in rng.choice(64, 4, replace=False):
+                        rule = empirical_rule(0, float(c_inc[t, 0]), 0.05)
+                        engine = mc.decisions_from_increments(c_inc[t:t + 1], (0,), rule)
+                        _, dec = mc.run_trial(m, spec, rule, N, 0, seed=21,
+                                              trial_index=int(t))
+                        assert dec == engine[0] == 0
+        # the symmetric rule, with hypothesis h's threshold at the
+        # increment of a trial under h and the others out of reach
+        N = 40
+        spec = build_strategy(t1, "symmetric", horizon=N)
+        refs = (0, 1, 2)
+        for h in refs:
+            c_inc, _ = mc.simulate_measure(t1, spec, N, h, 64, 21, refs=refs)
+            for t in rng.choice(64, 4, replace=False):
+                thresholds = {i: 1e9 for i in refs}
+                thresholds[h] = float(c_inc[t, h])
+                rule = InferenceRule("symmetric", thresholds, 0.05)
+                engine = mc.decisions_from_increments(c_inc[t:t + 1], refs, rule)
+                _, dec = mc.run_trial(t1, spec, rule, N, h, seed=21,
+                                      trial_index=int(t))
+                assert dec == engine[0] == h
+
+    def test_rejects_impossible_inputs(self, t1):
+        spec = build_strategy(t1, "das", horizon=5, reference=0)
+        rule = empirical_rule(0, 0.0, 0.05)
+        with pytest.raises(ValueError, match="horizon"):
+            mc.run_trial(t1, spec, rule, -3, 0, seed=1)
+        with pytest.raises(ValueError, match="trial index"):
+            mc.run_trial(t1, spec, rule, 5, 0, seed=1, trial_index=-1)
+        for h in (-1, 3):
+            with pytest.raises(ValueError, match="true hypothesis"):
+                mc.run_trial(t1, spec, rule, 5, h, seed=1)
+
+
+class TestSimulateMeasure:
+    def test_rejects_impossible_inputs(self, t1):
+        spec = build_strategy(t1, "das", horizon=5, reference=0)
+        with pytest.raises(ValueError, match="horizon"):
+            mc.simulate_measure(t1, spec, -3, 0, 10, 1)
+        for h in (-1, 3):
+            with pytest.raises(ValueError, match="true hypothesis"):
+                mc.simulate_measure(t1, spec, 5, h, 10, 1, refs=(0,))
+
+    @pytest.mark.parametrize("kind,inner", [
+        *(pytest.param(kind, "das", id=kind) for kind in KINDS),
+        pytest.param("symmetric", "ors", id="symmetric-ors")])
+    def test_row_range_matches_full_chunk(self, t2, kind, inner):
+        """Rows [lo, hi) of a chunk give bit for bit the same increments
+        and weighted LLRs as those rows of the whole chunk's run."""
+        N = 12
+        spec = build_strategy(t2, kind, N, inner_kind=inner,
+                              reference=None if kind == "symmetric" else 0)
+        refs = (0, 1, 2) if kind == "symmetric" else (0,)
+        zw = None if kind == "symmetric" else spec.game.beta_star
+        full = mc._simulate_chunk(t2, spec, (N,), 1, 8, 0, 2, 0, mc.CHUNK, refs, zw)
+        for lo, hi in ((0, 1), (3, 4), (100, 4000), (8191, 8192)):
+            c_inc, zbar = mc._simulate_chunk(t2, spec, (N,), 1, 8, 0, 2, lo, hi,
+                                             refs, zw)
+            assert c_inc.tobytes() == full[0][:, lo:hi].tobytes()
+            if zw is not None:
+                assert zbar.tobytes() == full[1][:, lo:hi].tobytes()
 
 
 class TestEstimate:
@@ -248,7 +322,7 @@ class TestEngineKernel:
                 for h in range(M):
                     for rows in (1, 7, mc.CHUNK):
                         c_inc, zbar = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1,
-                                                         rows, refs, zw)
+                                                         0, rows, refs, zw)
                         c_inc = c_inc[0]
                         zbar = None if zbar is None else zbar[0]
                         lb, z = reference_chunk(m, spec, N, h, 5, 0, 1, rows,
