@@ -9,7 +9,6 @@ share the same support, which keeps every log-likelihood ratio finite.
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,14 +137,8 @@ def make_model(hypotheses, experiments, observations, kernel, prior,
         # dominates the (all-zero) LLRs; keep the bound usable.
         B = 1.0
 
-    model = HypothesisModel(hypotheses, experiments, observations,
-                            kernel, prior, support, B, log_kernel=logk)
-    if not assumption_pairwise_informative(model):
-        warnings.warn(
-            "some experiment fails to distinguish some pair of hypotheses "
-            "(zero pairwise KL divergence); fine for asymmetric use",
-            RuntimeWarning, stacklevel=2)
-    return model
+    return HypothesisModel(hypotheses, experiments, observations,
+                           kernel, prior, support, B, log_kernel=logk)
 
 
 def assumption_pairwise_informative(model: HypothesisModel) -> bool:
@@ -158,6 +151,67 @@ def assumption_pairwise_informative(model: HypothesisModel) -> bool:
                 if i != j and np.array_equal(model.kernel[i, u, idx], model.kernel[j, u, idx]):
                     return False
     return True
+
+
+def _prime_exponents(a: int) -> dict[int, int]:
+    """{prime: exponent} of a positive integer, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= a:
+        while a % d == 0:
+            out[d] = out.get(d, 0) + 1
+            a //= d
+        d += 1
+    if a > 1:
+        out[a] = out.get(a, 0) + 1
+    return out
+
+
+def ratio_lattice(model: HypothesisModel, hyps) -> np.ndarray | None:
+    """Integer likelihood-ratio exponents of the hypotheses `hyps`: an
+    int64 (U*Y, r) matrix K, or None when some kernel entry p is not a
+    decimal of at most 6 places, float(a / 10**6) == p for an integer a
+    (no tolerance).
+
+    Row u*Y + y of K holds prime exponents of p_j(y|u) / p_hyps[0](y|u)
+    for the j in `hyps`, with only a rationally independent set of the
+    (j, prime) columns kept, so the dropped ones are rational
+    combinations of the kept ones.  Logs of distinct primes are
+    independent over the rationals, so two paths of observation counts
+    n have the same likelihood ratios among `hyps` exactly when K.T @ n
+    agree.  Rows off the support are zero; r may be 0."""
+    hyps = list(hyps)
+    U, Y = model.num_experiments, model.num_observations
+    columns = {}     # (j, prime) -> exponent per row u*Y + y
+    for u in range(U):
+        for y in model.support_indices(u):
+            nums = []
+            for h in hyps:
+                p = float(model.kernel[h, u, y])
+                a = round(p * 10**6)
+                if a / 10**6 != p:
+                    return None
+                nums.append(_prime_exponents(a))
+            for j, num in zip(hyps[1:], nums[1:]):
+                for q in num.keys() | nums[0].keys():
+                    e = num.get(q, 0) - nums[0].get(q, 0)
+                    if e:
+                        columns.setdefault((j, q), [0] * (U * Y))[u * Y + int(y)] = e
+    # greedy exact elimination: each basis vector is zero at the pivots
+    # of those before it, so reducing a column by them in order leaves
+    # it zero at every pivot, and what is left is independent of them
+    basis, kept = [], []
+    for key in sorted(columns):
+        v = list(columns[key])
+        for piv, b in basis:
+            if v[piv]:
+                f, g = b[piv], v[piv]
+                v = [f * x - g * z for x, z in zip(v, b)]
+        if any(v):
+            piv = next(k for k, x in enumerate(v) if x)
+            basis.append((piv, v))
+            kept.append(columns[key])
+    return np.array(kept, dtype=np.int64).reshape(-1, U * Y).T
 
 
 def kl_divergence(p, q) -> float:

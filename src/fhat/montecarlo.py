@@ -6,6 +6,9 @@ hypothesis) draws its randomness from its own jump-ahead generator seeded
 from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
+Where that state lies on a small likelihood-ratio lattice, a chunk reads
+its picks from a table that the selector fills, one row per lattice
+point the chunk reaches (_pick_table).
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -43,6 +46,7 @@ CHUNK = 8192
 # up at call time so that importing fhat does not import numpy.random
 STREAM_RNG = "PCG64DXSM"
 ENUM_STATE_CAP = 1 << 18  # live count states (bounds enumeration memory)
+PICK_TABLE_CAP = 1 << 20  # entries of a chunk's pick table (one byte each)
 JACKKNIFE_BATCHES = 100
 # Results one shared sweep run may hold: per horizon, the calibration and
 # estimation increments and the weighted LLRs, 24 bytes per trial.
@@ -78,6 +82,31 @@ def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _pick_table(spec: StrategySpec, N: int):
+    """(table, dk, key0) of a chunk run of `spec` to horizon N, or None
+    when it has no lattice key or its key box exceeds PICK_TABLE_CAP.
+
+    A trial's key is its point of the lattice K.T @ n (spec.pick_key,
+    n its observation counts) in the box that N steps can reach, packed
+    mixed-radix into one int64: key0 at the start, plus dk[u*Y + y] per
+    step.  Equal keys mean equal likelihood ratios among the hypotheses
+    selection reads, so the pick is a function of the key; the table
+    caches it as pick + 1, 0 where no trial has reached the key yet.
+    It is allocated zeroed, so memory pages the trials never reach are
+    never touched."""
+    K = spec.pick_key
+    if K is None:
+        return None
+    lo = [N * min(int(c.min()), 0) for c in K.T]
+    width = [N * max(int(c.max()), 0) - a + 1 for a, c in zip(lo, K.T)]
+    size = math.prod(width)
+    if size > PICK_TABLE_CAP:
+        return None
+    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
+    table = np.zeros(size, dtype=np.min_scalar_type(spec.model.num_experiments))
+    return table, K @ stride, -int(np.dot(lo, stride))
+
+
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
                            refs) -> np.ndarray:
     """C_i(final) - C_i(prior) for each reference, from unnormalized
@@ -105,7 +134,13 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     range that holds it (prefix stability, one-row run_trial).  A
     trial's first n steps are the same for every horizon >= n, so the
     state at each horizon is recorded on the way to the last; a run of
-    one horizon is the tuple (N,)."""
+    one horizon is the tuple (N,).
+
+    When the rule has a pick table for the last horizon, each trial
+    carries its lattice key, a step reads the picks from the table, and
+    the selector runs only on one row per key that no trial of this
+    call has reached before; its pick is the one every row of that key
+    would get.  The table lives for this call only."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -127,6 +162,10 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
         z = np.zeros((hi - lo, M - 1))
     reads = reads_draws(spec)
     exp_draws = None
+    cache = _pick_table(spec, horizons[-1])
+    if cache is not None:
+        table, dk, key0 = cache
+        key = np.full(hi - lo, key0, dtype=np.int64)
     c_incs, zbars = [], []
     step = 0
     for stop in horizons:
@@ -136,13 +175,24 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             else:   # where drawing the chunk's uniforms leaves it
                 gen.bit_generator.advance(CHUNK)
             obs_draws = _chunk_draws(gen, lo, hi)
-            u = _select_batch(spec, lb, exp_draws)
+            if cache is None:
+                u = _select_batch(spec, lb, exp_draws)
+            else:
+                u = np.subtract(np.take(table, key), 1, dtype=np.int64)
+                miss = np.flatnonzero(u < 0)
+                if miss.size:
+                    # one real row per key not seen yet picks for it
+                    new, first = np.unique(key[miss], return_index=True)
+                    table[new] = _select_batch(spec, lb[miss[first]], None) + 1
+                    u[miss] = table[key[miss]] - 1
             row = u * Y
             for cum in cum_cols:
                 row += obs_draws >= cum[u]
             if path is not None:
                 path.append((u, row - u * Y))
             lb += np.take(logk_rows, row, axis=0)
+            if cache is not None:
+                key += np.take(dk, row)
             if track_z:
                 z += np.take(llr_rows, row, axis=0)
         step = stop

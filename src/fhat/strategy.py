@@ -39,7 +39,7 @@ import numpy as np
 from . import game as game_mod
 from .belief import Belief, confidence, prior_belief
 from .game import GameSolution
-from .model import HypothesisModel, kl_divergence
+from .model import HypothesisModel, kl_divergence, ratio_lattice
 from .numerics import logsumexp
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
@@ -156,6 +156,8 @@ class StrategySpec:
     kl: np.ndarray = field(repr=False, default=None)             # (U, M-1)
     support_mask: np.ndarray = field(repr=False, default=None)   # (U,) bool
     chernoff_u: np.ndarray = field(repr=False, default=None)     # (M-1,) int
+    # ratio_lattice of the hypotheses selection reads, or None
+    pick_key: np.ndarray | None = field(repr=False, default=None)  # (U*Y, r) int
 
     def is_deterministic(self) -> bool:
         """True when the next experiment is a function of the belief."""
@@ -202,7 +204,10 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                     f"distinguishable by some experiment; hypothesis "
                     f"{model.hypotheses[i]} has game value 0")
             inner.append(spec_i)
-        return StrategySpec(kind=kind, model=model, inner=tuple(inner))
+        # the maximum-likelihood step reads every hypothesis
+        key = (None if inner_kind == "ors"
+               else ratio_lattice(model, range(model.num_hypotheses)))
+        return StrategySpec(kind=kind, model=model, inner=tuple(inner), pick_key=key)
 
     if reference is None:
         raise ValueError(f"strategy {kind!r} needs a reference hypothesis")
@@ -216,9 +221,13 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     alpha = sol.alpha_star if sample_alpha is None else np.asarray(sample_alpha, dtype=float)
     if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
         raise ValueError("sample_alpha must be a distribution over experiments")
+    # das, das-rs and chernoff-det read the alternates' log beliefs
+    # through their differences
+    key = None if kind == "ors" else ratio_lattice(model, model.alternates(reference))
     return StrategySpec(kind=kind, model=model, reference=reference,
                         s_value=s_val, game=sol, sample_alpha=alpha,
-                        mu=mu, kl=kl, support_mask=mask, chernoff_u=chern)
+                        mu=mu, kl=kl, support_mask=mask, chernoff_u=chern,
+                        pick_key=key)
 
 
 def reads_draws(spec: StrategySpec) -> bool:

@@ -44,6 +44,25 @@ def random_model(rng, max_hyp=5, max_exp=5, max_obs=4, floor=0.25,
                       kernel, prior)
 
 
+def decimal_model(rng, units=20):
+    """A valid random model of 2-3 hypotheses, 1-2 experiments and 2-3
+    symbols whose probabilities are multiples of 1/units, short
+    decimals: a rational likelihood lattice with many coincidences
+    between paths."""
+    M = int(rng.integers(2, 4))
+    U = int(rng.integers(1, 3))
+    Y = int(rng.integers(2, 4))
+    kernel = np.zeros((M, U, Y))
+    for u in range(U):
+        for i in range(M):
+            cuts = np.sort(rng.choice(np.arange(1, units), Y - 1, replace=False))
+            kernel[i, u] = np.diff([0, *cuts, units]) / units
+    return make_model([f"h{i}" for i in range(M)],
+                      [f"u{u}" for u in range(U)],
+                      [f"y{y}" for y in range(Y)],
+                      kernel, np.full(M, 1.0 / M))
+
+
 def sample_observation(model, rng, truth, u):
     cum = np.cumsum(model.kernel[truth, u])
     return int(min(int((cum <= rng.random()).sum()), model.num_observations - 1))

@@ -2,8 +2,11 @@
 
 import math
 import os
+from fractions import Fraction
+from itertools import product
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import decimal_model, random_model
 from fhat.model import (HypothesisModel, ModelError,
                         assumption_pairwise_informative,
                         kl_divergence, kl_matrix, llr_table, load_model,
-                        log_likelihood_ratio, make_model, serialize_model,
-                        table1)
+                        log_likelihood_ratio, make_model, ratio_lattice,
+                        serialize_model, table1, table2)
 
 LN15 = math.log(1.5)
 
@@ -219,10 +222,14 @@ class TestBuiltins:
         np.testing.assert_allclose(t2.kernel[1, 3, 1], 0.280)
         np.testing.assert_allclose(t2.kernel[0, 2, 1], 0.402)
 
-    def test_table1_warns_about_uninformative_experiments(self):
-        with pytest.warns(RuntimeWarning, match="fails to distinguish"):
-            table1()
-        assert not assumption_pairwise_informative(table1())
+    def test_table1_does_not_warn_and_is_not_pairwise_informative(self):
+        """Experiment A does not separate hypotheses 0 and 2; that is a
+        query, not a warning (a zero game value is flagged where it
+        matters, by game.solve and the symmetric composite)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = table1()
+        assert not assumption_pairwise_informative(m)
 
     def test_pairwise_informative_model(self):
         m = make_model(["a", "b"], ["u"], ["0", "1"],
@@ -244,6 +251,81 @@ class TestBuiltins:
             for u in range(4):
                 for y in range(2):
                     assert L[k, u, y] == log_likelihood_ratio(t2, 0, j, u, y)
+
+
+class TestRatioLattice:
+    @staticmethod
+    def ratios(m, hyps, n):
+        """Exact p_j / p_hyps[0] of the path with counts n (flat, row
+        u*Y + y), for each j of hyps, from the decimals the model was
+        written with."""
+        U, Y = m.num_experiments, m.num_observations
+        out = []
+        for j in hyps[1:]:
+            r = Fraction(1)
+            for u, y in product(range(U), range(Y)):
+                k = int(n[u * Y + y])
+                if k:
+                    r *= (Fraction(repr(float(m.kernel[j, u, y])))
+                          / Fraction(repr(float(m.kernel[hyps[0], u, y])))) ** k
+            out.append(r)
+        return tuple(out)
+
+    def test_equal_keys_mean_equal_ratios(self, t1, t2):
+        """Over every count vector of at most 4 observations, two paths
+        share a key exactly when they share the likelihood ratios among
+        `hyps`: the key is exact, merging no more and no fewer."""
+        rng = np.random.default_rng(8)
+        models = [t1, t2, *(decimal_model(rng) for _ in range(6))]
+        merged = 0
+        for m in models:
+            M, U, Y = m.kernel.shape
+            cells = [u * Y + y for u in range(U) for y in m.support_indices(u)]
+            for hyps in (tuple(range(M)), tuple(range(1, M)), (M - 1, 0)):
+                K = ratio_lattice(m, hyps)
+                assert K.dtype == np.int64 and K.shape[0] == U * Y
+                assert not K[[r for r in range(U * Y) if r not in cells]].any()
+                by_key, by_ratio = {}, {}
+                for c in product(range(5), repeat=len(cells)):
+                    if sum(c) > 4:
+                        continue
+                    n = np.zeros(U * Y, dtype=np.int64)
+                    n[cells] = c
+                    key, ratio = tuple(n @ K), self.ratios(m, hyps, n)
+                    by_key.setdefault(key, set()).add(ratio)
+                    by_ratio.setdefault(ratio, set()).add(key)
+                assert all(len(v) == 1 for v in by_key.values()), m.kernel
+                assert all(len(v) == 1 for v in by_ratio.values()), m.kernel
+                merged += math.comb(4 + len(cells), 4) - len(by_key)
+        assert merged > 0     # keys do merge paths with different counts
+
+    def test_table_models_rank(self, t1, t2):
+        """table1's alternates of 0 differ along one lattice direction
+        and its three hypotheses along two; table2's alternates need
+        three."""
+        assert ratio_lattice(t1, (1, 2)).shape == (4, 1)
+        assert ratio_lattice(t1, (0, 1, 2)).shape == (4, 2)
+        assert ratio_lattice(t2, (1, 2)).shape == (8, 3)
+
+    def test_float_models_have_no_lattice(self):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            m = random_model(rng)
+            assert ratio_lattice(m, range(m.num_hypotheses)) is None
+        # one entry past six decimal places is enough
+        m = make_model(["a", "b"], ["u"], ["0", "1"],
+                       [[[0.25, 0.75]], [[0.1234567, 0.8765433]]], [0.5, 0.5])
+        assert ratio_lattice(m, (0, 1)) is None
+        assert ratio_lattice(m, (0,)) is not None   # reads hypothesis a only
+
+    def test_rank_zero(self, t1):
+        """A single hypothesis, or hypotheses with equal kernels, leave
+        no ratio to track: a (U*Y, 0) key."""
+        assert ratio_lattice(t1, (0,)).shape == (4, 0)
+        m = make_model(["a", "b", "c"], ["u"], ["0", "1"],
+                       [[[0.5, 0.5]], [[0.3, 0.7]], [[0.3, 0.7]]], [0.2, 0.3, 0.5])
+        assert ratio_lattice(m, (1, 2)).shape == (2, 0)
+        assert ratio_lattice(m, (0, 1, 2)).shape == (2, 2)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))

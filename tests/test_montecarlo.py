@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import four_hypothesis_model, random_model
+from conftest import decimal_model, four_hypothesis_model, random_model
 from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model
@@ -336,12 +336,82 @@ class TestEngineKernel:
                             assert np.array_equal(zbar, expect)
 
 
+class TestPickCache:
+    @staticmethod
+    def counted_rows(monkeypatch):
+        """Rows the engine hands the selector, counted."""
+        seen = [0]
+        select = mc._select_batch
+
+        def counting(spec, lb, draws):
+            seen[0] += lb.shape[0]
+            return select(spec, lb, draws)
+
+        monkeypatch.setattr(mc, "_select_batch", counting)
+        return seen
+
+    @staticmethod
+    def assert_matches_reference(m, spec, N, h, refs, rows=mc.CHUNK):
+        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None)
+        lb, _ = reference_chunk(m, spec, N, h, 5, 0, 1, rows)
+        assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, refs))
+
+    @pytest.mark.parametrize("kind,N", [("das", 500), ("symmetric", 350)])
+    def test_matches_reference_at_paper_horizons(self, t1, kind, N):
+        """On table1 at the paper's horizons a full chunk, its picks read
+        from the pick table, gives bit for bit the increments of the
+        reference step loop, which computes every pick, under every
+        hypothesis."""
+        spec = build_strategy(t1, kind, N, reference=None if kind == "symmetric" else 0)
+        assert mc._pick_table(spec, N) is not None
+        for h in range(3):
+            self.assert_matches_reference(t1, spec, N, h, (0, 1, 2))
+
+    def test_cache_is_used(self, t1, monkeypatch):
+        """table1 das at N = 200: the selector sees under 5% of the
+        trial-steps, one row per lattice key new to the chunk."""
+        seen = self.counted_rows(monkeypatch)
+        spec = build_strategy(t1, "das", 200, reference=0)
+        self.assert_matches_reference(t1, spec, 200, 1, (0,))
+        assert 0 < seen[0] < 0.05 * mc.CHUNK * 200
+
+    def test_falls_back_over_the_cap_and_off_the_lattice(self, t2, monkeypatch):
+        """table2 das-rs at N = 60 (its key box exceeds PICK_TABLE_CAP)
+        and a generated float model (no lattice): every trial-step is
+        selected."""
+        seen = self.counted_rows(monkeypatch)
+        spec = build_strategy(t2, "das-rs", 60, reference=0)
+        assert spec.pick_key is not None and mc._pick_table(spec, 60) is None
+        self.assert_matches_reference(t2, spec, 60, 2, (0,))
+        assert seen[0] == mc.CHUNK * 60
+        m = kernel_models()[0]
+        spec = build_strategy(m, "symmetric", 60)
+        assert spec.pick_key is None
+        seen[0] = 0
+        self.assert_matches_reference(m, spec, 60, 1, tuple(range(m.num_hypotheses)), 1000)
+        assert seen[0] == 1000 * 60
+
+    def test_one_entry_table_for_two_hypotheses(self):
+        """With one alternate, das reads no ratio: a rank-0 key, a table
+        of one entry, and one selector row per chunk."""
+        m = make_model(["a", "b"], ["u", "v"], ["0", "1"],
+                       [[[0.3, 0.7], [0.5, 0.5]], [[0.6, 0.4], [0.25, 0.75]]],
+                       [0.5, 0.5])
+        spec = build_strategy(m, "das", 40, reference=0)
+        table, dk, key0 = mc._pick_table(spec, 40)
+        assert table.size == 1 and not dk.any() and key0 == 0
+        c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None)
+        lb, _ = reference_chunk(m, spec, 40, 1, 5, 0, 0, 100)
+        assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, (0,)))
+
+
 def count_state_picks(m, spec, N):
     """{count state n[u, y]: picks} over the nodes above depth N of the
     observation tree, each node selecting on its log belief in the
     engine's form (a running sum from the log prior) and in
     enumeration's (log prior plus a running sum from zero).  Nodes with
-    the same counts and the same bits are merged."""
+    the same counts and the same bits are merged.  The keys are the
+    int64 bytes of the flat counts, row u*Y + y."""
     M, U, Y = m.kernel.shape
     logk_rows = m.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
     counts = np.zeros((1, U * Y), dtype=np.int64)
@@ -361,6 +431,14 @@ def count_state_picks(m, spec, N):
         _, keep = np.unique(bits, axis=0, return_index=True)
         counts, lb, ll = counts[keep], lb[keep], ll[keep]
     return picks
+
+
+def lattice_key_picks(picks, K):
+    """count_state_picks regrouped by the lattice key n @ K."""
+    out = {}
+    for counts, p in picks.items():
+        out.setdefault(tuple(np.frombuffer(counts, dtype=np.int64) @ K), set()).update(p)
+    return out
 
 
 class TestStateSelection:
@@ -384,6 +462,33 @@ class TestStateSelection:
                                       if kind == "symmetric" else 0)
                 picks = count_state_picks(m, spec, N)
                 assert all(len(p) == 1 for p in picks.values()), (m.kernel.shape, kind)
+
+    # some drawn models have a zero-value game; the symmetric build
+    # rejects them after game.solve has warned
+    @pytest.mark.filterwarnings("ignore:game value:RuntimeWarning")
+    def test_picks_are_a_function_of_the_lattice_key(self, t1):
+        """States with different counts but the same likelihood ratios
+        among the hypotheses a rule reads (spec.pick_key) pick alike,
+        also where their common shift differs: the pick cache may key on
+        the lattice point.  Checked on table1 and on random short-decimal
+        models on which the symmetric composite's picks vary."""
+        rng = np.random.default_rng(12)
+        models, varied, merged = [t1], 0, 0
+        while varied < 4:
+            m = models.pop() if models else decimal_model(rng, units=10)
+            try:
+                build_strategy(m, "symmetric", 14)
+            except ValueError:
+                continue
+            for kind in ("das", "das-rs", "chernoff-det", "symmetric"):
+                spec = build_strategy(m, kind, 14, reference=None
+                                      if kind == "symmetric" else 0)
+                picks = count_state_picks(m, spec, 14)
+                by_key = lattice_key_picks(picks, spec.pick_key)
+                assert all(len(p) == 1 for p in by_key.values()), (m.kernel, kind)
+                merged += len(picks) - len(by_key)
+            varied += len(set().union(*picks.values())) > 1
+        assert merged > 0
 
 
 class TestLsePhiEstimator:

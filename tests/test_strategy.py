@@ -481,6 +481,17 @@ class TestBuildStrategy:
         with pytest.raises(ValueError, match="reference"):
             build_strategy(t1, "das", 100)
 
+    def test_pick_key_follows_what_selection_reads(self, t1):
+        """das, das-rs and chernoff-det key on the ratios among the
+        reference's alternates, the symmetric composite on all
+        hypotheses; rules that read draws have no key."""
+        assert build_strategy(t1, "ors", 50, reference=0).pick_key is None
+        assert build_strategy(t1, "symmetric", 50, inner_kind="ors").pick_key is None
+        for kind in ("das", "das-rs", "chernoff-det"):
+            key = build_strategy(t1, kind, 50, reference=0).pick_key
+            assert key.shape == (4, 1) and key.dtype == np.int64
+        assert build_strategy(t1, "symmetric", 50).pick_key.shape == (4, 2)
+
     def test_deterministic_flags(self, t1):
         assert build_strategy(t1, "das", 100, reference=0).is_deterministic()
         assert not build_strategy(t1, "ors", 100, reference=0).is_deterministic()
