@@ -13,8 +13,6 @@ import numpy as np
 from .model import HypothesisModel, ModelError, llr_table
 from .numerics import logsumexp, log_normalize
 
-NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Belief:
@@ -41,9 +39,6 @@ class Belief:
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_prob)
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(logsumexp(self.log_prob)) <= tol
 
 
 def prior_belief(model: HypothesisModel) -> Belief:

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("enumerate", help="exact evaluation of a deterministic "
-                        "strategy over its observation-count states")
+                        "strategy over its likelihood-lattice states")
     add_common(sp)
     sp.add_argument("--strategy", required=True, choices=STRATEGY_CHOICES)
     sp.add_argument("--reference", type=int, default=None)

@@ -158,9 +158,6 @@ class GameSolution:
     payoff_matrix: np.ndarray       # (U, M-1)
     duality_gap: float
 
-    def alternates_of(self, model: HypothesisModel) -> tuple[int, ...]:
-        return model.alternates(self.reference)
-
 
 def payoff(alpha, beta, payoff_matrix) -> float:
     """Bilinear payoff sum_u sum_j alpha(u) A[u, j] beta(j)."""

@@ -179,7 +179,9 @@ def ratio_lattice(model: HypothesisModel, hyps) -> np.ndarray | None:
     combinations of the kept ones.  Logs of distinct primes are
     independent over the rationals, so two paths of observation counts
     n have the same likelihood ratios among `hyps` exactly when K.T @ n
-    agree.  Rows off the support are zero; r may be 0."""
+    agree.  A base hyps[0] of None is the constant 1: then K keys the
+    likelihoods of the other hypotheses themselves.  Rows off the
+    support are zero; r may be 0."""
     hyps = list(hyps)
     U, Y = model.num_experiments, model.num_observations
     columns = {}     # (j, prime) -> exponent per row u*Y + y
@@ -187,7 +189,7 @@ def ratio_lattice(model: HypothesisModel, hyps) -> np.ndarray | None:
         for y in model.support_indices(u):
             nums = []
             for h in hyps:
-                p = float(model.kernel[h, u, y])
+                p = 1.0 if h is None else float(model.kernel[h, u, y])
                 a = round(p * 10**6)
                 if a / 10**6 != p:
                     return None

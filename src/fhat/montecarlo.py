@@ -17,9 +17,11 @@ targets phi exactly for deterministic threshold rules and stays accurate
 down to e^{-hundreds}.
 
 Exact enumeration of a deterministic strategy merges the paths that
-reach the same observation counts n[u, y]: they share their pick and
+reach the same point of the likelihood lattice (the prime exponents of
+their likelihood products, or their observation counts n[u, y] on a
+model that is not written in short decimals): they share their pick and
 their probability under each hypothesis, so the work follows the number
-of distinct count states (polynomial in N) rather than of paths.
+of distinct lattice states (polynomial in N) rather than of paths.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .belief import confidence, new_trajectory, prior_belief, step_trajectory
-from .model import HypothesisModel, llr_table
+from .model import HypothesisModel, llr_table, ratio_lattice
 from .numerics import largest_remainder_allocation, logsumexp, nats_to_db
 # select_experiment is not called here; perfbench's tracer wraps it
 # under this module's name as well as strategy's
@@ -45,7 +47,7 @@ CHUNK = 8192
 # the chunk generator, by name: recorded in every manifest, and looked
 # up at call time so that importing fhat does not import numpy.random
 STREAM_RNG = "PCG64DXSM"
-ENUM_STATE_CAP = 1 << 18  # live count states (bounds enumeration memory)
+ENUM_STATE_CAP = 1 << 18  # live lattice states (bounds enumeration memory)
 PICK_TABLE_CAP = 1 << 20  # entries of a chunk's pick table (one byte each)
 JACKKNIFE_BATCHES = 100
 # Results one shared sweep run may hold: per horizon, the calibration and
@@ -82,29 +84,38 @@ def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _lattice_box(K: np.ndarray, N: int, cap: int):
+    """(dk, key0, size) packing mixed-radix the box of lattice points
+    K.T @ n that N steps can reach into keys in [0, size), or None when
+    size exceeds `cap`: a path's key is key0 plus dk[u*Y + y] per
+    observation, every partial sum in [0, size), so int64 for a cap of
+    at most 2**63."""
+    lo = [N * min(int(c.min()), 0) for c in K.T]
+    width = [N * max(int(c.max()), 0) - a + 1 for a, c in zip(lo, K.T)]
+    size = math.prod(width)
+    if size > cap:
+        return None
+    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
+    return K @ stride, -int(np.dot(lo, stride)), size
+
+
 def _pick_table(spec: StrategySpec, N: int):
     """(table, dk, key0) of a chunk run of `spec` to horizon N, or None
     when it has no lattice key or its key box exceeds PICK_TABLE_CAP.
 
     A trial's key is its point of the lattice K.T @ n (spec.pick_key,
-    n its observation counts) in the box that N steps can reach, packed
-    mixed-radix into one int64: key0 at the start, plus dk[u*Y + y] per
-    step.  Equal keys mean equal likelihood ratios among the hypotheses
-    selection reads, so the pick is a function of the key; the table
-    caches it as pick + 1, 0 where no trial has reached the key yet.
-    It is allocated zeroed, so memory pages the trials never reach are
-    never touched."""
-    K = spec.pick_key
-    if K is None:
+    n its observation counts) packed by _lattice_box.  Equal keys mean
+    equal likelihood ratios among the hypotheses selection reads, so
+    the pick is a function of the key; the table caches it as pick + 1,
+    0 where no trial has reached the key yet.  It is allocated zeroed,
+    so memory pages the trials never reach are never touched."""
+    if spec.pick_key is None:
         return None
-    lo = [N * min(int(c.min()), 0) for c in K.T]
-    width = [N * max(int(c.max()), 0) - a + 1 for a, c in zip(lo, K.T)]
-    size = math.prod(width)
-    if size > PICK_TABLE_CAP:
+    box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
+    if box is None:
         return None
-    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
-    table = np.zeros(size, dtype=np.min_scalar_type(spec.model.num_experiments))
-    return table, K @ stride, -int(np.dot(lo, stride))
+    dk, key0, size = box
+    return np.zeros(size, dtype=np.min_scalar_type(spec.model.num_experiments)), dk, key0
 
 
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
@@ -455,7 +466,7 @@ def estimate(config: SimulationConfig) -> SimulationReport:
 @dataclass(frozen=True)
 class ExactReport:
     """Exact psi/phi per hypothesis and overall gamma; `leaves` is the
-    number of paths and `states` the most count states live at once."""
+    number of paths and `states` the most lattice states live at once."""
 
     psi: dict
     phi: dict
@@ -468,54 +479,71 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                     rule: InferenceRule, N: int,
                     state_cap: int = ENUM_STATE_CAP) -> ExactReport:
     """Exact (psi_N, phi_N, gamma_N) of a deterministic strategy, by a
-    dynamic program over count states n[u, y] level by level.
+    dynamic program over likelihood-lattice states level by level.
 
-    A pick is a function of the count state, and every path to a state
-    has the same probability under each hypothesis (the product of the
-    same kernel entries), so the paths to a state merge: it keeps its
-    counts, one log-likelihood row (that of its first child in the
-    level's fixed order) and its path multiplicity, and its mass is the
+    A path's state is its point K.T @ n (n its counts n[u, y]) of the
+    lattice K = ratio_lattice(model, [None, *hypotheses]), or of the
+    identity on the support (the counts) for a model not written in
+    short decimals.  Paths to one point have the same likelihood under
+    each hypothesis, exactly, so they merge: a state keeps its point
+    (one int64 when _lattice_box fits one, else a row of narrow
+    coordinates), the log-likelihood row of its first child in the
+    level's order and its path multiplicity; its mass is the
     multiplicity times exp(loglik).  A level picks once per state, on
     log prior plus loglik (zero draws for a point-mass ``ors``), expands
-    each state over the pick's support and merges equal counts.  The
-    cost follows the number of distinct states, not of paths; more than
-    `state_cap` live states raise ValueError.  Probabilities are exact
-    to 64-bit rounding, and `leaves`, the summed multiplicity, is exact
-    below 2**53 paths.
+    each state over the pick's support and merges equal points, so the
+    cost follows the number of states, not of paths; more than
+    `state_cap` live states raise ValueError.  Multiplicities past
+    2**960 are scaled down by exact powers of two, so they stay finite
+    past 2**1024 paths.  Probabilities are exact to 64-bit rounding,
+    and `leaves`, the summed multiplicity, is exact below 2**53 paths.
     """
     if not spec.is_deterministic():
         raise ValueError("exact enumeration needs a deterministic strategy")
     M, U, Y = model.kernel.shape
     logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
     zero_draws = reads_draws(spec)
-    # counts never pass N: the narrowest type that holds N keeps the
-    # merge keys short
-    counts = np.zeros((1, U * Y), dtype=np.min_scalar_type(N))
+    K = ratio_lattice(model, [None, *range(M)])
+    if K is None:
+        K = np.eye(U * Y, dtype=np.int64)[:, model.support.ravel()]
+    box = _lattice_box(K, N, 1 << 63)
+    if box is None:
+        # coordinates in the narrowest type that holds the box keep the
+        # merge keys short
+        dtype = np.result_type(np.min_scalar_type(N * K.min()),
+                               np.min_scalar_type(N * K.max()))
+        steps, point = K.astype(dtype), np.zeros((1, K.shape[1]), dtype)
+        row = np.dtype((np.void, point[0].nbytes))
+    else:
+        steps, point, row = box[0], np.full(1, box[1], dtype=np.int64), None
     loglik = np.zeros((1, M))
     mult = np.ones(1)
+    scale = 0       # the path multiplicities are mult * 2**scale
     states = 1
     for step in range(1, N + 1):
         u = _select_batch(spec, model.log_prior + loglik,
                           np.zeros(len(loglik)) if zero_draws else None)
         parent, y = np.nonzero(model.support[u])
         k = u[parent] * Y + y
-        child = counts[parent]
-        child[np.arange(k.size), k] += 1
-        keys = child.view(np.dtype((np.void, child[0].nbytes))).ravel()
+        child = np.take(point, parent, axis=0) + np.take(steps, k, axis=0)
+        keys = child if row is None else child.view(row).ravel()
         _, first, merged = np.unique(keys, return_index=True,
                                      return_inverse=True)
         if first.size > state_cap:
-            raise ValueError(f"{first.size} count states after {step} of {N} "
+            raise ValueError(f"{first.size} lattice states after {step} of {N} "
                              f"steps exceed the enumeration cap {state_cap}")
         states = max(states, first.size)
-        counts = child[first]
+        point = np.take(child, first, axis=0)
         loglik = loglik[parent[first]] + np.take(logk_rows, k[first], axis=0)
         mult = np.bincount(merged.ravel(), weights=mult[parent],
                            minlength=first.size)
+        if mult.max() > 2.0 ** 960:
+            mult, scale = np.ldexp(mult, -960), scale + 960
 
     refs = tuple(sorted(rule.thresholds))
-    mass = mult[:, None] * np.exp(loglik)      # P_h[state] per h
-    if np.any(np.abs(mass.sum(axis=0) - 1.0) > 1e-9):
+    # P_h[state] per h; 2**scale joins the exponent, where it is finite
+    mass = mult[:, None] * np.exp(loglik + scale * math.log(2))
+    if not np.all(np.abs(mass.sum(axis=0) - 1.0) <= 1e-9):
         raise RuntimeError("enumeration did not cover the observation tree")
     c_inc = _confidence_increments(model, model.log_prior + loglik, refs)
     dec = decisions_from_increments(c_inc, refs, rule)
@@ -526,8 +554,9 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
         w = np.array([model.prior[j] / (1.0 - model.prior[i]) if j != i else 0.0
                       for j in range(M)])
         phi[i] = float(np.dot(w, declare_mass))
+    num, den = float(mult.sum()).as_integer_ratio()
     return ExactReport(psi=psi, phi=phi, gamma=_gamma(model, phi),
-                       leaves=int(mult.sum()), states=states)
+                       leaves=(num << scale) // den, states=states)
 
 
 # ---------------------------------------------------------------------------

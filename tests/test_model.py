@@ -258,30 +258,36 @@ class TestRatioLattice:
     def ratios(m, hyps, n):
         """Exact p_j / p_hyps[0] of the path with counts n (flat, row
         u*Y + y), for each j of hyps, from the decimals the model was
-        written with."""
+        written with; a base of None is the constant 1."""
         U, Y = m.num_experiments, m.num_observations
+
+        def p(h, u, y):
+            return Fraction(1) if h is None else Fraction(repr(float(m.kernel[h, u, y])))
+
         out = []
         for j in hyps[1:]:
             r = Fraction(1)
             for u, y in product(range(U), range(Y)):
                 k = int(n[u * Y + y])
                 if k:
-                    r *= (Fraction(repr(float(m.kernel[j, u, y])))
-                          / Fraction(repr(float(m.kernel[hyps[0], u, y])))) ** k
+                    r *= (p(j, u, y) / p(hyps[0], u, y)) ** k
             out.append(r)
         return tuple(out)
 
     def test_equal_keys_mean_equal_ratios(self, t1, t2):
         """Over every count vector of at most 4 observations, two paths
         share a key exactly when they share the likelihood ratios among
-        `hyps`: the key is exact, merging no more and no fewer."""
+        `hyps`: the key is exact, merging no more and no fewer.  With
+        the base None the ratios are the likelihoods themselves, the
+        key enumeration merges on."""
         rng = np.random.default_rng(8)
         models = [t1, t2, *(decimal_model(rng) for _ in range(6))]
         merged = 0
         for m in models:
             M, U, Y = m.kernel.shape
             cells = [u * Y + y for u in range(U) for y in m.support_indices(u)]
-            for hyps in (tuple(range(M)), tuple(range(1, M)), (M - 1, 0)):
+            for hyps in (tuple(range(M)), tuple(range(1, M)), (M - 1, 0),
+                         (None, *range(M))):
                 K = ratio_lattice(m, hyps)
                 assert K.dtype == np.int64 and K.shape[0] == U * Y
                 assert not K[[r for r in range(U * Y) if r not in cells]].any()
@@ -302,16 +308,20 @@ class TestRatioLattice:
     def test_table_models_rank(self, t1, t2):
         """table1's alternates of 0 differ along one lattice direction
         and its three hypotheses along two; table2's alternates need
-        three."""
+        three.  The likelihoods themselves take one direction fewer than
+        the (U, Y) cells on table1, and as many on table2."""
         assert ratio_lattice(t1, (1, 2)).shape == (4, 1)
         assert ratio_lattice(t1, (0, 1, 2)).shape == (4, 2)
         assert ratio_lattice(t2, (1, 2)).shape == (8, 3)
+        assert ratio_lattice(t1, (None, 0, 1, 2)).shape == (4, 3)
+        assert ratio_lattice(t2, (None, 0, 1, 2)).shape == (8, 7)
 
     def test_float_models_have_no_lattice(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             m = random_model(rng)
             assert ratio_lattice(m, range(m.num_hypotheses)) is None
+            assert ratio_lattice(m, (None, *range(m.num_hypotheses))) is None
         # one entry past six decimal places is enough
         m = make_model(["a", "b"], ["u"], ["0", "1"],
                        [[[0.25, 0.75]], [[0.1234567, 0.8765433]]], [0.5, 0.5])

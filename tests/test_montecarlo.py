@@ -1,6 +1,8 @@
 """Simulation engine: determinism, estimators, enumeration, calibration."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import decimal_model, four_hypothesis_model, random_model
 from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
-from fhat.model import make_model
+from fhat.model import make_model, ratio_lattice
 from fhat.numerics import log_normalize
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, empirical_rule, select_experiment,
@@ -39,6 +41,26 @@ def kernel_models():
             continue
         found[Y] = m
     return [found[Y] for Y in sorted(found)]
+
+
+def decimal_models():
+    """Random short-decimal models (conftest.decimal_model) on which
+    every strategy kind builds and whose likelihood lattice has fewer
+    directions than the model has (u, y) cells, so that it merges paths
+    with different counts."""
+    rng = np.random.default_rng(17)
+    found = []
+    while len(found) < 3:
+        m = decimal_model(rng, units=10)
+        K = ratio_lattice(m, (None, *range(m.num_hypotheses)))
+        if K.shape[1] == m.support.sum():
+            continue
+        try:
+            build_strategy(m, "symmetric", 60)
+        except ValueError:
+            continue
+        found.append(m)
+    return found
 
 
 class TestRunTrial:
@@ -549,7 +571,7 @@ class TestEnumerate:
             mc.enumerate_exact(t1, spec, empirical_rule(0, 0.5, 0.05), 2)
 
     def test_rejects_horizon_above_cap(self, t1):
-        """A horizon whose live count states exceed the state cap
+        """A horizon whose live lattice states exceed the state cap
         raises; one at the cap runs."""
         spec = build_strategy(t1, "das", horizon=11, reference=0)
         rule = empirical_rule(0, 0.5, 0.05)
@@ -644,18 +666,23 @@ class TestEnumerate:
         """At N = 60, far past the 2^10 leaves a tree walk managed, the
         exact psi and phi agree with 30 000 simulated trials within 3 SE
         (phi through the log-sum-exp estimator), for every hypothesis of
-        the symmetric composite."""
-        N = 60
-        sym = build_strategy(t1, "symmetric", N)
+        the symmetric composite; so do table1 das at N = 500, under the
+        default state cap."""
+        sym = build_strategy(t1, "symmetric", 60)
         games = {i: sym.inner[i].game for i in range(3)}
-        cells = [(t1, build_strategy(t1, "das", N, reference=0),
-                  empirical_rule(0, 3.0, 0.05)),
-                 (t2, build_strategy(t2, "das-rs", N, reference=0),
-                  empirical_rule(0, 3.0, 0.05)),
-                 (t1, sym, symmetric_rule(t1, games, N, 0.05))]
-        for model, spec, rule in cells:
+        cells = [(t1, build_strategy(t1, "das", 60, reference=0),
+                  empirical_rule(0, 3.0, 0.05), 60),
+                 (t2, build_strategy(t2, "das-rs", 60, reference=0),
+                  empirical_rule(0, 3.0, 0.05), 60),
+                 (t1, sym, symmetric_rule(t1, games, 60, 0.05), 60),
+                 (t1, build_strategy(t1, "das", 500, reference=0, epsilon=0.02),
+                  empirical_rule(0, 10.0, 0.02), 500)]
+        for model, spec, rule, N in cells:
             exact = mc.enumerate_exact(model, spec, rule, N)
-            assert exact.leaves == 2 ** N
+            if N == 60:
+                assert exact.leaves == 2 ** N
+            else:   # a float sum of path counts
+                assert math.isclose(exact.leaves, 2 ** N, rel_tol=1e-12)
             rep = mc.estimate(mc.SimulationConfig(model, spec, rule, N, 30000, 1))
             assert set(exact.psi) == set(rule.thresholds)
             for i in exact.psi:
@@ -663,16 +690,63 @@ class TestEnumerate:
                 est = rep.lse[i]
                 assert abs(est.log_inv_phi + math.log(exact.phi[i])) <= 3 * est.se
 
+    def test_past_2_to_the_1024_paths(self):
+        """One binary experiment, p(1 | 0) = 0.6 and p(1 | 1) = 0.4, at
+        N = 1100: the increment is (2 n1 - N) ln 1.5, so psi and phi
+        are binomial tails of Bin(N, 0.6) and Bin(N, 0.4), here summed
+        exactly.  The path multiplicities pass 2^1024 on the way."""
+        m = make_model(["0", "1"], ["A"], ["0", "1"],
+                       [[[0.4, 0.6]], [[0.6, 0.4]]], [0.5, 0.5])
+        N, theta = 1100, 3.0
+        rep = mc.enumerate_exact(m, build_strategy(m, "das", N, reference=0),
+                                 empirical_rule(0, theta, 0.05), N)
+        n1 = math.ceil((theta / math.log(1.5) + N) / 2)
+
+        def tail(a, b):     # P(Bin(N, a / 5) >= n1), b = 5 - a
+            return float(Fraction(sum(math.comb(N, k) * a ** k * b ** (N - k)
+                                      for k in range(n1, N + 1)), 5 ** N))
+
+        for got, want in ((rep.psi[0], tail(3, 2)), (rep.phi[0], tail(2, 3)),
+                          (rep.gamma, 0.5 * tail(2, 3))):
+            assert abs(got - want) <= 1e-9 * want
+        assert isinstance(rep.leaves, int)
+        assert abs(rep.leaves - 2 ** N) <= 2 ** N // 10 ** 12
+        assert rep.states == N + 1
+
+    def test_float_models_key_on_counts(self, t1):
+        """A model not written in short decimals merges paths on their
+        counts n[u, y]: `states` is the most distinct count vectors that
+        one level of the observation tree reaches, found here path by
+        path.  table1's lattice holds fewer."""
+        rule = empirical_rule(0, 0.5, 0.05)
+        for m in (*kernel_models(), four_hypothesis_model(), t1):
+            for N in range(1, 7):
+                spec = build_strategy(m, "das", N, reference=0)
+                levels = [set() for _ in range(N)]
+                for exps, obs, _ in reference_enumerate_paths(m, spec, N):
+                    for t in range(1, N + 1):
+                        levels[t - 1].add(frozenset(Counter(zip(exps[:t], obs[:t])).items()))
+                count_states = max(len(level) for level in levels)
+                states = mc.enumerate_exact(m, spec, rule, N).states
+                if m is t1:
+                    assert states <= count_states and (N < 3 or states < count_states)
+                else:
+                    assert ratio_lattice(m, (None, *range(m.num_hypotheses))) is None
+                    assert states == count_states
+
 
 class TestEnumerateOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_recursive_walk(self, t1, t2, kind):
-        """The count-state dynamic program gives the psi, phi and gamma
+        """The lattice-state dynamic program gives the psi, phi and gamma
         of the scalar per-leaf loop over the node-by-node recursion in
         oracles.reference_enumerate_paths to 1e-12 relative (it sums in
-        another order), and exactly its leaf count.  `ors` is a point
-        mass on the last experiment."""
-        for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
+        another order), and exactly its leaf count, on float models
+        (keyed on counts) and on short-decimal ones (keyed on the
+        likelihood lattice).  `ors` is a point mass on the last
+        experiment."""
+        for m in (t1, t2, *kernel_models(), four_hypothesis_model(),
+                  *decimal_models()):
             M = m.num_hypotheses
             deep = 8 if m.num_observations == 2 else 7
             for N in (1, 4, deep):
