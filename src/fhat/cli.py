@@ -224,11 +224,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _count_text(n: int) -> str:
+    """A path count: exact below 2**53, and past it, where the count is a
+    float sum, in float form with the digits that float holds (the
+    shortest repr that reads back as it; 17 digits past float range)."""
+    if n < 1 << 53:
+        return str(n)
+    if n < 1 << 1024:
+        return repr(float(n))
+    digits = str(round(n, 17 - len(str(n))))    # half to even, may carry
+    return f"{digits[0]}.{digits[1:17]}e+{len(digits) - 1}"
+
+
 def cmd_enumerate(args) -> int:
     model = resolve_model(args.model)
     spec, rule = _spec_and_rule(args, model, args.horizon)
     rep = mc.enumerate_exact(model, spec, rule, args.horizon)
-    lines = [f"leaves: {rep.leaves}"]
+    lines = [f"leaves: {_count_text(rep.leaves)}"]
     for i in sorted(rep.psi):
         lines.append(f"psi[{model.hypotheses[i]}]: {mc.fmt9(rep.psi[i])}")
         lines.append(f"phi[{model.hypotheses[i]}]: {mc.fmt9(rep.phi[i])}")

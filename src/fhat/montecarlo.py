@@ -130,10 +130,16 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
     return out
 
 
+class _PicksDiffer(Exception):
+    """A shared run's spec and a shorter horizon's spec picked apart on
+    a key its pick table filled (_simulate_chunk's `alike`)."""
+
+
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, lo: int, hi: int, refs: tuple,
-                    zbar_weights: np.ndarray | None, path: list | None = None):
+                    zbar_weights: np.ndarray | None, path: list | None = None,
+                    alike: tuple = ()):
     """Simulate trials lo..hi-1 of one chunk to the last of the ascending
     `horizons`, and return (c_inc, zbar) stacked over them; a list
     `path` gets each step's (u, y) arrays appended.
@@ -151,7 +157,15 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     carries its lattice key, a step reads the picks from the table, and
     the selector runs only on one row per key that no trial of this
     call has reached before; its pick is the one every row of that key
-    would get.  The table lives for this call only."""
+    would get.  The table lives for this call only.
+
+    `alike` holds (n, spec_n) pairs of shorter horizons whose runs this
+    one stands for: wherever step t fills the table, spec_n with n > t
+    picks on the same rows, and a pick that differs raises _PicksDiffer.
+    Every key a trial reads in its first n steps was filled at a step
+    below n, so where none differs those steps are spec_n's run, bit for
+    bit.  The check needs the table: pass `alike` only when spec has one
+    at the last horizon."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -180,7 +194,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     c_incs, zbars = [], []
     step = 0
     for stop in horizons:
-        for _ in range(step, stop):
+        for t in range(step, stop):
             if reads:
                 exp_draws = _chunk_draws(gen, lo, hi)
             else:   # where drawing the chunk's uniforms leaves it
@@ -194,7 +208,13 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                 if miss.size:
                     # one real row per key not seen yet picks for it
                     new, first = np.unique(key[miss], return_index=True)
-                    table[new] = _select_batch(spec, lb[miss[first]], None) + 1
+                    rows = lb[miss[first]]
+                    picks = _select_batch(spec, rows, None)
+                    for n, other in alike:
+                        if n > t and not np.array_equal(
+                                _select_batch(other, rows, None), picks):
+                            raise _PicksDiffer(n, t)
+                    table[new] = picks + 1
                     u[miss] = table[key[miss]] - 1
             row = u * Y
             for cum in cum_cols:
@@ -226,7 +246,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
                      true_hyp: int, trials: int, master_seed: int,
                      purpose: int = PURPOSE_ESTIMATE, refs: tuple = (),
                      zbar_weights=None, workers: int = 0,
-                     snapshots=None):
+                     snapshots=None, alike: tuple = ()):
     """Run `trials` trials of N steps under X = true_hyp.
 
     Returns (c_inc, zbar): confidence increments per requested reference
@@ -241,6 +261,13 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     empty tuple, c_inc and zbar have a leading axis over
     (*snapshots, N), and entry k is bit for bit what a run of that
     many steps returns; without it they are entry -1 alone.
+
+    `alike`, (n, spec_n) pairs of snapshot horizons and the specs built
+    for them, has each chunk check on every key its pick table fills
+    that spec_n picks as `spec` does (for the steps below n), so that
+    snapshot n is also what spec_n's own run returns; where one differs
+    the run raises _PicksDiffer instead.  It needs `spec` to have a pick
+    table at N.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -256,7 +283,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     for c in range(n_chunks):
         rows = min(CHUNK, trials - c * CHUNK)
         tasks.append((model, spec, horizons, true_hyp, master_seed, purpose, c,
-                      0, rows, refs, w))
+                      0, rows, refs, w, None, alike))
     if workers and workers > 1 and n_chunks > 1:
         # imported here: its modules take about 10 ms to import, which
         # serial runs never need
@@ -658,14 +685,18 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     log-sum-exp channel and ln(1/gamma) in the log_inv_phi column.
 
     Rows come in the order of `kinds`, then of `horizons`; a repeated
-    horizon is simulated once.  A kind whose spec is horizon_free()
-    (``ors``, ``chernoff-det``) runs its ascending distinct horizons in
-    groups, one calibration and one estimation run to each group's
-    longest, and the group's other horizons take their trials' state on
-    the way there: the same bits as runs of their own.  A group holds
-    as many horizons as fit _SHARED_BYTES of results (13 at 100 000
-    trials, 170 at 8192), so memory does not grow with the horizon
-    list.  Other kinds run each horizon on its own.
+    horizon is simulated once.  The ascending distinct horizons whose
+    spec is horizon_free() (``ors``, ``chernoff-det``) or has a pick
+    table run in groups, one calibration and one estimation run to each
+    group's longest, and the group's other horizons take their trials'
+    state on the way there: the same bits as runs of their own.  For a
+    spec that is not horizon_free() the run checks this as it fills its
+    pick table: each shorter horizon's spec picks on the rows that fill
+    it, and on the first pick that differs the group's results are
+    dropped and its horizons run one by one.  A group holds as many
+    horizons as fit _SHARED_BYTES of results (13 at 100 000 trials, 170
+    at 8192), so memory does not grow with the horizon list.  Other
+    horizons run on their own.
     """
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
@@ -700,21 +731,33 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
                     eps = epsilon_fn(N)
                     cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
                                                     epsilon=eps))
-            stops = sorted(cells)
-            size = 1
-            if stops and cells[stops[0]][1].horizon_free():
-                size = max(1, _SHARED_BYTES // (24 * trials))
-            for g in range(0, len(stops), size):
-                group = stops[g:g + size]
+            shared, alone = [], []
+            for N in sorted(cells):
+                spec = cells[N][1]
+                # the box alone says whether _pick_table would give a table
+                table = spec.pick_key is not None and _lattice_box(
+                    spec.pick_key, N, PICK_TABLE_CAP) is not None
+                (shared if spec.horizon_free() or table else alone).append(N)
+            size = max(1, _SHARED_BYTES // (24 * trials))
+            groups = [shared[g:g + size] for g in range(0, len(shared), size)]
+            groups += [[N] for N in alone]
+            for group in groups:    # a group whose picks differ is re-queued
                 spec = cells[group[-1]][1]
+                alike = () if spec.horizon_free() else \
+                    tuple((N, cells[N][1]) for N in group[:-1])
                 zw = spec.game.beta_star if strong == "empirical" else None
-                cal, _ = simulate_measure(model, spec, group[-1], reference, trials,
-                                          seed, PURPOSE_CALIBRATE, refs=(reference,),
-                                          workers=workers, snapshots=group[:-1])
-                inc, z = simulate_measure(model, spec, group[-1], reference, trials,
-                                          seed, PURPOSE_ESTIMATE, refs=(reference,),
-                                          zbar_weights=zw, workers=workers,
-                                          snapshots=group[:-1])
+                try:
+                    cal, _ = simulate_measure(
+                        model, spec, group[-1], reference, trials, seed,
+                        PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
+                        snapshots=group[:-1], alike=alike)
+                    inc, z = simulate_measure(
+                        model, spec, group[-1], reference, trials, seed,
+                        PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
+                        workers=workers, snapshots=group[:-1], alike=alike)
+                except _PicksDiffer:
+                    groups += [[N] for N in group]
+                    continue
                 for k, N in enumerate(group):
                     made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
                                          inc[k], None if z is None else z[k],

@@ -172,7 +172,9 @@ class StrategySpec:
         spec was built for: ``ors`` samples the game's mixture and
         ``chernoff-det`` reads a table of the game, neither uses N or
         epsilon, so specs of one kind built for any two horizons select
-        alike."""
+        alike.  ``das`` and ``das-rs`` tilt by the horizon; a sweep shares
+        their runs only where the pick table shows, as it fills, that the
+        specs of the shorter horizons pick alike (montecarlo.sweep)."""
         return self.kind in ("ors", "chernoff-det")
 
 

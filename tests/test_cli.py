@@ -10,7 +10,7 @@ import pytest
 
 import fhat
 from fhat import montecarlo as mc
-from fhat.cli import main
+from fhat.cli import _count_text, main
 from fhat.model import make_model, serialize_model, table1
 
 
@@ -303,6 +303,24 @@ class TestBoundsAndEnumerate:
         assert code == 0
         assert "psi[0]: 0.1296" in out
         assert "phi[0]: 0.0576" in out
+
+    def test_enumerate_prints_float_leaves_past_2_to_the_53(self, capsys):
+        """Below 2**53 paths the count is exact and prints as an integer;
+        past it the count is a float sum and prints in float form."""
+        code, out, _ = run(capsys, "enumerate", "--model", "table1",
+                           "--strategy", "das", "--reference", "0",
+                           "--horizon", "10", "--theta", "3")
+        assert code == 0 and "leaves: 1024\n" in out
+        code, out, _ = run(capsys, "enumerate", "--model", "table1",
+                           "--strategy", "das", "--reference", "0",
+                           "--horizon", "100", "--theta", "3")
+        assert code == 0
+        (text,) = [line.split(": ")[1] for line in out.splitlines()
+                   if line.startswith("leaves: ")]
+        assert text == repr(float(text)) and "e+30" in text
+        assert float(text) == pytest.approx(2.0 ** 100, rel=1e-12)
+        # past float range: 17 significant digits
+        assert _count_text(1 << 1100) == "1.3582985290493858e+331"
 
     def test_enumerate_symmetric(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--model", "table1",

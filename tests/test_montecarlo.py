@@ -926,6 +926,51 @@ class TestSweep:
                     other = getattr(b, name)
                     assert value == other or (value != value and other != other), name
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_lattice_keyed_horizons_match_single_cells(self, t1, t2, workers):
+        """das and das-rs rows equal, field for field, the rows of sweeps
+        of one horizon, where the horizons share a run (table1, on both
+        sides of the s = 1 clamp) and where their picks differ and the
+        sweep falls back to a run per horizon (table2 das)."""
+        T = mc.CHUNK + 1
+        cases = [(t1, ["das", "das-rs"], [300, 10, 50, 100, 49, 10],
+                  dict(strong="binary", nu=0.6)),
+                 (t2, ["das"], [5, 7, 12, 20, 30, 34], dict(strong="empirical"))]
+        for m, kinds, horizons, kw in cases:
+            rows = mc.sweep(m, kinds, 0, horizons, T, 23, workers=workers, **kw)
+            assert [(r.strategy, r.N) for r in rows] == \
+                [(kind, N) for kind in kinds for N in horizons]
+            for row in rows:
+                (alone,) = mc.sweep(m, [row.strategy], 0, [row.N], T, 23,
+                                    workers=workers, **kw)
+                for name, value in vars(row).items():
+                    other = getattr(alone, name)
+                    assert value == other or (value != value and other != other), name
+
+    def test_lattice_keyed_groups_run_once_per_purpose(self, t1, t2, monkeypatch):
+        """On table1 a das or das-rs horizon group makes one calibration
+        and one estimation run; on table2 das the shared run finds a pick
+        that differs and each horizon runs on its own."""
+        calls = []
+        run = mc.simulate_measure
+
+        def counted(model, spec, N, true_hyp, trials, seed, purpose, **kw):
+            calls.append((spec.kind, N, tuple(kw["snapshots"]), purpose))
+            return run(model, spec, N, true_hyp, trials, seed, purpose, **kw)
+
+        monkeypatch.setattr(mc, "simulate_measure", counted)
+        mc.sweep(t1, ["das", "das-rs"], 0, [300, 10, 50, 100, 49], 300, 2)
+        assert calls == [(kind, 300, (10, 49, 50, 100), purpose)
+                         for kind in ("das", "das-rs")
+                         for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
+        calls.clear()
+        horizons = [5, 7, 12, 20, 30, 34]
+        mc.sweep(t2, ["das"], 0, horizons, 300, 2)
+        assert calls[0] == ("das", 34, (5, 7, 12, 20, 30), mc.PURPOSE_CALIBRATE)
+        assert calls[-12:] == [("das", N, (), purpose) for N in horizons
+                               for purpose in (mc.PURPOSE_CALIBRATE,
+                                               mc.PURPOSE_ESTIMATE)]
+
     def test_horizon_groups_bound_memory(self, t2, monkeypatch):
         """A horizon list longer than the result budget runs in groups,
         each to its own longest horizon; a repeated horizon of any kind
@@ -945,8 +990,7 @@ class TestSweep:
         monkeypatch.setattr(mc, "simulate_measure", counted)
         rows = mc.sweep(t2, ["ors", "das-rs"], 0, horizons, T, 4, strong="empirical")
         assert calls[::2] == [("ors", 7, (5,)), ("ors", 30, (12,)),
-                              ("das-rs", 5, ()), ("das-rs", 7, ()),
-                              ("das-rs", 12, ()), ("das-rs", 30, ())]
+                              ("das-rs", 7, (5,)), ("das-rs", 30, (12,))]
         assert calls[1::2] == calls[::2]
         for row in rows:
             assert vars(row) == vars(alone[(row.strategy, row.N)])
