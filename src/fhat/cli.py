@@ -39,19 +39,24 @@ def _workers_default() -> int:
 
 
 def _parse_horizons(text: str) -> list[int]:
-    """Accept '100:500:100' (inclusive range) or '100,200,300'."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
+    """Accept comma-separated items, each a horizon or an inclusive
+    range a:b[:step]: '10,49,100:500:100'."""
+    horizons = []
+    for item in filter(None, text.split(",")):
+        if ":" not in item:
+            horizons.append(int(item))
+            continue
+        parts = [int(p) for p in item.split(":")]
         if len(parts) == 2:
             start, stop, step = parts[0], parts[1], 1
         elif len(parts) == 3:
             start, stop, step = parts
         else:
-            raise ValueError(f"bad horizon range {text!r}")
+            raise ValueError(f"bad horizon range {item!r}")
         if step <= 0 or stop < start:
-            raise ValueError(f"bad horizon range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p]
+            raise ValueError(f"bad horizon range {item!r}")
+        horizons.extend(range(start, stop + 1, step))
+    return horizons
 
 
 def _epsilon_fn(args):

@@ -167,25 +167,31 @@ def _prime_exponents(a: int) -> dict[int, int]:
     return out
 
 
-def ratio_lattice(model: HypothesisModel, hyps) -> np.ndarray | None:
-    """Integer likelihood-ratio exponents of the hypotheses `hyps`: an
-    int64 (U*Y, r) matrix K, or None when some kernel entry p is not a
-    decimal of at most 6 places, float(a / 10**6) == p for an integer a
-    (no tolerance).
+def ratio_lattice(model: HypothesisModel, hyps,
+                  experiments=None) -> np.ndarray | None:
+    """Integer likelihood-ratio exponents of the hypotheses `hyps` over
+    the experiments `experiments` (default all): an int64 (U*Y, r)
+    matrix K, or None when some kernel entry p read is not a decimal of
+    at most 6 places, float(a / 10**6) == p for an integer a (no
+    tolerance).
 
     Row u*Y + y of K holds prime exponents of p_j(y|u) / p_hyps[0](y|u)
     for the j in `hyps`, with only a rationally independent set of the
     (j, prime) columns kept, so the dropped ones are rational
     combinations of the kept ones.  Logs of distinct primes are
     independent over the rationals, so two paths of observation counts
-    n have the same likelihood ratios among `hyps` exactly when K.T @ n
-    agree.  A base hyps[0] of None is the constant 1: then K keys the
-    likelihoods of the other hypotheses themselves.  Rows off the
-    support are zero; r may be 0."""
+    n on `experiments` have the same likelihood ratios among `hyps`
+    exactly when K.T @ n agree.  A rule that only ever picks from
+    `experiments` needs no more to key its state.  The columns are
+    tried narrowest first, by max(c, 0) - min(c, 0) over the rows, to
+    keep the box they span small (montecarlo._lattice_box).  A
+    base hyps[0] of None is the constant 1: then K keys the likelihoods
+    of the other hypotheses themselves.  Rows off the support or off
+    `experiments` are zero; r may be 0."""
     hyps = list(hyps)
     U, Y = model.num_experiments, model.num_observations
     columns = {}     # (j, prime) -> exponent per row u*Y + y
-    for u in range(U):
+    for u in range(U) if experiments is None else experiments:
         for y in model.support_indices(u):
             nums = []
             for h in hyps:
@@ -203,7 +209,8 @@ def ratio_lattice(model: HypothesisModel, hyps) -> np.ndarray | None:
     # of those before it, so reducing a column by them in order leaves
     # it zero at every pivot, and what is left is independent of them
     basis, kept = [], []
-    for key in sorted(columns):
+    for key in sorted(columns, key=lambda k: (max(*columns[k], 0)
+                                              - min(*columns[k], 0), k)):
         v = list(columns[key])
         for piv, b in basis:
             if v[piv]:

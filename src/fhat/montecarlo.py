@@ -7,8 +7,8 @@ from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
 Where that state lies on a small likelihood-ratio lattice, a chunk reads
-its picks from a table that the selector fills, one row per lattice
-point the chunk reaches (_pick_table).
+its picks from a table that the selector fills on the rows that reach
+a lattice point first (_pick_table).
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -105,10 +105,12 @@ def _pick_table(spec: StrategySpec, N: int):
 
     A trial's key is its point of the lattice K.T @ n (spec.pick_key,
     n its observation counts) packed by _lattice_box.  Equal keys mean
-    equal likelihood ratios among the hypotheses selection reads, so
-    the pick is a function of the key; the table caches it as pick + 1,
-    0 where no trial has reached the key yet.  It is allocated zeroed,
-    so memory pages the trials never reach are never touched."""
+    equal likelihood ratios among the hypotheses selection reads (the
+    key spans the experiments the rule can pick, the only ones its
+    trials observe), so the pick is a function of the key; the table
+    caches it as pick + 1, 0 where no trial has reached the key yet.
+    It is allocated zeroed, so memory pages the trials never reach are
+    never touched."""
     if spec.pick_key is None:
         return None
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
@@ -155,9 +157,11 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
 
     When the rule has a pick table for the last horizon, each trial
     carries its lattice key, a step reads the picks from the table, and
-    the selector runs only on one row per key that no trial of this
-    call has reached before; its pick is the one every row of that key
-    would get.  The table lives for this call only.
+    the selector runs only on the rows at keys that no trial of this
+    call reached at an earlier step; their pick is the one every row of
+    that key would get.  Sorting the new keys out to select one row
+    each costs more than selecting on all of them.  The table lives for
+    this call only.
 
     `alike` holds (n, spec_n) pairs of shorter horizons whose runs this
     one stands for: wherever step t fills the table, spec_n with n > t
@@ -206,16 +210,15 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                 u = np.subtract(np.take(table, key), 1, dtype=np.int64)
                 miss = np.flatnonzero(u < 0)
                 if miss.size:
-                    # one real row per key not seen yet picks for it
-                    new, first = np.unique(key[miss], return_index=True)
-                    rows = lb[miss[first]]
+                    # the rows at keys not seen yet pick for them
+                    rows = lb[miss]
                     picks = _select_batch(spec, rows, None)
                     for n, other in alike:
                         if n > t and not np.array_equal(
                                 _select_batch(other, rows, None), picks):
                             raise _PicksDiffer(n, t)
-                    table[new] = picks + 1
-                    u[miss] = table[key[miss]] - 1
+                    table[key[miss]] = picks + 1
+                    u[miss] = picks
             row = u * Y
             for cum in cum_cols:
                 row += obs_draws >= cum[u]

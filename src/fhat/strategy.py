@@ -156,7 +156,8 @@ class StrategySpec:
     kl: np.ndarray = field(repr=False, default=None)             # (U, M-1)
     support_mask: np.ndarray = field(repr=False, default=None)   # (U,) bool
     chernoff_u: np.ndarray = field(repr=False, default=None)     # (M-1,) int
-    # ratio_lattice of the hypotheses selection reads, or None
+    # ratio_lattice of the hypotheses selection reads over the
+    # experiments the rule can pick, or None
     pick_key: np.ndarray | None = field(repr=False, default=None)  # (U*Y, r) int
 
     def is_deterministic(self) -> bool:
@@ -183,6 +184,12 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                    sample_alpha=None, inner_kind: str = "das") -> StrategySpec:
     """Resolve a strategy: solve the game(s), fix the tilt schedule, and
     precompute per-run lookup tables.
+
+    Rules that pick on the belief alone get a pick key, the ratio
+    lattice of the hypotheses they read over the experiments they can
+    pick: ``das-rs`` picks only on the support of alpha*, and
+    ``chernoff-det`` only its table's experiments, so no other
+    experiment is ever observed in their runs.
 
     The symmetric composite requires a positive game value for every
     hypothesis (some experiment must separate every pair); asymmetric
@@ -224,8 +231,11 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
         raise ValueError("sample_alpha must be a distribution over experiments")
     # das, das-rs and chernoff-det read the alternates' log beliefs
-    # through their differences
-    key = None if kind == "ors" else ratio_lattice(model, model.alternates(reference))
+    # through their differences, observed on the experiments they pick
+    picks = {"das-rs": np.flatnonzero(mask),
+             "chernoff-det": sorted(set(chern.tolist()))}
+    key = None if kind == "ors" else ratio_lattice(
+        model, model.alternates(reference), picks.get(kind))
     return StrategySpec(kind=kind, model=model, reference=reference,
                         s_value=s_val, game=sol, sample_alpha=alpha,
                         mu=mu, kl=kl, support_mask=mask, chernoff_u=chern,

@@ -289,6 +289,20 @@ class TestBoundsAndEnumerate:
         asym = float(lines[1].split(",")[-1])
         np.testing.assert_allclose(asym, 0.1 * math.log(1.5), atol=1e-9)
 
+    def test_horizons_mix_values_and_ranges(self, capsys):
+        """Each comma item is a horizon or an inclusive range; a bad
+        range is named in the error."""
+        code, out, _ = run(capsys, "bounds", "--model", "table1",
+                           "--reference", "0", "--horizons", "10,49,50,100:500:100")
+        assert code == 0
+        assert [int(line.split(",")[0]) for line in out.strip().split("\n")[1:]] == \
+            [10, 49, 50, 100, 200, 300, 400, 500]
+        for bad in ("10,5:3", "10,1:2:3:4", "10,4:8:0"):
+            code, _, err = run(capsys, "bounds", "--model", "table1",
+                               "--reference", "0", "--horizons", bad)
+            assert code == 2
+            assert f"bad horizon range {bad.split(',')[1]!r}" in err
+
     def test_enumerate_exact_values(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--model", "table1",
                            "--strategy", "das", "--reference", "0",

@@ -275,20 +275,23 @@ class TestRatioLattice:
         return tuple(out)
 
     def test_equal_keys_mean_equal_ratios(self, t1, t2):
-        """Over every count vector of at most 4 observations, two paths
-        share a key exactly when they share the likelihood ratios among
-        `hyps`: the key is exact, merging no more and no fewer.  With
-        the base None the ratios are the likelihoods themselves, the
-        key enumeration merges on."""
+        """Over every count vector of at most 4 observations on the
+        experiments given (all by default), two paths share a key
+        exactly when they share the likelihood ratios among `hyps`: the
+        key is exact, merging no more and no fewer, and zero on the
+        rows of other experiments.  With the base None the ratios are
+        the likelihoods themselves, the key enumeration merges on."""
         rng = np.random.default_rng(8)
         models = [t1, t2, *(decimal_model(rng) for _ in range(6))]
         merged = 0
         for m in models:
             M, U, Y = m.kernel.shape
-            cells = [u * Y + y for u in range(U) for y in m.support_indices(u)]
-            for hyps in (tuple(range(M)), tuple(range(1, M)), (M - 1, 0),
-                         (None, *range(M))):
-                K = ratio_lattice(m, hyps)
+            for hyps, exps in product(
+                    (tuple(range(M)), tuple(range(1, M)), (M - 1, 0), (None, *range(M))),
+                    (None, (0,), tuple(range(U // 2, U)))):
+                cells = [u * Y + y for u in (range(U) if exps is None else exps)
+                         for y in m.support_indices(u)]
+                K = ratio_lattice(m, hyps, exps)
                 assert K.dtype == np.int64 and K.shape[0] == U * Y
                 assert not K[[r for r in range(U * Y) if r not in cells]].any()
                 by_key, by_ratio = {}, {}
@@ -300,19 +303,24 @@ class TestRatioLattice:
                     key, ratio = tuple(n @ K), self.ratios(m, hyps, n)
                     by_key.setdefault(key, set()).add(ratio)
                     by_ratio.setdefault(ratio, set()).add(key)
-                assert all(len(v) == 1 for v in by_key.values()), m.kernel
-                assert all(len(v) == 1 for v in by_ratio.values()), m.kernel
+                assert all(len(v) == 1 for v in by_key.values()), (m.kernel, exps)
+                assert all(len(v) == 1 for v in by_ratio.values()), (m.kernel, exps)
                 merged += math.comb(4 + len(cells), 4) - len(by_key)
         assert merged > 0     # keys do merge paths with different counts
 
     def test_table_models_rank(self, t1, t2):
         """table1's alternates of 0 differ along one lattice direction
         and its three hypotheses along two; table2's alternates need
-        three.  The likelihoods themselves take one direction fewer than
-        the (U, Y) cells on table1, and as many on table2."""
+        three, two over C and D alone and one over A and B.  Taken
+        narrowest first, table2's columns are all steps of -1, 0 or 1.
+        The likelihoods themselves take one direction fewer than the
+        (U, Y) cells on table1, and as many on table2."""
         assert ratio_lattice(t1, (1, 2)).shape == (4, 1)
         assert ratio_lattice(t1, (0, 1, 2)).shape == (4, 2)
         assert ratio_lattice(t2, (1, 2)).shape == (8, 3)
+        assert np.abs(ratio_lattice(t2, (1, 2))).max() == 1
+        assert ratio_lattice(t2, (1, 2), (2, 3)).shape == (8, 2)
+        assert ratio_lattice(t2, (1, 2), (0, 1)).shape == (8, 1)
         assert ratio_lattice(t1, (None, 0, 1, 2)).shape == (4, 3)
         assert ratio_lattice(t2, (None, 0, 1, 2)).shape == (8, 7)
 

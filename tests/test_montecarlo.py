@@ -389,20 +389,36 @@ class TestPickCache:
         for h in range(3):
             self.assert_matches_reference(t1, spec, N, h, (0, 1, 2))
 
+    @pytest.mark.parametrize("kind", ["das-rs", "chernoff-det"])
+    def test_table2_keys_on_the_experiments_picked(self, t2, kind, monkeypatch):
+        """table2 das-rs picks only C or D and chernoff-det only A or B,
+        so their keys span those rows alone and fit a table at N = 500:
+        a full chunk gives the reference step loop's increments bit for
+        bit under every hypothesis.  Under the reference hypothesis,
+        the one a sweep runs, the selector sees under 5% of the
+        trial-steps."""
+        seen = self.counted_rows(monkeypatch)
+        spec = build_strategy(t2, kind, 500, reference=0)
+        assert mc._pick_table(spec, 500) is not None
+        for h in range(3):
+            self.assert_matches_reference(t2, spec, 500, h, (0, 1, 2))
+            if h == 0:
+                assert 0 < seen[0] < 0.05 * mc.CHUNK * 500
+
     def test_cache_is_used(self, t1, monkeypatch):
         """table1 das at N = 200: the selector sees under 5% of the
-        trial-steps, one row per lattice key new to the chunk."""
+        trial-steps, the rows at lattice keys new to the chunk."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t1, "das", 200, reference=0)
         self.assert_matches_reference(t1, spec, 200, 1, (0,))
         assert 0 < seen[0] < 0.05 * mc.CHUNK * 200
 
     def test_falls_back_over_the_cap_and_off_the_lattice(self, t2, monkeypatch):
-        """table2 das-rs at N = 60 (its key box exceeds PICK_TABLE_CAP)
-        and a generated float model (no lattice): every trial-step is
-        selected."""
+        """table2 das at N = 60 (its key box, 121**3 entries, exceeds
+        PICK_TABLE_CAP) and a generated float model (no lattice): every
+        trial-step is selected."""
         seen = self.counted_rows(monkeypatch)
-        spec = build_strategy(t2, "das-rs", 60, reference=0)
+        spec = build_strategy(t2, "das", 60, reference=0)
         assert spec.pick_key is not None and mc._pick_table(spec, 60) is None
         self.assert_matches_reference(t2, spec, 60, 2, (0,))
         assert seen[0] == mc.CHUNK * 60
@@ -930,11 +946,13 @@ class TestSweep:
     def test_lattice_keyed_horizons_match_single_cells(self, t1, t2, workers):
         """das and das-rs rows equal, field for field, the rows of sweeps
         of one horizon, where the horizons share a run (table1, on both
-        sides of the s = 1 clamp) and where their picks differ and the
-        sweep falls back to a run per horizon (table2 das)."""
+        sides of the s = 1 clamp, and table2 das-rs, keyed on C and D)
+        and where their picks differ and the sweep falls back to a run
+        per horizon (table2 das)."""
         T = mc.CHUNK + 1
         cases = [(t1, ["das", "das-rs"], [300, 10, 50, 100, 49, 10],
                   dict(strong="binary", nu=0.6)),
+                 (t2, ["das-rs"], [500, 100, 300], dict(strong="empirical")),
                  (t2, ["das"], [5, 7, 12, 20, 30, 34], dict(strong="empirical"))]
         for m, kinds, horizons, kw in cases:
             rows = mc.sweep(m, kinds, 0, horizons, T, 23, workers=workers, **kw)
@@ -949,8 +967,9 @@ class TestSweep:
 
     def test_lattice_keyed_groups_run_once_per_purpose(self, t1, t2, monkeypatch):
         """On table1 a das or das-rs horizon group makes one calibration
-        and one estimation run; on table2 das the shared run finds a pick
-        that differs and each horizon runs on its own."""
+        and one estimation run, and so does table2 das-rs to N = 500; on
+        table2 das the shared run finds a pick that differs and each
+        horizon runs on its own."""
         calls = []
         run = mc.simulate_measure
 
@@ -962,6 +981,10 @@ class TestSweep:
         mc.sweep(t1, ["das", "das-rs"], 0, [300, 10, 50, 100, 49], 300, 2)
         assert calls == [(kind, 300, (10, 49, 50, 100), purpose)
                          for kind in ("das", "das-rs")
+                         for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
+        calls.clear()
+        mc.sweep(t2, ["das-rs"], 0, [500, 100, 300], 300, 2)
+        assert calls == [("das-rs", 500, (100, 300), purpose)
                          for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
         calls.clear()
         horizons = [5, 7, 12, 20, 30, 34]

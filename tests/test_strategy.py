@@ -481,16 +481,23 @@ class TestBuildStrategy:
         with pytest.raises(ValueError, match="reference"):
             build_strategy(t1, "das", 100)
 
-    def test_pick_key_follows_what_selection_reads(self, t1):
+    def test_pick_key_follows_what_selection_reads(self, t1, t2):
         """das, das-rs and chernoff-det key on the ratios among the
-        reference's alternates, the symmetric composite on all
-        hypotheses; rules that read draws have no key."""
+        reference's alternates over the experiments they can pick, the
+        symmetric composite on all hypotheses; rules that read draws
+        have no key.  On table2 das-rs picks only C or D (rows 4-7) and
+        chernoff-det only A or B (rows 0-3)."""
         assert build_strategy(t1, "ors", 50, reference=0).pick_key is None
         assert build_strategy(t1, "symmetric", 50, inner_kind="ors").pick_key is None
         for kind in ("das", "das-rs", "chernoff-det"):
             key = build_strategy(t1, kind, 50, reference=0).pick_key
             assert key.shape == (4, 1) and key.dtype == np.int64
         assert build_strategy(t1, "symmetric", 50).pick_key.shape == (4, 2)
+        assert build_strategy(t2, "das", 50, reference=0).pick_key.shape == (8, 3)
+        key = build_strategy(t2, "das-rs", 50, reference=0).pick_key
+        assert key.shape == (8, 2) and not key[:4].any()
+        key = build_strategy(t2, "chernoff-det", 50, reference=0).pick_key
+        assert key.shape == (8, 1) and not key[4:].any()
 
     def test_deterministic_flags(self, t1):
         assert build_strategy(t1, "das", 100, reference=0).is_deterministic()
