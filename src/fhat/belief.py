@@ -189,17 +189,3 @@ def recompute_belief(t: Trajectory) -> Belief:
         b = update_belief(b, t.model, u, y)
     return b
 
-
-def format_trajectory_dump(t: Trajectory, sep: str = "\t") -> str:
-    """Debug dump: one line per step with experiment and observation
-    labels, the running confidence, and the Z values."""
-    model = t.model
-    lines = []
-    replay = new_trajectory(model, t.reference, beta_star=t.beta_star)
-    for n, (u, y) in enumerate(t.history, start=1):
-        replay = step_trajectory(replay, u, y)
-        cells = [str(n), model.experiments[u], model.observations[y],
-                 f"{confidence(replay.belief, t.reference):.9g}"]
-        cells += [f"{z:.9g}" for z in replay.z]
-        lines.append(sep.join(cells))
-    return "\n".join(lines)

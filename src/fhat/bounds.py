@@ -68,20 +68,20 @@ def strong_converse_empirical(zbar_samples, h_start: float, chi: float,
 def strong_converse_sweep(zbar_samples, h_start: float,
                           epsilon: float) -> tuple[float, float]:
     """Sweep chi over the sample's empirical quantile points and return
-    (best chi, tightest finite bound)."""
+    (best chi, tightest finite bound): the first minimum over the sorted
+    samples, or (nan, inf) where no point has a tail frequency above
+    epsilon (an empty sample)."""
     z = np.sort(np.asarray(zbar_samples, dtype=float)) + h_start
-    best_chi, best = math.nan, math.inf
-    T = z.size
-    # At chi = z[k], the empirical tail frequency is (k+1)/T.
-    k0 = int(math.floor(epsilon * T))   # below this the bound is vacuous
-    for k in range(k0, T):
-        p_hat = (k + 1) / T
-        if p_hat <= epsilon:
-            continue
-        val = z[k] - math.log(p_hat - epsilon)
-        if val < best:
-            best, best_chi = val, float(z[k])
-    return best_chi, best
+    # At chi = z[k], the empirical tail frequency is (k+1)/T; at or
+    # below epsilon the bound is vacuous.
+    p_hat = np.arange(1, z.size + 1) / z.size
+    k0 = int(np.searchsorted(p_hat, epsilon, side="right"))
+    if k0 == z.size:
+        return math.nan, math.inf
+    k = k0 + int(np.argmin(z[k0:] - np.log(p_hat[k0:] - epsilon)))
+    # the bound at the pick through math.log, as strong_converse_empirical
+    # takes it: numpy's vectorized log may differ from it in the last bit
+    return float(z[k]), float(z[k] - math.log(p_hat[k] - epsilon))
 
 
 def binomial_quantile(N: int, p: float, q: float) -> int:

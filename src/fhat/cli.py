@@ -153,8 +153,10 @@ def _spec_and_rule(args, model, N: int):
     if args.theta is not None:
         return spec, empirical_rule(i, args.theta, eps)
     if getattr(args, "calibrate", False):
-        theta = mc.best_threshold_search(model, spec, N, eps, args.trials,
-                                         seed=args.seed, workers=args.workers)
+        c_inc, _ = mc.simulate_measure(model, spec, N, i, args.trials, args.seed,
+                                       mc.PURPOSE_CALIBRATE, refs=(i,),
+                                       workers=args.workers)
+        theta = mc.best_threshold_search(model, N, eps, c_inc)
         return spec, empirical_rule(i, theta, eps)
     return spec, asymmetric_rule(model, spec.game, N, eps)
 

@@ -74,12 +74,12 @@ def _log_kernel(kernel: np.ndarray) -> np.ndarray:
         return np.where(kernel > 0, np.log(np.where(kernel > 0, kernel, 1.0)), -np.inf)
 
 
-def make_model(hypotheses, experiments, observations, kernel, prior,
-               llr_slack: float = 0.0) -> HypothesisModel:
+def make_model(hypotheses, experiments, observations, kernel,
+               prior) -> HypothesisModel:
     """Validate raw arrays and build a HypothesisModel.
 
-    The LLR bound B is the maximum |log(p_i^u(y)/p_j^u(y))| over the
-    support, plus `llr_slack` (default 0, i.e. the tight maximum).
+    The LLR bound B is the tight maximum |log(p_i^u(y)/p_j^u(y))| over
+    the support (1 for a model whose LLRs are all zero).
     """
     kernel = np.array(kernel, dtype=float)
     prior = np.array(prior, dtype=float)
@@ -129,9 +129,6 @@ def make_model(hypotheses, experiments, observations, kernel, prior,
     # the largest |log p_i - log p_j| on a symbol is max - min over the
     # hypotheses; rounding is monotone, so also the largest rounded one
     B = max(float(np.ptp(logk[:, u, support[u]], axis=0).max()) for u in range(U))
-    B += float(llr_slack)
-    if not np.isfinite(B):
-        raise ModelError("LLR bound is not finite")
     if B == 0.0:
         # Totally uninformative model: every positive constant strictly
         # dominates the (all-zero) LLRs; keep the bound usable.
@@ -278,7 +275,7 @@ def llr_table(model: HypothesisModel, i: int) -> np.ndarray:
 # Model documents (YAML key-value tree)
 # ---------------------------------------------------------------------------
 
-def load_model(document: str, llr_slack: float = 0.0) -> HypothesisModel:
+def load_model(document: str) -> HypothesisModel:
     """Parse and validate a model document.
 
     Layout: `hypotheses`, `experiments`, `observations` are lists of
@@ -320,12 +317,12 @@ def load_model(document: str, llr_slack: float = 0.0) -> HypothesisModel:
                 raise ModelError(
                     f"kernel[{uname!r}][{hname!r}] has {len(vals)} entries, expected {Y}")
             kernel[i, u, :] = [float(v) for v in vals]
-    return make_model(hyps, exps, obs, kernel, prior, llr_slack=llr_slack)
+    return make_model(hyps, exps, obs, kernel, prior)
 
 
-def load_model_file(path, llr_slack: float = 0.0) -> HypothesisModel:
+def load_model_file(path) -> HypothesisModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read(), llr_slack=llr_slack)
+        return load_model(fh.read())
 
 
 def serialize_model(model: HypothesisModel) -> str:
@@ -394,8 +391,8 @@ def table2() -> HypothesisModel:
 BUILTIN_MODELS = {"table1": table1, "table2": table2}
 
 
-def resolve_model(name_or_path: str, llr_slack: float = 0.0) -> HypothesisModel:
+def resolve_model(name_or_path: str) -> HypothesisModel:
     """Look up a built-in model by name or load a model file."""
     if name_or_path in BUILTIN_MODELS:
         return BUILTIN_MODELS[name_or_path]()
-    return load_model_file(name_or_path, llr_slack=llr_slack)
+    return load_model_file(name_or_path)

@@ -50,6 +50,7 @@ STREAM_RNG = "PCG64DXSM"
 ENUM_STATE_CAP = 1 << 18  # live lattice states (bounds enumeration memory)
 PICK_TABLE_CAP = 1 << 20  # entries of a chunk's pick table (one byte each)
 JACKKNIFE_BATCHES = 100
+THRESHOLD_TOL = 1e-6   # width of the calibrated threshold's bisection bracket
 # Results one shared sweep run may hold: per horizon, the calibration and
 # estimation increments and the weighted LLRs, 24 bytes per trial.
 _SHARED_BYTES = 32 << 20
@@ -305,20 +306,19 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
 
 
 def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
-              N: int, true_hypothesis: int, seed: int,
-              purpose: int = PURPOSE_ESTIMATE, trial_index: int = 0,
-              beta_star=None):
-    """Trial `trial_index` of the given stream: the engine run on its
-    one row, so it takes the engine's path and gets the engine's
+              N: int, true_hypothesis: int, seed: int, trial_index: int = 0):
+    """Trial `trial_index` of the estimation stream: the engine run on
+    its one row, so it takes the engine's path and gets the engine's
     decision (None to abstain) bit for bit, for every strategy kind.
-    The trajectory, for the rule's first hypothesis and with z_bar when
-    `beta_star` is given, steps the belief layer along that path."""
+    The trajectory, for the rule's first hypothesis, steps the belief
+    layer along that path."""
     chunk_idx, row = divmod(trial_index, CHUNK)
     refs = tuple(sorted(rule.thresholds))
     path = []
-    c_inc, _ = _simulate_chunk(model, spec, (N,), true_hypothesis, seed, purpose,
-                               chunk_idx, row, row + 1, refs, None, path)
-    traj = new_trajectory(model, refs[0], beta_star=beta_star)
+    c_inc, _ = _simulate_chunk(model, spec, (N,), true_hypothesis, seed,
+                               PURPOSE_ESTIMATE, chunk_idx, row, row + 1, refs,
+                               None, path)
+    traj = new_trajectory(model, refs[0])
     for u, y in path:
         traj = step_trajectory(traj, int(u[0]), int(y[0]))
     decision = int(decisions_from_increments(c_inc[0], refs, rule)[0])
@@ -340,11 +340,11 @@ class LsePhiEstimate:
     is_lower_bound: bool = False     # no accepted trial: report >= ln T
 
 
-def estimate_phi_lse(c_inc: np.ndarray, accepted: np.ndarray,
-                     batches: int = JACKKNIFE_BATCHES) -> LsePhiEstimate:
+def estimate_phi_lse(c_inc: np.ndarray, accepted: np.ndarray) -> LsePhiEstimate:
     """phi = E_i[exp(-(C_inc - ln 1_accept))]; estimate ln(1/phi) as
     ln T - logsumexp(-C_inc over accepted trials).  Declined trials
-    contribute exp(-inf) = 0.  SE by jackknife over equal trial batches.
+    contribute exp(-inf) = 0.  SE by jackknife over JACKKNIFE_BATCHES
+    equal trial batches (fewer when T is smaller).
     """
     c_inc = np.asarray(c_inc, dtype=float).ravel()
     accepted = np.asarray(accepted, dtype=bool).ravel()
@@ -358,7 +358,7 @@ def estimate_phi_lse(c_inc: np.ndarray, accepted: np.ndarray,
     total = float(terms.sum())
     est = math.log(T) - (shift + math.log(total))
 
-    batches = min(batches, T)
+    batches = min(JACKKNIFE_BATCHES, T)
     edges = np.linspace(0, T, batches + 1).astype(int)
     loo = []
     for b in range(batches):
@@ -593,22 +593,17 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
 # Threshold calibration and the sweep driver
 # ---------------------------------------------------------------------------
 
-def best_threshold_search(model: HypothesisModel, spec: StrategySpec, N: int,
-                          epsilon: float, trials: int, tol: float = 1e-6,
-                          seed: int = 0, workers: int = 0,
-                          c_inc: np.ndarray | None = None) -> float:
-    """Largest threshold theta with psi_hat >= 1 - epsilon.
+def best_threshold_search(model: HypothesisModel, N: int, epsilon: float,
+                          c_inc: np.ndarray) -> float:
+    """Largest threshold theta with psi_hat >= 1 - epsilon, where
+    psi_hat(theta) is the fraction of the calibration increments `c_inc`
+    at or above theta.
 
-    Bisection over theta; every probe reuses the same calibration batch
-    (common random numbers), so psi_hat(theta) is monotone and the
-    search is exact up to `tol`.  Increments are bounded by N*B, hence
-    the bracket below is always feasible at its lower end.
+    Bisection over theta to within THRESHOLD_TOL; every probe reads the
+    same increments (common random numbers), so psi_hat(theta) is
+    monotone.  Increments are bounded by N*B, hence the bracket
+    +-(N*B + 1) is always feasible at its lower end.
     """
-    i = spec.reference
-    if c_inc is None:
-        c_inc, _ = simulate_measure(model, spec, N, i, trials, seed,
-                                    PURPOSE_CALIBRATE, refs=(i,),
-                                    workers=workers)
     inc = np.sort(np.asarray(c_inc).ravel())
     bound = N * model.llr_bound + 1.0
     lo, hi = -bound, bound
@@ -621,7 +616,7 @@ def best_threshold_search(model: HypothesisModel, spec: StrategySpec, N: int,
     if psi_at(lo) < need:
         raise RuntimeError("calibration failed at the lower bracket; "
                            "trial budget too small to certify epsilon")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if psi_at(mid) >= need:
             lo = mid
@@ -764,16 +759,16 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
                 for k, N in enumerate(group):
                     made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
                                          inc[k], None if z is None else z[k],
-                                         trials, seed, strong, nu)
+                                         seed, strong, nu)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 
 
 def _sweep_row(model, kind, reference, N, eps, spec, cal_inc, c_inc, zbar,
-               trials, seed, strong, nu) -> SweepRow:
+               seed, strong, nu) -> SweepRow:
     """One asymmetric sweep row from its calibration increments, its
     estimation increments and (strong="empirical") its weighted LLRs."""
-    theta = best_threshold_search(model, spec, N, eps, trials, c_inc=cal_inc)
+    theta = best_threshold_search(model, N, eps, cal_inc)
     rule = empirical_rule(reference, theta, eps)
     dec = decisions_from_increments(c_inc, (reference,), rule)
     psi, psi_se, est = _batch_estimates(c_inc, 0, dec, reference)

@@ -8,9 +8,11 @@ column, the selectors score with BLAS products on normalized beliefs
 where the library sums elementwise over unnormalized ones, and exact
 enumeration recurses node by node with a scalar selector and a scalar
 per-leaf loop where the library walks blocks of nodes and selects for a
-block of beliefs at once.
+block of beliefs at once, and the strong-bound sweep loops over the
+sorted samples where the library takes one argmin.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -72,6 +74,21 @@ def binomial_quantile_exact(N: int, p: Fraction, q: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 REFERENCE_CHUNK = 8192
+
+
+def reference_strong_converse_sweep(zbar_samples, h_start, epsilon):
+    """(chi, bound) of the strong-bound sweep by a scalar loop: at the
+    k-th sorted shifted sample the tail frequency is (k+1)/T, and a bound
+    strictly below the best so far replaces it (the first minimum wins)."""
+    z = np.sort(np.asarray(zbar_samples, dtype=float)) + h_start
+    best_chi, best = math.nan, math.inf
+    for k in range(z.size):
+        p_hat = (k + 1) / z.size
+        if p_hat > epsilon:
+            val = z[k] - math.log(p_hat - epsilon)
+            if val < best:
+                best, best_chi = val, float(z[k])
+    return best_chi, best
 
 
 def _reference_inv_cdf(cum_rows, draws):

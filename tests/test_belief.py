@@ -7,10 +7,9 @@ import pytest
 
 from conftest import random_model, random_trajectory, sample_observation
 from fhat.belief import (Belief, confidence, confidence_increment,
-                         decomposition_terms, format_trajectory_dump,
-                         new_trajectory, prior_belief, recompute_belief,
-                         step_trajectory, tilde_belief, tilde_log,
-                         update_belief, uniform_prior_log_posterior)
+                         decomposition_terms, new_trajectory, prior_belief,
+                         recompute_belief, step_trajectory, tilde_belief,
+                         tilde_log, update_belief, uniform_prior_log_posterior)
 from fhat.model import ModelError, make_model
 from fhat.numerics import logsumexp
 from fhat.strategy import build_strategy
@@ -125,16 +124,6 @@ class TestTrajectory:
         t = random_trajectory(t1, rng, max_steps=30)
         np.testing.assert_allclose(recompute_belief(t).log_prob,
                                    t.belief.log_prob, atol=1e-10)
-
-    def test_dump_format(self, t1):
-        t = new_trajectory(t1, 0)
-        t = step_trajectory(t, 0, 1)
-        t = step_trajectory(t, 1, 0)
-        lines = format_trajectory_dump(t).splitlines()
-        assert len(lines) == 2
-        first = lines[0].split("\t")
-        assert first[0] == "1" and first[1] == "A" and first[2] == "1"
-        assert len(first) == 4 + 2   # index, two labels, confidence, two z values
 
 
 class TestConfidenceIncrement:

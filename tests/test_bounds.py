@@ -13,7 +13,7 @@ from fhat.game import solve
 from fhat.strategy import build_strategy
 
 from oracles import (binomial_cdf_exact, binomial_quantile_exact,
-                     reference_enumerate_paths)
+                     reference_enumerate_paths, reference_strong_converse_sweep)
 
 LN15 = math.log(1.5)
 LN2 = math.log(2)
@@ -79,6 +79,50 @@ class TestStrongConverseEmpirical:
         grid = np.linspace(z.min(), z.max() + 2, 3000)
         vals = [bounds.strong_converse_empirical(z, LN2, c, 0.05) for c in grid]
         assert best <= min(vals) + 1e-9
+
+    def test_sweep_matches_the_loop(self):
+        """The (chi, bound) bits of the scalar loop, also on tied samples,
+        with eps*T an integer and with eps of 0 or 1."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            T = int(rng.integers(1, 300))
+            z = rng.normal(0.0, 3.0, T).round(int(rng.integers(0, 3)))
+            eps = float(rng.choice([0.0, 0.05, 0.25, 1 / T, 1.0]))
+            np.testing.assert_equal(bounds.strong_converse_sweep(z, LN2, eps),
+                                    reference_strong_converse_sweep(z, LN2, eps))
+        # all samples tied at 0: the bound is -log(1 - eps), and numpy's
+        # vectorized log of 1 - eps can differ from math.log's in the last bit
+        for eps in (0.032, 0.083, 0.194):
+            np.testing.assert_equal(bounds.strong_converse_sweep(np.zeros(50), 0.0, eps),
+                                    reference_strong_converse_sweep(np.zeros(50), 0.0, eps))
+
+    def test_sweep_ties_take_the_first_minimum(self):
+        """On tied samples the sweep's bound is the least empirical bound
+        over the distinct sample points, at the smallest chi reaching it;
+        where several points give equal bounds the first wins."""
+        z = np.random.default_rng(4).integers(0, 6, 300).astype(float)
+        chi, best = bounds.strong_converse_sweep(z, LN2, 0.05)
+        points = list(np.unique(z + LN2))
+        vals = [bounds.strong_converse_empirical(z, LN2, c, 0.05) for c in points]
+        assert (chi, best) == (points[vals.index(min(vals))], min(vals))
+        # each sample at the log of its own tail frequency bounds at 0
+        z = np.array([math.log(0.25), math.log(0.5), -0.25, 0.0])
+        vals = [bounds.strong_converse_empirical(z, 0.0, c, 0.0) for c in z]
+        assert vals[0] == vals[1] == vals[3] == 0.0 < vals[2]
+        assert bounds.strong_converse_sweep(z, 0.0, 0.0) == (math.log(0.25), 0.0)
+
+    def test_sweep_skips_the_point_at_epsilon(self):
+        """With eps*T an integer, the point whose tail frequency is eps
+        exactly bounds nothing; the tightest bound is the next point's."""
+        z = np.arange(20.0) * 10.0
+        eps = 0.25
+        vals = [bounds.strong_converse_empirical(z, 0.0, c, eps) for c in z]
+        assert vals[4] == math.inf and vals[5] == min(vals)
+        assert bounds.strong_converse_sweep(z, 0.0, eps) == (50.0, vals[5])
+
+    def test_sweep_of_no_samples_is_vacuous(self):
+        chi, best = bounds.strong_converse_sweep([], 0.0, 0.05)
+        assert math.isnan(chi) and best == math.inf
 
 
 class TestBinomialQuantile:

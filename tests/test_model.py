@@ -47,10 +47,6 @@ class TestLoadModel:
         assert m.num_hypotheses == 3
         np.testing.assert_allclose(m.llr_bound, LN15, atol=1e-12)
 
-    def test_llr_slack_is_added(self):
-        m = load_model(TABLE1_DOC, llr_slack=0.5)
-        np.testing.assert_allclose(m.llr_bound, LN15 + 0.5, atol=1e-12)
-
     def test_common_support_violation(self):
         doc = TABLE1_DOC.replace("near-a: [0.4, 0.6]\n    near-b: [0.6, 0.4]\n  B",
                                  "near-a: [0.0, 1.0]\n    near-b: [0.6, 0.4]\n  B")

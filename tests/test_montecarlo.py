@@ -838,13 +838,18 @@ class TestEnumerateOracle:
 
 
 class TestBestThresholdSearch:
+    @staticmethod
+    def calibrate(model, spec, N, eps, trials, seed):
+        """The calibration batch under the reference and its threshold."""
+        c_inc, _ = mc.simulate_measure(model, spec, N, 0, trials, seed,
+                                       mc.PURPOSE_CALIBRATE, refs=(0,))
+        return mc.best_threshold_search(model, N, eps, c_inc), c_inc
+
     def test_near_one_epsilon_returns_top_of_sample(self, t1):
         """An almost-vacuous constraint calibrates to the largest
         increment seen in the calibration batch."""
         spec = build_strategy(t1, "das", horizon=5, reference=0)
-        theta = mc.best_threshold_search(t1, spec, 5, 0.999999, 2000, seed=1)
-        c_inc, _ = mc.simulate_measure(t1, spec, 5, 0, 2000, 1,
-                                       mc.PURPOSE_CALIBRATE, refs=(0,))
+        theta, c_inc = self.calibrate(t1, spec, 5, 0.999999, 2000, 1)
         assert theta == pytest.approx(float(c_inc.max()), abs=1e-5)
         assert theta <= 5 * t1.llr_bound
 
@@ -852,18 +857,31 @@ class TestBestThresholdSearch:
         m = identical_rows_model()
         with pytest.warns(RuntimeWarning):
             spec = build_strategy(m, "das", horizon=5, reference=0)
-        theta = mc.best_threshold_search(m, spec, 5, 0.05, 2000, seed=1)
+        theta, _ = self.calibrate(m, spec, 5, 0.05, 2000, 1)
         assert abs(theta) < 1e-5   # increments are identically zero
 
     def test_calibrated_threshold_meets_constraint(self, t1):
         spec = build_strategy(t1, "das", horizon=40, reference=0)
         eps = 0.05
-        theta = mc.best_threshold_search(t1, spec, 40, eps, 5000, seed=2)
-        c_inc, _ = mc.simulate_measure(t1, spec, 40, 0, 5000, 2,
-                                       mc.PURPOSE_CALIBRATE, refs=(0,))
+        theta, c_inc = self.calibrate(t1, spec, 40, eps, 5000, 2)
         assert np.mean(c_inc[:, 0] >= theta) >= 1 - eps
         # largest such threshold: nudging it up breaks the constraint
         assert np.mean(c_inc[:, 0] >= theta + 1e-4) < 1 - eps
+
+    def test_shared_quantile_level(self, t1):
+        """Hand-made increments, four of them at the (1 - eps)-quantile
+        level 1.3: theta lands within THRESHOLD_TOL below that level, so
+        psi(theta) counts all four and psi(theta + THRESHOLD_TOL) none."""
+        c_inc = np.array([5.0, 1.3, -2.0, 1.3, 4.1, 1.3, 0.2, 2.5, 1.3, 3.0])[:, None]
+        eps = 0.25
+
+        def psi(theta):
+            return np.mean(c_inc[:, 0] >= theta)
+
+        theta = mc.best_threshold_search(t1, 20, eps, c_inc)
+        assert psi(theta) == 0.8 >= 1 - eps
+        assert psi(theta + mc.THRESHOLD_TOL) == 0.4 < 1 - eps
+        assert 1.3 - mc.THRESHOLD_TOL <= theta <= 1.3
 
     def test_empirical_beats_theory_threshold(self, t1):
         """The theory threshold is conservative: calibration finds a
@@ -872,7 +890,7 @@ class TestBestThresholdSearch:
         spec = build_strategy(t1, "das", horizon=200, reference=0)
         eps = 0.05
         theory = threshold_asymmetric(200, spec.game, eps, 3, t1.llr_bound)
-        empirical = mc.best_threshold_search(t1, spec, 200, eps, 4000, seed=3)
+        empirical, _ = self.calibrate(t1, spec, 200, eps, 4000, 3)
         assert empirical > theory
 
 
