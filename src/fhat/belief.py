@@ -92,17 +92,14 @@ def uniform_prior_log_posterior(b: Belief, model: HypothesisModel) -> np.ndarray
 @dataclass(frozen=True)
 class Trajectory:
     """One run's history plus derived state for a fixed reference
-    hypothesis: the current belief, the total log-likelihood ratios
-    z[k] against each alternate, and their beta-weighted sum z_bar
-    (tracked only when beta weights are supplied)."""
+    hypothesis: the current belief and the total log-likelihood ratios
+    z[k] against each alternate (decomposition_terms weighs them)."""
 
     model: HypothesisModel
     reference: int
     belief: Belief
     z: np.ndarray                       # (M-1,) over alternates, ascending j
     history: tuple = ()
-    beta_star: np.ndarray | None = None
-    z_bar: float | None = None
     _llr: np.ndarray = field(repr=False, default=None)   # (M-1, U, Y) lookup
 
     def __post_init__(self):
@@ -117,37 +114,27 @@ class Trajectory:
         return self.model.alternates(self.reference)
 
 
-def new_trajectory(model: HypothesisModel, reference: int,
-                   beta_star=None) -> Trajectory:
+def new_trajectory(model: HypothesisModel, reference: int) -> Trajectory:
+    """Empty trajectory at the prior for `reference`: z is all zeros."""
     M = model.num_hypotheses
     if not 0 <= reference < M:
         raise ValueError(f"reference hypothesis {reference} out of range")
-    beta = None if beta_star is None else np.asarray(beta_star, dtype=float)
-    return Trajectory(
-        model=model,
-        reference=reference,
-        belief=prior_belief(model),
-        z=np.zeros(M - 1),
-        beta_star=beta,
-        z_bar=0.0 if beta is not None else None,
-    )
+    return Trajectory(model=model, reference=reference,
+                      belief=prior_belief(model), z=np.zeros(M - 1))
 
 
 def step_trajectory(t: Trajectory, u: int, y: int) -> Trajectory:
-    """Append one (experiment, observation) pair: advance the belief,
-    the per-alternate total LLRs, and z_bar when weights are present."""
+    """Append one (experiment, observation) pair: advance the belief
+    and the per-alternate total LLRs."""
     model = t.model
     if not model.support[u, y]:
         raise ModelError(
             f"observation {model.observations[y]} outside the support of "
             f"experiment {model.experiments[u]}")
-    z = t.z + t._llr[:, u, y]
-    z_bar = None if t.beta_star is None else float(np.dot(t.beta_star, z))
     return replace(
         t,
         belief=update_belief(t.belief, model, u, y),
-        z=z,
-        z_bar=z_bar,
+        z=t.z + t._llr[:, u, y],
         history=t.history + ((u, y),),
     )
 

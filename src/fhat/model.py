@@ -95,6 +95,10 @@ def make_model(hypotheses, experiments, observations, kernel,
         raise ModelError(f"kernel shape {kernel.shape} does not match (M,U,Y)=({M},{U},{Y})")
     if prior.shape != (M,):
         raise ModelError(f"prior shape {prior.shape} does not match M={M}")
+    for name, arr in (("kernel", kernel), ("prior", prior)):
+        if not np.all(np.isfinite(arr)):
+            bad = ",".join(map(str, np.argwhere(~np.isfinite(arr))[0]))
+            raise ModelError(f"non-finite probability at {name}[{bad}]")
     if np.any(kernel < 0):
         bad = np.argwhere(kernel < 0)[0]
         raise ModelError(f"negative probability at kernel[{bad[0]},{bad[1]},{bad[2]}]")
@@ -353,15 +357,14 @@ def serialize_model(model: HypothesisModel) -> str:
 # Built-in models for the anomaly-detection experiments
 # ---------------------------------------------------------------------------
 
-def table1(nu: float = 0.6) -> HypothesisModel:
+def table1() -> HypothesisModel:
     """Two noisy sensors A and B watching for an anomaly.
 
     Hypothesis 0 is "no anomaly"; 1 and 2 locate the anomaly near sensor
-    A or B.  P(Y=1 | X, U) is nu when the probed sensor sits next to the
-    anomaly and 1-nu otherwise.  Uniform prior.
+    A or B.  P(Y=1 | X, U) is nu = 0.6 when the probed sensor sits next
+    to the anomaly and 1-nu otherwise.  Uniform prior.
     """
-    if not 0.0 < nu < 1.0:
-        raise ModelError(f"nu must be in (0,1), got {nu}")
+    nu = 0.6
     p1 = {"A": [1 - nu, nu, 1 - nu], "B": [1 - nu, 1 - nu, nu]}
     kernel = np.zeros((3, 2, 2))
     for u, uname in enumerate(("A", "B")):

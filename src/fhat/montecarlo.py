@@ -506,8 +506,7 @@ class ExactReport:
 
 
 def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
-                    rule: InferenceRule, N: int,
-                    state_cap: int = ENUM_STATE_CAP) -> ExactReport:
+                    rule: InferenceRule, N: int) -> ExactReport:
     """Exact (psi_N, phi_N, gamma_N) of a deterministic strategy, by a
     dynamic program over likelihood-lattice states level by level.
 
@@ -523,10 +522,11 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     log prior plus loglik (zero draws for a point-mass ``ors``), expands
     each state over the pick's support and merges equal points, so the
     cost follows the number of states, not of paths; more than
-    `state_cap` live states raise ValueError.  Multiplicities past
-    2**960 are scaled down by exact powers of two, so they stay finite
-    past 2**1024 paths.  Probabilities are exact to 64-bit rounding,
-    and `leaves`, the summed multiplicity, is exact below 2**53 paths.
+    ENUM_STATE_CAP live states raise ValueError (the module constant,
+    read at call time).  Multiplicities past 2**960 are scaled down by
+    exact powers of two, so they stay finite past 2**1024 paths.
+    Probabilities are exact to 64-bit rounding, and `leaves`, the summed
+    multiplicity, is exact below 2**53 paths.
     """
     if not spec.is_deterministic():
         raise ValueError("exact enumeration needs a deterministic strategy")
@@ -559,9 +559,9 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
         keys = child if row is None else child.view(row).ravel()
         _, first, merged = np.unique(keys, return_index=True,
                                      return_inverse=True)
-        if first.size > state_cap:
+        if first.size > ENUM_STATE_CAP:
             raise ValueError(f"{first.size} lattice states after {step} of {N} "
-                             f"steps exceed the enumeration cap {state_cap}")
+                             f"steps exceed the enumeration cap {ENUM_STATE_CAP}")
         states = max(states, first.size)
         point = np.take(child, first, axis=0)
         loglik = loglik[parent[first]] + np.take(logk_rows, k[first], axis=0)

@@ -50,6 +50,9 @@ CRITERION_SLACK = 1e-12
 # Relative width of a tie in selection: rounding differences between
 # paths to the same state are far below it, real score gaps far above.
 TIE_RTOL = 1e-12
+# zeta of the symmetric threshold: its margin over -C_i(prior), which
+# keeps a declaration unique
+SYMMETRIC_ZETA = 0.01
 
 
 def default_epsilon(N: int) -> float:
@@ -373,21 +376,13 @@ def threshold_asymmetric(N: int, game: GameSolution, epsilon: float,
     return N * game.value - s * N * B * B / 2.0 - math.log(M / epsilon) / s
 
 
-def default_n_prime(N: int, epsilon: float, b: float | None = None,
-                    K: float | None = None) -> int:
-    """Settling-time allowance for the composite strategy.
-
-    When the concentration constants (b, K) of the maximum-likelihood
-    estimate are supplied, use ceil(-(1/b) ln(eps/(2K))); they are rarely
-    known, so the default is ceil(sqrt(N)), which is o(N) and preserves
-    the threshold's asymptotic rate.
+def default_n_prime(N: int) -> int:
+    """Settling-time allowance N' = ceil(sqrt(N)) for the composite
+    strategy.  The paper's choice ceil(-(1/b) ln(eps/(2K))) needs the
+    concentration constants (b, K) of the maximum-likelihood estimate,
+    which are rarely known; ceil(sqrt(N)) is o(N), so it keeps the
+    threshold's asymptotic rate.
     """
-    if (b is None) != (K is None):
-        raise ValueError("supply both b and K or neither")
-    if b is not None:
-        if b <= 0 or K <= 0:
-            raise ValueError("b and K must be positive")
-        return max(1, math.ceil(-math.log(epsilon / (2.0 * K)) / b))
     return max(1, math.ceil(math.sqrt(N)))
 
 
@@ -445,20 +440,17 @@ def empirical_rule(reference: int, theta: float, epsilon: float) -> InferenceRul
 
 
 def symmetric_rule(model: HypothesisModel, games: dict[int, GameSolution],
-                   N: int, epsilon: float, zeta: float = 0.01,
-                   n_prime: int | None = None, b: float | None = None,
-                   K: float | None = None) -> InferenceRule:
-    if n_prime is None:
-        n_prime = default_n_prime(N, epsilon, b=b, K=K)
+                   N: int, epsilon: float) -> InferenceRule:
+    """Per-hypothesis thresholds of the symmetric composite, each with
+    zeta = SYMMETRIC_ZETA, N' = default_n_prime(N) and slack eps/2."""
+    n_prime = default_n_prime(N)
     prior = prior_belief(model)
     thresholds = {}
     for i in range(model.num_hypotheses):
         c1 = confidence(prior, i)
         thresholds[i] = threshold_symmetric(
             N, i, games[i], epsilon, model.num_hypotheses, model.llr_bound,
-            n_prime, zeta, c1)
-        if thresholds[i] <= -c1:
-            raise ValueError("symmetric threshold fails the uniqueness bound")
+            n_prime, SYMMETRIC_ZETA, c1)
     return InferenceRule("symmetric", thresholds, epsilon)
 
 

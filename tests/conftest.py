@@ -82,13 +82,13 @@ def four_hypothesis_model():
                 continue
 
 
-def random_trajectory(model, rng, max_steps=50, reference=None, beta_star=None):
+def random_trajectory(model, rng, max_steps=50, reference=None):
     """Step a trajectory with uniformly random experiments and
     observations drawn from a random true hypothesis."""
     M = model.num_hypotheses
     i = int(rng.integers(M)) if reference is None else reference
     truth = int(rng.integers(M))
-    t = new_trajectory(model, i, beta_star=beta_star)
+    t = new_trajectory(model, i)
     for _ in range(int(rng.integers(0, max_steps + 1))):
         u = int(rng.integers(model.num_experiments))
         t = step_trajectory(t, u, sample_observation(model, rng, truth, u))

@@ -114,11 +114,6 @@ class TestTrajectory:
             t = step_trajectory(t, 1, y)
         assert t.z[0] == 0.0
 
-    def test_z_bar_tracks_weights(self, t1):
-        t = new_trajectory(t1, 0, beta_star=[0.5, 0.5])
-        t = step_trajectory(t, 0, 1)
-        np.testing.assert_allclose(t.z_bar, 0.5 * math.log(0.4 / 0.6), atol=1e-15)
-
     def test_belief_consistent_with_replay(self, t1):
         rng = np.random.default_rng(2)
         t = random_trajectory(t1, rng, max_steps=30)

@@ -14,6 +14,62 @@ from fhat.cli import _count_text, main
 from fhat.model import make_model, serialize_model, table1
 
 
+# a three-observation model in short decimals (lattice-keyed), with a
+# zero column under experiment b
+SHORT_DECIMAL_DOC = """\
+hypotheses: [h0, h1, h2]
+experiments: [a, b]
+observations: [x, y, z]
+prior: [0.5, 0.25, 0.25]
+kernel:
+  a:
+    h0: [0.2, 0.3, 0.5]
+    h1: [0.5, 0.3, 0.2]
+    h2: [0.25, 0.25, 0.5]
+  b:
+    h0: [0.4, 0.6, 0.0]
+    h1: [0.6, 0.4, 0.0]
+    h2: [0.125, 0.875, 0.0]
+"""
+
+# (arguments after --model, printed text) of `fhat enumerate`: fixed and
+# theory thresholds, the symmetric composite and a model file ("FILE",
+# SHORT_DECIMAL_DOC)
+ENUMERATE_TEXT = [
+    pytest.param(
+        "table1 --strategy das --reference 0 --horizon 60 --theta 3",
+        "leaves: 1.152921504606847e+18\npsi[0]: 0.335733748\n"
+        "phi[0]: 0.00751976859\ngamma: 0.00501317906\n",
+        id="table1-das-60"),
+    pytest.param(
+        "table2 --strategy das-rs --reference 0 --horizon 60 --theta 3",
+        "leaves: 1.152921504606847e+18\npsi[0]: 0.453595655\n"
+        "phi[0]: 0.0135441962\ngamma: 0.00902946416\n",
+        id="table2-das-rs-60"),
+    pytest.param(
+        "table1 --strategy symmetric --horizon 30",
+        "leaves: 1073741824\npsi[0]: 0.676836457\nphi[0]: 0.152044787\n"
+        "psi[1]: 0.716664483\nphi[1]: 0.0711917031\npsi[2]: 0.676836457\n"
+        "phi[2]: 0.0705568089\ngamma: 0.1958622\n",
+        id="table1-symmetric-30"),
+    pytest.param(
+        "FILE --strategy das --reference 0 --horizon 12 --theta 0.5",
+        "leaves: 179264\npsi[h0]: 0.802923963\nphi[h0]: 0.164938677\n"
+        "gamma: 0.0824693385\n",
+        id="file-das-12"),
+    pytest.param(
+        "FILE --strategy chernoff-det --reference 1 --horizon 12 --theta 0.3",
+        "leaves: 294122\npsi[h1]: 0.871359381\nphi[h1]: 0.0837027741\n"
+        "gamma: 0.0627770806\n",
+        id="file-chernoff-det-12"),
+    pytest.param(
+        "table1 --strategy das --reference 0 --horizon 200",
+        "leaves: 1.60693804425899e+60\npsi[0]: 0.99999044\n"
+        "phi[0]: 0.152966231\ngamma: 0.101977487\n",
+        id="table1-das-200-theory"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -45,6 +101,13 @@ class TestSolveGame:
         code, out, _ = run(capsys, "solve-game", "--model", str(path),
                            "--reference", "0")
         assert code == 0 and "0.0405465108" in out
+
+    def test_non_finite_model_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.yaml"
+        path.write_text(serialize_model(table1()).replace("0.6, 0.4]", ".nan, 0.4]", 1))
+        code, _, err = run(capsys, "solve-game", "--model", str(path),
+                           "--reference", "0")
+        assert code == 2 and "non-finite probability at kernel" in err
 
 
 class TestSimulate:
@@ -336,11 +399,27 @@ class TestBoundsAndEnumerate:
         # past float range: 17 significant digits
         assert _count_text(1 << 1100) == "1.3582985290493858e+331"
 
+    @pytest.mark.parametrize("argv,text", ENUMERATE_TEXT)
+    def test_enumerate_prints_the_recorded_text(self, capsys, tmp_path, argv, text):
+        """The whole printed report is the same text as recorded, so the
+        exact evaluator keeps its bytes across changes to it."""
+        path = tmp_path / "short-decimal.yaml"
+        path.write_text(SHORT_DECIMAL_DOC)
+        code, out, _ = run(capsys, "enumerate", "--model",
+                           *argv.replace("FILE", str(path)).split())
+        assert code == 0 and out == text
+
     def test_enumerate_symmetric(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--model", "table1",
                            "--strategy", "symmetric", "--horizon", "4")
         assert code == 0
         assert "gamma:" in out
+
+    def test_enumerate_rejects_randomized_composite(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--model", "table1",
+                           "--strategy", "symmetric", "--inner", "ors",
+                           "--horizon", "6")
+        assert code == 2 and "deterministic" in err
 
     def test_manifest_records_stream_versions_and_every_flag(self, capsys,
                                                              tmp_path):

@@ -64,6 +64,19 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="sums to"):
             load_model(doc)
 
+    def test_non_finite_entries(self):
+        """A NaN kernel entry would fall off the support and a NaN prior
+        would pass both the sum and the positivity checks; each is named."""
+        nan = math.nan
+        kernel = [[[nan, .5, .5]], [[nan, .4, .6]]]
+        with pytest.raises(ModelError, match=r"non-finite probability at kernel\[0,0,0\]"):
+            make_model(["a", "b"], ["u"], ["0", "1", "2"], kernel, [.5, .5])
+        kernel = [[[.5, .5]], [[.4, .6]]]
+        with pytest.raises(ModelError, match=r"non-finite probability at prior\[0\]"):
+            make_model(["a", "b"], ["u"], ["0", "1"], kernel, [nan, .5])
+        with pytest.raises(ModelError, match=r"non-finite probability at prior\[1\]"):
+            make_model(["a", "b"], ["u"], ["0", "1"], kernel, [.5, math.inf])
+
     def test_parse_failure(self):
         with pytest.raises(ModelError, match="parse|key-value"):
             load_model("[:::")

@@ -586,16 +586,18 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="deterministic"):
             mc.enumerate_exact(t1, spec, empirical_rule(0, 0.5, 0.05), 2)
 
-    def test_rejects_horizon_above_cap(self, t1):
+    def test_rejects_horizon_above_cap(self, t1, monkeypatch):
         """A horizon whose live lattice states exceed the state cap
         raises; one at the cap runs."""
         spec = build_strategy(t1, "das", horizon=11, reference=0)
         rule = empirical_rule(0, 0.5, 0.05)
         states = mc.enumerate_exact(t1, spec, rule, 11).states
         assert 1 < states < 2 ** 11
-        mc.enumerate_exact(t1, spec, rule, 11, state_cap=states)
+        monkeypatch.setattr(mc, "ENUM_STATE_CAP", states)
+        mc.enumerate_exact(t1, spec, rule, 11)
+        monkeypatch.setattr(mc, "ENUM_STATE_CAP", states - 1)
         with pytest.raises(ValueError, match="cap"):
-            mc.enumerate_exact(t1, spec, rule, 11, state_cap=states - 1)
+            mc.enumerate_exact(t1, spec, rule, 11)
 
     def test_leaf_masses_are_distributions(self, t2):
         spec = build_strategy(t2, "das-rs", horizon=5, reference=0)

@@ -421,13 +421,8 @@ class TestThresholds:
                                 zeta=0.01, prior_confidence=-math.log(2))
 
     def test_default_n_prime(self):
-        assert default_n_prime(100, 0.05) == 10
-        assert default_n_prime(101, 0.05) == 11
-        # with concentration constants: ceil(-(1/b) ln(eps/(2K)))
-        assert default_n_prime(100, 0.05, b=0.1, K=1.0) == math.ceil(
-            -math.log(0.05 / 2.0) / 0.1)
-        with pytest.raises(ValueError):
-            default_n_prime(100, 0.05, b=0.1)
+        assert default_n_prime(100) == 10
+        assert default_n_prime(101) == 11
 
 
 class TestInfer:
@@ -503,3 +498,5 @@ class TestBuildStrategy:
         assert build_strategy(t1, "das", 100, reference=0).is_deterministic()
         assert not build_strategy(t1, "ors", 100, reference=0).is_deterministic()
         assert build_strategy(t1, "symmetric", 100).is_deterministic()
+        # a composite is randomized when an inner rule is
+        assert not build_strategy(t1, "symmetric", 6, inner_kind="ors").is_deterministic()
