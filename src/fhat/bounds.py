@@ -22,7 +22,7 @@ import numpy as np
 
 from .belief import prior_belief, tilde_log
 from .game import GameSolution
-from .model import HypothesisModel
+from .model import ROW_SUM_TOL, HypothesisModel
 from .numerics import LN2, nats_to_db
 
 
@@ -121,6 +121,22 @@ def strong_bound_binary_example(N: int, nu: float, epsilon: float) -> float:
     return chi_star - math.log(epsilon)
 
 
+def check_binary_family(model: HypothesisModel, reference: int, nu: float) -> None:
+    """Raise ValueError unless strong_bound_binary_example bounds this
+    model's reference: reference 0 of 3 hypotheses, 2 experiments and 2
+    symbols, P(Y=1 | i, u) = nu when i = u + 1 and 1 - nu otherwise
+    (within ROW_SUM_TOL), and prior[1] == prior[2]."""
+    near = np.arange(3)[:, None] == np.arange(1, 3)[None, :]
+    if not (reference == 0 and model.kernel.shape == (3, 2, 2)
+            and np.all(np.abs(model.kernel[:, :, 1] - np.where(near, nu, 1.0 - nu))
+                       <= ROW_SUM_TOL)
+            and model.prior[1] == model.prior[2]):
+        raise ValueError(
+            f"the binary closed-form strong bound with nu = {nu} holds only for "
+            "reference 0 of the two-sensor model with that nu; `fhat sweep "
+            "--strong empirical` estimates a strong bound for any model")
+
+
 @dataclass(frozen=True)
 class BoundsRow:
     """Per-horizon bound values (rates in nats/step, absolutes in nats)."""
@@ -136,7 +152,10 @@ class BoundsRow:
 def bounds_table(model: HypothesisModel, game: GameSolution, horizons,
                  epsilon_of_n, nu: float | None = None) -> list[BoundsRow]:
     """Evaluate the bound overlays on a horizon grid.  `nu` enables the
-    closed-form strong bound for the binary two-sensor family."""
+    closed-form strong bound for the binary two-sensor family
+    (check_binary_family)."""
+    if nu is not None:
+        check_binary_family(model, game.reference, nu)
     rows = []
     for N in horizons:
         eps = epsilon_of_n(N)

@@ -32,10 +32,11 @@ STRATEGY_CHOICES = tuple(KINDS)
 
 
 def _workers_default() -> int:
+    text = os.environ.get("FHAT_WORKERS", "0")
     try:
-        return int(os.environ.get("FHAT_WORKERS", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"FHAT_WORKERS must be a whole number, got {text!r}") from None
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -231,10 +232,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _count_text(n: int) -> str:
+def _count_text(n: int | float) -> str:
     """A path count: exact below 2**53, and past it, where the count is a
     float sum, in float form with the digits that float holds (the
-    shortest repr that reads back as it; 17 digits past float range)."""
+    shortest repr that reads back as it; 17 digits past float range).
+    A count weighed by draws that is not whole is a float, shown so."""
     if n < 1 << 53:
         return str(n)
     if n < 1 << 1024:
@@ -324,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, default=None)
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("enumerate", help="exact evaluation of a deterministic "
-                        "strategy over its likelihood-lattice states")
+    sp = sub.add_parser("enumerate", help="exact evaluation of any strategy over "
+                        "its likelihood-lattice states (a sampling rule's leaves "
+                        "are its paths weighed by their draws)")
     add_common(sp)
     sp.add_argument("--strategy", required=True, choices=STRATEGY_CHOICES)
     sp.add_argument("--reference", type=int, default=None)
@@ -346,10 +349,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.workers is None:
-        # read at call time, so a changed FHAT_WORKERS takes effect
-        args.workers = _workers_default()
     try:
+        if args.workers is None:
+            # read at call time, so a changed FHAT_WORKERS takes effect
+            args.workers = _workers_default()
+        if args.workers < 0:
+            raise ValueError(f"the worker count must be >= 0, got {args.workers}")
         if args.model is None and not getattr(args, "manifest", None):
             raise ModelError("--model is required")
         return args.func(args)

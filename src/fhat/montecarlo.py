@@ -16,12 +16,13 @@ and the log-sum-exp estimator run under the reference measure, which
 targets phi exactly for deterministic threshold rules and stays accurate
 down to e^{-hundreds}.
 
-Exact enumeration of a deterministic strategy merges the paths that
-reach the same point of the likelihood lattice (the prime exponents of
-their likelihood products, or their observation counts n[u, y] on a
-model that is not written in short decimals): they share their pick and
-their probability under each hypothesis, so the work follows the number
-of distinct lattice states (polynomial in N) rather than of paths.
+Exact enumeration of any strategy merges the paths that reach the same
+point of the likelihood lattice (the prime exponents of their
+likelihood products, or their observation counts n[u, y] on a model
+that is not written in short decimals): they share their picks (one
+per piece of the draw's range for a rule that samples) and their
+probability under each hypothesis, so the work follows the number of
+distinct lattice states (polynomial in N) rather than of paths.
 """
 
 from __future__ import annotations
@@ -496,19 +497,22 @@ def estimate(config: SimulationConfig) -> SimulationReport:
 @dataclass(frozen=True)
 class ExactReport:
     """Exact psi/phi per hypothesis and overall gamma; `leaves` is the
-    number of paths and `states` the most lattice states live at once."""
+    number of paths, each weighed by the probability of the draws that
+    pick its experiments (an int where that sum is whole, as for every
+    rule that reads no draws, else a float), and `states` the most
+    lattice states live at once."""
 
     psi: dict
     phi: dict
     gamma: float
-    leaves: int
+    leaves: int | float
     states: int
 
 
 def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                     rule: InferenceRule, N: int) -> ExactReport:
-    """Exact (psi_N, phi_N, gamma_N) of a deterministic strategy, by a
-    dynamic program over likelihood-lattice states level by level.
+    """Exact (psi_N, phi_N, gamma_N) of any strategy, by a dynamic
+    program over likelihood-lattice states level by level.
 
     A path's state is its point K.T @ n (n its counts n[u, y]) of the
     lattice K = ratio_lattice(model, [None, *hypotheses]), or of the
@@ -518,21 +522,28 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     (one int64 when _lattice_box fits one, else a row of narrow
     coordinates), the log-likelihood row of its first child in the
     level's order and its path multiplicity; its mass is the
-    multiplicity times exp(loglik).  A level picks once per state, on
-    log prior plus loglik (zero draws for a point-mass ``ors``), expands
-    each state over the pick's support and merges equal points, so the
-    cost follows the number of states, not of paths; more than
+    multiplicity times exp(loglik).
+
+    The cuts of the sampling mixtures (``ors``, alone or as the
+    symmetric composite's inner rule) split [0, 1) into pieces on each
+    of which every draw picks alike; a rule that reads no draws has the
+    one piece [0, 1).  A level picks once per state and piece, on log
+    prior plus loglik with the piece's left edge as the draw, expands
+    each (state, piece) over the pick's support with the multiplicity
+    times the piece's length, and merges equal points, so the cost
+    follows the number of states, not of paths; more than
     ENUM_STATE_CAP live states raise ValueError (the module constant,
     read at call time).  Multiplicities past 2**960 are scaled down by
     exact powers of two, so they stay finite past 2**1024 paths.
     Probabilities are exact to 64-bit rounding, and `leaves`, the summed
     multiplicity, is exact below 2**53 paths.
     """
-    if not spec.is_deterministic():
-        raise ValueError("exact enumeration needs a deterministic strategy")
     M, U, Y = model.kernel.shape
     logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
-    zero_draws = reads_draws(spec)
+    cuts = (c for s in (spec, *(spec.inner or ())) if s.kind == "ors"
+            for c in np.cumsum(s.sample_alpha)[:-1] if c < 1.0)
+    edges = np.array(sorted({0.0, *cuts}))
+    lengths = np.diff(edges, append=1.0)
     K = ratio_lattice(model, [None, *range(M)])
     if K is None:
         K = np.eye(U * Y, dtype=np.int64)[:, model.support.ravel()]
@@ -551,11 +562,12 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     scale = 0       # the path multiplicities are mult * 2**scale
     states = 1
     for step in range(1, N + 1):
-        u = _select_batch(spec, model.log_prior + loglik,
-                          np.zeros(len(loglik)) if zero_draws else None)
-        parent, y = np.nonzero(model.support[u])
-        k = u[parent] * Y + y
-        child = np.take(point, parent, axis=0) + np.take(steps, k, axis=0)
+        u = _select_batch(spec, np.tile(model.log_prior + loglik, (edges.size, 1)),
+                          np.repeat(edges, len(loglik)))
+        # node p * len(loglik) + s is state s on piece p: take's wrap mode finds s
+        node, y = np.nonzero(model.support[u])
+        k = u[node] * Y + y
+        child = np.take(point, node, axis=0, mode="wrap") + np.take(steps, k, axis=0)
         keys = child if row is None else child.view(row).ravel()
         _, first, merged = np.unique(keys, return_index=True,
                                      return_inverse=True)
@@ -564,9 +576,10 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                              f"steps exceed the enumeration cap {ENUM_STATE_CAP}")
         states = max(states, first.size)
         point = np.take(child, first, axis=0)
-        loglik = loglik[parent[first]] + np.take(logk_rows, k[first], axis=0)
-        mult = np.bincount(merged.ravel(), weights=mult[parent],
-                           minlength=first.size)
+        loglik = (np.take(loglik, node[first], axis=0, mode="wrap")
+                  + np.take(logk_rows, k[first], axis=0))
+        mult = np.bincount(merged.ravel(), minlength=first.size,
+                           weights=np.outer(lengths, mult).ravel()[node])
         if mult.max() > 2.0 ** 960:
             mult, scale = np.ldexp(mult, -960), scale + 960
 
@@ -585,8 +598,9 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                       for j in range(M)])
         phi[i] = float(np.dot(w, declare_mass))
     num, den = float(mult.sum()).as_integer_ratio()
+    num <<= scale
     return ExactReport(psi=psi, phi=phi, gamma=_gamma(model, phi),
-                       leaves=(num << scale) // den, states=states)
+                       leaves=num / den if num % den else num // den, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +691,8 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     batch, then estimate psi and ln(1/phi) (log-sum-exp channel) on a
     fresh batch; bound columns use the weak rate bound and the selected
     strong channel ("binary" needs `nu`, "empirical" reuses the
-    estimation batch's weighted-LLR samples, "none" leaves it infinite).
+    estimation batch's weighted-LLR samples, "none" leaves it infinite);
+    "binary" raises ValueError off its family (check_binary_family).
 
     The symmetric composite row reports min_i psi_hat, gamma via the
     log-sum-exp channel and ln(1/gamma) in the log_inv_phi column.
@@ -698,8 +713,10 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     """
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
-    if strong == "binary" and nu is None:
-        raise ValueError("the binary closed-form strong bound needs nu")
+    if strong == "binary":
+        if nu is None:
+            raise ValueError("the binary closed-form strong bound needs nu")
+        bounds_mod.check_binary_family(model, reference, nu)
     horizons = list(horizons)
     rows = []
     for kind in kinds:

@@ -163,14 +163,6 @@ class StrategySpec:
     # experiments the rule can pick, or None
     pick_key: np.ndarray | None = field(repr=False, default=None)  # (U*Y, r) int
 
-    def is_deterministic(self) -> bool:
-        """True when the next experiment is a function of the belief."""
-        if self.kind == "ors":
-            return bool(np.max(self.sample_alpha) >= 1.0 - SUPPORT_EPS)
-        if self.kind == "symmetric":
-            return all(inner.is_deterministic() for inner in self.inner)
-        return True
-
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the
         spec was built for: ``ors`` samples the game's mixture and

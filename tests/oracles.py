@@ -6,9 +6,11 @@ binomial CDF is exact rational arithmetic, the Monte Carlo step loop
 uses whole-array numpy reductions where the engine works column by
 column, the selectors score with BLAS products on normalized beliefs
 where the library sums elementwise over unnormalized ones, and exact
-enumeration recurses node by node with a scalar selector and a scalar
-per-leaf loop where the library walks blocks of nodes and selects for a
-block of beliefs at once, and the strong-bound sweep loops over the
+enumeration recurses node by node with a scalar selector, weighs each
+experiment a sampling rule can pick by its mass in the mixture, and
+sums in a scalar per-leaf loop, where the library walks blocks of
+nodes, selects for a block of beliefs at once and cuts the draw's
+range into pieces, and the strong-bound sweep loops over the
 sorted samples where the library takes one argmin.
 """
 
@@ -217,27 +219,52 @@ def reference_select_experiment(spec, belief, rng) -> int:
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 
-def reference_enumerate_paths(model, spec, N):
-    """Depth-first recursion over the observation tree, one node and one
-    scalar selector call at a time."""
-    rng = ZeroRng()
+def reference_pick_weights(spec, belief):
+    """(experiment, probability) pairs of the next pick at a normalized
+    Belief: each experiment of positive mass in ``ors``'s mixture with
+    that mass, the maximum-likelihood hypothesis's inner rule for the
+    composite, and the scalar selector's one pick, of weight 1, for a
+    rule that reads no draws."""
+    if spec.kind == "ors":
+        return [(u, a) for u, a in enumerate(spec.sample_alpha) if a > 0]
+    if spec.kind == "symmetric":
+        scale = np.abs(spec.model.log_prior).max()
+        log_bar = uniform_prior_log_posterior(belief, spec.model)
+        i_hat = int(reference_first_tied(log_bar[None, :], True, scale)[0])
+        return reference_pick_weights(spec.inner[i_hat], belief)
+    return [(reference_select_experiment(spec, belief, None), 1)]
 
-    def rec(loglik, exps, obs, depth):
+
+def reference_weighted_paths(model, spec, N):
+    """Depth-first recursion over every (experiment, observation)
+    sequence the rule can take, one node and one scalar selector call
+    at a time: (experiments, observations, loglik, weight), the weight
+    the product of the picks' probabilities."""
+
+    def rec(loglik, exps, obs, weight, depth):
         if depth == N:
-            yield exps, obs, loglik
+            yield exps, obs, loglik, weight
             return
         b = Belief(log_normalize(model.log_prior + loglik))
-        u = reference_select_experiment(spec, b, rng)
-        for y in model.support_indices(u):
-            yield from rec(loglik + model.log_kernel[:, u, y],
-                           exps + (u,), obs + (int(y),), depth + 1)
+        for u, p in reference_pick_weights(spec, b):
+            for y in model.support_indices(u):
+                yield from rec(loglik + model.log_kernel[:, u, y], exps + (u,),
+                               obs + (int(y),), weight * p, depth + 1)
 
-    yield from rec(np.zeros(model.num_hypotheses), (), (), 0)
+    yield from rec(np.zeros(model.num_hypotheses), (), (), 1, 0)
+
+
+def reference_enumerate_paths(model, spec, N):
+    """(experiments, observations, loglik) of each path of a rule that
+    reads no draws (reference_weighted_paths, every weight 1)."""
+    for exps, obs, loglik, _ in reference_weighted_paths(model, spec, N):
+        yield exps, obs, loglik
 
 
 def reference_enumerate_exact(model, spec, rule, N):
     """(psi, phi, gamma, leaves) from a per-leaf loop: scalar log-sum-exp
-    increments and masses added leaf by leaf."""
+    increments and masses added leaf by leaf, each path's mass and its
+    count in `leaves` weighed by the probability of its picks."""
     refs = tuple(sorted(rule.thresholds))
     prior = prior_belief(model)
     prior_conf = {i: confidence(prior, i) for i in refs}
@@ -245,9 +272,9 @@ def reference_enumerate_exact(model, spec, rule, N):
     declare_mass = {i: np.zeros(M) for i in refs}   # P_h[declare i] per h
     total_mass = np.zeros(M)
     leaves = 0
-    for _, _, loglik in reference_enumerate_paths(model, spec, N):
-        leaves += 1
-        path_p = np.exp(loglik)
+    for _, _, loglik, weight in reference_weighted_paths(model, spec, N):
+        leaves += weight
+        path_p = weight * np.exp(loglik)
         total_mass += path_p
         lb = model.log_prior + loglik
         cleared = []

@@ -12,6 +12,8 @@ import fhat
 from fhat import montecarlo as mc
 from fhat.cli import _count_text, main
 from fhat.model import make_model, serialize_model, table1
+from fhat.strategy import build_strategy, default_epsilon, empirical_rule, symmetric_setup
+from oracles import reference_enumerate_exact
 
 
 # a three-observation model in short decimals (lattice-keyed), with a
@@ -214,6 +216,18 @@ class TestSweep:
             assert code == 0
         assert seen == [3, 0, 1]
 
+    def test_unreadable_workers_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FHAT_WORKERS", "abc")
+        code, _, err = run(capsys, "sweep", "--model", "table1",
+                           "--strategies", "das", "--horizons", "5")
+        assert code == 2 and "FHAT_WORKERS" in err and "'abc'" in err
+
+    def test_negative_workers_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--model", "table1",
+                           "--strategies", "das", "--horizons", "5",
+                           "--trials", "100", "--workers", "-3")
+        assert code == 2 and "worker count" in err and "-3" in err
+
     def test_manifest_rerun_reproduces_csv(self, capsys, tmp_path):
         """Byte-for-byte reproduction from the manifest at a different
         worker count."""
@@ -415,11 +429,30 @@ class TestBoundsAndEnumerate:
         assert code == 0
         assert "gamma:" in out
 
-    def test_enumerate_rejects_randomized_composite(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--model", "table1",
-                           "--strategy", "symmetric", "--inner", "ors",
-                           "--horizon", "6")
-        assert code == 2 and "deterministic" in err
+    @pytest.mark.parametrize("argv", [
+        ("--strategy", "symmetric", "--inner", "ors"),
+        ("--strategy", "ors", "--reference", "0", "--theta", "0.5"),
+    ], ids=["symmetric-inner-ors", "ors"])
+    def test_enumerate_randomized_strategies(self, capsys, argv):
+        """The rules that sample print exact values: those of the
+        oracle that weighs each pick by alpha, to the printed digits."""
+        code, out, _ = run(capsys, "enumerate", "--model", "table1",
+                           "--horizon", "6", *argv)
+        assert code == 0
+        printed = dict(line.split(": ") for line in out.splitlines())
+        model = table1()
+        if argv[1] == "symmetric":
+            spec, rule = symmetric_setup(model, 6, default_epsilon(6), "ors")
+        else:
+            spec = build_strategy(model, "ors", 6, reference=0)
+            rule = empirical_rule(0, 0.5, default_epsilon(6))
+        psi, phi, gamma, leaves = reference_enumerate_exact(model, spec, rule, 6)
+        want = {"leaves": leaves, "gamma": gamma,
+                **{f"psi[{i}]": p for i, p in psi.items()},
+                **{f"phi[{i}]": p for i, p in phi.items()}}
+        assert printed.keys() == want.keys()
+        for name, value in want.items():
+            assert math.isclose(float(printed[name]), value, rel_tol=1e-8), name
 
     def test_manifest_records_stream_versions_and_every_flag(self, capsys,
                                                              tmp_path):
@@ -457,6 +490,23 @@ class TestBoundsAndEnumerate:
                            "--horizon", "20", "--theta", "0.5")
         assert code == 2 and "enumeration cap" in err
         assert err.rstrip().endswith(str(mc.ENUM_STATE_CAP))
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--model", "table1", "--reference", "1", "--nu", "0.6"),
+        ("sweep", "--model", "table2", "--reference", "0", "--nu", "0.6"),
+        ("sweep", "--model", "table1", "--reference", "0", "--nu", "0.7"),
+        ("bounds", "--model", "table1", "--reference", "1", "--nu", "0.6"),
+        ("bounds", "--model", "table2", "--reference", "0", "--nu", "0.6"),
+        ("bounds", "--model", "table1", "--reference", "0", "--nu", "0.7"),
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}-ref{argv[4]}-nu{argv[6]}")
+    def test_binary_bound_off_its_family_exits_2(self, capsys, argv):
+        """The closed-form strong bound holds for reference 0 of the
+        two-sensor model with its own nu alone; elsewhere it is no bound,
+        so the run exits 2 and points to the empirical channel."""
+        extra = (("--strategies", "das", "--strong", "binary", "--trials", "100")
+                 if argv[0] == "sweep" else ())
+        code, out, err = run(capsys, *argv, "--horizons", "100", *extra)
+        assert code == 2 and out == "" and "--strong empirical" in err
 
     def test_missing_model_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--reference", "0")

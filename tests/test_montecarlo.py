@@ -14,7 +14,7 @@ from fhat.model import make_model, ratio_lattice
 from fhat.numerics import log_normalize
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, empirical_rule, select_experiment,
-                           symmetric_rule)
+                           symmetric_rule, symmetric_setup)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
                      reference_select_experiment)
@@ -581,10 +581,33 @@ class TestEnumerate:
         np.testing.assert_allclose(rep.phi[0], 0.5, atol=1e-12)
         np.testing.assert_allclose(rep.gamma, 0.5 * 2 / 3, atol=1e-12)
 
-    def test_rejects_randomized_strategies(self, t1):
-        spec = build_strategy(t1, "ors", horizon=2, reference=0)
-        with pytest.raises(ValueError, match="deterministic"):
-            mc.enumerate_exact(t1, spec, empirical_rule(0, 0.5, 0.05), 2)
+    def test_enumerates_randomized_strategies(self, t1):
+        """ors at alpha* and the symmetric composite with inner ors
+        enumerate, and give what oracles.reference_enumerate_exact gives
+        by weighing each pick by alpha; table1's leaves are 2^N."""
+        sym, sym_rule = symmetric_setup(t1, 2, 0.05, "ors")
+        for spec, rule in ((build_strategy(t1, "ors", horizon=2, reference=0),
+                            empirical_rule(0, 0.5, 0.05)), (sym, sym_rule)):
+            rep = mc.enumerate_exact(t1, spec, rule, 2)
+            psi, phi, gamma, leaves = reference_enumerate_exact(t1, spec, rule, 2)
+            assert math.isclose(rep.leaves, leaves, rel_tol=1e-12)
+            assert math.isclose(rep.leaves, 4, rel_tol=1e-12)
+            for i in psi:
+                assert math.isclose(rep.psi[i], psi[i], rel_tol=1e-12)
+                assert math.isclose(rep.phi[i], phi[i], rel_tol=1e-12)
+            assert math.isclose(rep.gamma, gamma, rel_tol=1e-12)
+
+    def test_ors_agrees_with_monte_carlo(self, t1):
+        """table1 ors at alpha*, N = 60 and theta = 3: the exact psi and
+        ln(1/phi) lie within 3 SE of 200 000 simulated trials."""
+        spec = build_strategy(t1, "ors", 60, reference=0)
+        rule = empirical_rule(0, 3.0, 0.05)
+        exact = mc.enumerate_exact(t1, spec, rule, 60)
+        assert exact.states == 61 ** 2
+        rep = mc.estimate(mc.SimulationConfig(t1, spec, rule, 60, 200000, 5))
+        assert abs(rep.psi_hat[0] - exact.psi[0]) <= 3 * rep.psi_se[0]
+        est = rep.lse[0]
+        assert abs(est.log_inv_phi + math.log(exact.phi[0])) <= 3 * est.se
 
     def test_rejects_horizon_above_cap(self, t1, monkeypatch):
         """A horizon whose live lattice states exceed the state cap
@@ -658,9 +681,8 @@ class TestEnumerate:
                 spec = build_strategy(t1, kind, horizon=N, reference=0)
                 eps = 0.05
                 rule = asymmetric_rule(t1, spec.game, N, eps)
-                if spec.is_deterministic():
-                    exact = mc.enumerate_exact(t1, spec, rule, N)
-                    assert exact.psi[0] >= 1 - eps
+                exact = mc.enumerate_exact(t1, spec, rule, N)
+                assert exact.psi[0] >= 1 - eps
             # desk horizons: sampled
             for N in (100, 300, 500):
                 eps = min(0.05, 10 / N)
@@ -787,6 +809,32 @@ class TestEnumerateOracle:
                     for got, want in [*((rep.psi[i], psi[i]) for i in psi),
                                       *((rep.phi[i], phi[i]) for i in phi),
                                       (rep.gamma, gamma)]:
+                        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["ors", "symmetric"])
+    def test_sampling_rules_match_weighted_walk(self, t1, t2, kind):
+        """ors at alpha* and the symmetric composite with inner ors:
+        the dynamic program, which picks once per piece of the draw's
+        range, gives the psi, phi, gamma and leaves of
+        oracles.reference_enumerate_exact, which weighs each experiment
+        by alpha directly, to 1e-12 relative."""
+        for m in (t1, t2, *kernel_models(), four_hypothesis_model()):
+            for N in (1, 4, 6):
+                if kind == "symmetric":
+                    spec, rule = symmetric_setup(m, N, 0.5, "ors")
+                    rules = [rule]
+                else:
+                    spec = build_strategy(m, kind, N, reference=0)
+                    rules = [empirical_rule(0, theta * N, 0.05)
+                             for theta in (0.025, 0.25)]
+                for rule in rules:
+                    rep = mc.enumerate_exact(m, spec, rule, N)
+                    psi, phi, gamma, leaves = reference_enumerate_exact(
+                        m, spec, rule, N)
+                    assert rep.psi.keys() == psi.keys() == phi.keys()
+                    for got, want in [*((rep.psi[i], psi[i]) for i in psi),
+                                      *((rep.phi[i], phi[i]) for i in phi),
+                                      (rep.gamma, gamma), (rep.leaves, leaves)]:
                         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -193,7 +193,6 @@ class TestSelectExperiment:
         rng = np.random.default_rng(2)
         assert all(select_experiment(spec, Belief.uniform(3), rng) == 1
                    for _ in range(20))
-        assert spec.is_deterministic()
 
     def test_symmetric_delegates_to_ml_hypothesis(self, t1):
         spec = build_strategy(t1, "symmetric", horizon=200)
@@ -493,10 +492,3 @@ class TestBuildStrategy:
         assert key.shape == (8, 2) and not key[:4].any()
         key = build_strategy(t2, "chernoff-det", 50, reference=0).pick_key
         assert key.shape == (8, 1) and not key[4:].any()
-
-    def test_deterministic_flags(self, t1):
-        assert build_strategy(t1, "das", 100, reference=0).is_deterministic()
-        assert not build_strategy(t1, "ors", 100, reference=0).is_deterministic()
-        assert build_strategy(t1, "symmetric", 100).is_deterministic()
-        # a composite is randomized when an inner rule is
-        assert not build_strategy(t1, "symmetric", 6, inner_kind="ors").is_deterministic()
