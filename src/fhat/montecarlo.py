@@ -6,9 +6,13 @@ hypothesis) draws its randomness from its own jump-ahead generator seeded
 from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
-Where that state lies on a small likelihood-ratio lattice, a chunk reads
-its picks from a table that the selector fills on the rows that reach
-a lattice point first (_pick_table).
+Where that state lies on a small likelihood-ratio lattice, the engine
+reads its picks from a table that the selector fills on the rows that
+reach a lattice point first (_pick_table).  The pick is a function of
+the point whatever the chunk, purpose or true hypothesis, so one table
+serves every chunk of a run, and every run of estimate(); only a run
+that checks shorter horizons' specs as it fills (`alike`) takes a
+fresh table per chunk.
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -49,7 +53,7 @@ CHUNK = 8192
 # up at call time so that importing fhat does not import numpy.random
 STREAM_RNG = "PCG64DXSM"
 ENUM_STATE_CAP = 1 << 18  # live lattice states (bounds enumeration memory)
-PICK_TABLE_CAP = 1 << 20  # entries of a chunk's pick table (one byte each)
+PICK_TABLE_CAP = 1 << 20  # entries of a run's pick table (one byte each)
 JACKKNIFE_BATCHES = 100
 THRESHOLD_TOL = 1e-6   # width of the calibrated threshold's bisection bracket
 # Results one shared sweep run may hold: per horizon, the calibration and
@@ -102,8 +106,8 @@ def _lattice_box(K: np.ndarray, N: int, cap: int):
 
 
 def _pick_table(spec: StrategySpec, N: int):
-    """(table, dk, key0) of a chunk run of `spec` to horizon N, or None
-    when it has no lattice key or its key box exceeds PICK_TABLE_CAP.
+    """(table, dk, key0) for runs of `spec` to horizon N, or None when
+    it has no lattice key or its key box exceeds PICK_TABLE_CAP.
 
     A trial's key is its point of the lattice K.T @ n (spec.pick_key,
     n its observation counts) packed by _lattice_box.  Equal keys mean
@@ -111,8 +115,10 @@ def _pick_table(spec: StrategySpec, N: int):
     key spans the experiments the rule can pick, the only ones its
     trials observe), so the pick is a function of the key; the table
     caches it as pick + 1, 0 where no trial has reached the key yet.
-    It is allocated zeroed, so memory pages the trials never reach are
-    never touched."""
+    Nothing else enters the pick, so one table serves every chunk,
+    stream purpose and true hypothesis of `spec` at N: estimate() makes
+    one for all of its runs.  It is allocated zeroed, so memory pages
+    the trials never reach are never touched."""
     if spec.pick_key is None:
         return None
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
@@ -143,7 +149,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, lo: int, hi: int, refs: tuple,
                     zbar_weights: np.ndarray | None, path: list | None = None,
-                    alike: tuple = ()):
+                    alike: tuple = (), cache=None):
     """Simulate trials lo..hi-1 of one chunk to the last of the ascending
     `horizons`, and return (c_inc, zbar) stacked over them; a list
     `path` gets each step's (u, y) arrays appended.
@@ -159,19 +165,24 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
 
     When the rule has a pick table for the last horizon, each trial
     carries its lattice key, a step reads the picks from the table, and
-    the selector runs only on the rows at keys that no trial of this
-    call reached at an earlier step; their pick is the one every row of
-    that key would get.  Sorting the new keys out to select one row
-    each costs more than selecting on all of them.  The table lives for
-    this call only.
+    the selector runs only on the rows at keys that no trial filling
+    the table reached before; their pick is the one every row of that
+    key would get.  Sorting the new keys out to select one row each
+    costs more than selecting on all of them.  `cache` is the
+    _pick_table of spec at the last horizon to read and fill, which
+    earlier chunks and runs may have filled; without it the call makes
+    its own.
 
     `alike` holds (n, spec_n) pairs of shorter horizons whose runs this
     one stands for: wherever step t fills the table, spec_n with n > t
     picks on the same rows, and a pick that differs raises _PicksDiffer.
     Every key a trial reads in its first n steps was filled at a step
     below n, so where none differs those steps are spec_n's run, bit for
-    bit.  The check needs the table: pass `alike` only when spec has one
-    at the last horizon."""
+    bit.  That holds only for a table this call fills from empty: keys
+    recur at different steps, so an entry another chunk filled at step
+    t_f, checked only for n > t_f, may be read here at a step before
+    t_f.  So a call with `alike` takes no `cache`, and it needs spec to
+    have a table at the last horizon."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -193,7 +204,8 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
         z = np.zeros((hi - lo, M - 1))
     reads = reads_draws(spec)
     exp_draws = None
-    cache = _pick_table(spec, horizons[-1])
+    if cache is None:
+        cache = _pick_table(spec, horizons[-1])
     if cache is not None:
         table, dk, key0 = cache
         key = np.full(hi - lo, key0, dtype=np.int64)
@@ -243,15 +255,25 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     return np.stack(c_incs), np.stack(zbars) if track_z else None
 
 
-def _chunk_task(args):
-    return _simulate_chunk(*args)
+def _chunk_block(args):
+    """The results of chunks first..last-1 of a run of `trials` trials,
+    one table for them all (a fresh one unless `cache` is given), or
+    one table per chunk when `alike` is given."""
+    (model, spec, horizons, true_hyp, master_seed, purpose, first, last,
+     trials, refs, w, alike, cache) = args
+    if cache is None and not alike:
+        cache = _pick_table(spec, horizons[-1])
+    return [_simulate_chunk(model, spec, horizons, true_hyp, master_seed, purpose,
+                            c, 0, min(CHUNK, trials - c * CHUNK), refs, w,
+                            alike=alike, cache=cache)
+            for c in range(first, last)]
 
 
 def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
                      true_hyp: int, trials: int, master_seed: int,
                      purpose: int = PURPOSE_ESTIMATE, refs: tuple = (),
                      zbar_weights=None, workers: int = 0,
-                     snapshots=None, alike: tuple = ()):
+                     snapshots=None, alike: tuple = (), cache=None):
     """Run `trials` trials of N steps under X = true_hyp.
 
     Returns (c_inc, zbar): confidence increments per requested reference
@@ -272,10 +294,20 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     that spec_n picks as `spec` does (for the steps below n), so that
     snapshot n is also what spec_n's own run returns; where one differs
     the run raises _PicksDiffer instead.  It needs `spec` to have a pick
-    table at N.
+    table at N, and each chunk fills a table of its own (_simulate_chunk).
+
+    Without `alike` the run's chunks share one pick table: `cache`, the
+    _pick_table(spec, N) that estimate() passes to each of its runs, or
+    a table of the run's own.  With `workers` > 1 each worker runs a
+    contiguous block of chunks with one table of its own; a chunk's
+    stream does not depend on its block, so the results do not either.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if N < 0:   # before a table for N is made
+        raise ValueError(f"horizon must be >= 0, got {N}")
+    if alike and cache is not None:
+        raise ValueError("a run with alike fills a pick table per chunk")
     if snapshots is not None:
         snapshots = tuple(int(n) for n in snapshots)
         if any(not 0 <= a < b for a, b in zip(snapshots, (*snapshots[1:], N))):
@@ -284,19 +316,19 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     horizons = (*(snapshots or ()), N)
     w = None if zbar_weights is None else np.asarray(zbar_weights, dtype=float)
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    tasks = []
-    for c in range(n_chunks):
-        rows = min(CHUNK, trials - c * CHUNK)
-        tasks.append((model, spec, horizons, true_hyp, master_seed, purpose, c,
-                      0, rows, refs, w, None, alike))
+    task = (model, spec, horizons, true_hyp, master_seed, purpose)
     if workers and workers > 1 and n_chunks > 1:
         # imported here: its modules take about 10 ms to import, which
         # serial runs never need
         from concurrent.futures import ProcessPoolExecutor
+        blocks = min(workers, n_chunks)
+        edges = [b * n_chunks // blocks for b in range(blocks + 1)]
+        tasks = [(*task, a, b, trials, refs, w, alike, None)
+                 for a, b in zip(edges, edges[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_task, tasks))
+            results = [r for block in pool.map(_chunk_block, tasks) for r in block]
     else:
-        results = [_chunk_task(t) for t in tasks]
+        results = _chunk_block((*task, 0, n_chunks, trials, refs, w, alike, cache))
     c_inc = np.concatenate([r[0] for r in results], axis=1)
     zbar = None
     if w is not None:
@@ -447,16 +479,19 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     other batches' rates of declaring i, weighted prior(j)/(1 - prior(i)).
     Otherwise phi_hat(i) comes from trials under the alternate mixture
     with those weights, allocated by largest remainder.
+
+    All of these runs read and fill one pick table (_pick_table).
     """
     model, rule, T = config.model, config.rule, config.trials
     refs = tuple(sorted(rule.thresholds))
     symmetric = rule.kind == "symmetric"
     report = SimulationReport(horizon=config.horizon, trials=T, seed=config.seed)
+    cache = _pick_table(config.spec, config.horizon)
 
     def run(h, trials, purpose):
         c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
                                     trials, config.seed, purpose, refs=refs,
-                                    workers=config.workers)
+                                    workers=config.workers, cache=cache)
         return c_inc, decisions_from_increments(c_inc, refs, rule)
 
     dec_by_hyp = {}

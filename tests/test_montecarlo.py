@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,100 @@ class TestPickCache:
         c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None)
         lb, _ = reference_chunk(m, spec, 40, 1, 5, 0, 0, 100)
         assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, (0,)))
+
+
+class TestSharedPickTable:
+    """estimate() fills one pick table across all of its runs and their
+    chunks; a run with `alike` fills one per chunk."""
+
+    T = 3 * mc.CHUNK + 100      # three full chunks and a partial one
+
+    @staticmethod
+    def configs(t1, t2):
+        """table1 symmetric (a run under every hypothesis) and table2
+        das-rs (the estimation run and the alternate-mixture runs)."""
+        spec, rule = symmetric_setup(t1, 60, 0.05)
+        yield mc.SimulationConfig(t1, spec, rule, 60, TestSharedPickTable.T, 4)
+        spec = build_strategy(t2, "das-rs", 60, reference=0)
+        yield mc.SimulationConfig(t2, spec, empirical_rule(0, 5.0, 0.05), 60,
+                                  TestSharedPickTable.T, 4)
+
+    def test_runs_match_reference_per_chunk(self, t1, t2, monkeypatch):
+        """Every chunk of every run of estimate() gives bit for bit the
+        increments of the reference step loop, which computes every
+        pick."""
+        calls = []
+        simulate = mc.simulate_measure
+
+        def recording(model, spec, N, h, trials, seed, purpose, **kw):
+            out = simulate(model, spec, N, h, trials, seed, purpose, **kw)
+            calls.append((model, spec, N, h, trials, seed, purpose, kw["refs"], out[0]))
+            return out
+
+        monkeypatch.setattr(mc, "simulate_measure", recording)
+        for config in self.configs(t1, t2):
+            assert mc._pick_table(config.spec, config.horizon) is not None
+            calls.clear()
+            mc.estimate(config)
+            assert len(calls) == 3
+            for m, spec, N, h, trials, seed, purpose, refs, c_inc in calls:
+                for c in range(0, trials, mc.CHUNK):
+                    rows = min(mc.CHUNK, trials - c)
+                    lb, _ = reference_chunk(m, spec, N, h, seed, purpose,
+                                            c // mc.CHUNK, rows)
+                    assert np.array_equal(c_inc[c:c + rows],
+                                          mc._confidence_increments(m, lb, refs))
+
+    def test_workers_do_not_change_reports(self, t1, t2):
+        """Two workers, each with a block of chunks and a table of its
+        own, report what one table for every run reports."""
+        for config in self.configs(t1, t2):
+            serial = mc.estimate(config)
+            assert mc.estimate(replace(config, workers=2)) == serial
+
+    def test_shared_table_selects_fewer_rows(self, t1, monkeypatch):
+        """The symmetric composite at N = 200: its runs under the three
+        hypotheses hand the selector fewer rows with one table per run
+        than with one per chunk, and estimate(), one table for the three
+        runs, fewer still."""
+        seen = TestPickCache.counted_rows(monkeypatch)
+        spec, rule = symmetric_setup(t1, 200, 0.05)
+        rows = []
+        for h in range(3):
+            for c in range(0, self.T, mc.CHUNK):
+                mc._simulate_chunk(t1, spec, (200,), h, 4, mc.PURPOSE_ESTIMATE,
+                                   c // mc.CHUNK, 0, min(mc.CHUNK, self.T - c),
+                                   (0, 1, 2), None)
+        rows.append(seen[0])
+        for h in range(3):
+            mc.simulate_measure(t1, spec, 200, h, self.T, 4, refs=(0, 1, 2))
+        rows.append(seen[0] - rows[0])
+        mc.estimate(mc.SimulationConfig(t1, spec, rule, 200, self.T, 4))
+        rows.append(seen[0] - sum(rows))
+        assert rows[0] > rows[1] > rows[2] > 0
+
+    def test_alike_runs_fill_a_table_per_chunk(self, t1, monkeypatch):
+        """A run that checks a shorter horizon's spec makes a table for
+        each chunk, and takes none from the caller; a run without makes
+        one for all of its chunks."""
+        made = [0]
+        pick_table = mc._pick_table
+
+        def counting(spec, N):
+            made[0] += 1
+            return pick_table(spec, N)
+
+        monkeypatch.setattr(mc, "_pick_table", counting)
+        spec = build_strategy(t1, "das", 100, reference=0)
+        alike = ((50, build_strategy(t1, "das", 50, reference=0)),)
+        mc.simulate_measure(t1, spec, 100, 0, self.T, 4, snapshots=(50,), alike=alike)
+        assert made[0] == 4
+        made[0] = 0
+        mc.simulate_measure(t1, spec, 100, 0, self.T, 4)
+        assert made[0] == 1
+        with pytest.raises(ValueError, match="alike"):
+            mc.simulate_measure(t1, spec, 100, 0, self.T, 4, snapshots=(50,),
+                                alike=alike, cache=pick_table(spec, 100))
 
 
 def count_state_picks(m, spec, N):
