@@ -140,6 +140,14 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
     return out
 
 
+def _padded(a: np.ndarray) -> np.ndarray:
+    """A copy of `a`, a zero column appended when it has 3 (_simulate_chunk)."""
+    n = a.shape[1]
+    out = np.zeros((a.shape[0], 4 if n == 3 else n))
+    out[:, :n] = a
+    return out
+
+
 class _PicksDiffer(Exception):
     """A shared run's spec and a shorter horizon's spec picked apart on
     a key its pick table filled (_simulate_chunk's `alike`)."""
@@ -162,6 +170,11 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     trial's first n steps are the same for every horizon >= n, so the
     state at each horizon is recorded on the way to the last; a run of
     one horizon is the tuple (N,).
+
+    The state is a row per trial: lattice key, LLRs z and log beliefs
+    (lb views the first M columns).  Rows of 3 floats, and the increment
+    rows a step gathers for them, are _padded to 4: ndarray.take copies
+    32-byte items on a fast path, 24-byte ones not.  Pads stay 0, unread.
 
     When the rule has a pick table for the last horizon, each trial
     carries its lattice key, a step reads the picks from the table, and
@@ -191,17 +204,18 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     if chunk_idx < 0:
         raise ValueError(f"trial index must be >= 0, got {chunk_idx * CHUNK + lo}")
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
-    lb = np.tile(model.log_prior, (hi - lo, 1))
+    lbw = _padded(np.tile(model.log_prior, (hi - lo, 1)))
+    lb = lbw[:, :M]
     # inverse-CDF sampling as #{cum <= r} over all but the last column,
     # which is the clip to the last symbol (cum never decreases)
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
     cum_cols = [cumk[:, k].copy() for k in range(Y - 1)]
     # belief and LLR increments as flat rows, row u*Y + y
-    logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    logk_rows = _padded(model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M))
     track_z = zbar_weights is not None
     if track_z:
-        llr_rows = llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, M - 1)
-        z = np.zeros((hi - lo, M - 1))
+        llr_rows = _padded(llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, -1))
+        z = _padded(np.zeros((hi - lo, M - 1)))
     reads = reads_draws(spec)
     exp_draws = None
     if cache is None:
@@ -221,10 +235,11 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             if cache is None:
                 u = _select_batch(spec, lb, exp_draws)
             else:
-                u = np.subtract(np.take(table, key), 1, dtype=np.int64)
-                miss = np.flatnonzero(u < 0)
-                if miss.size:
+                tk = table.take(key)
+                u = np.subtract(tk, 1, dtype=np.int64)
+                if not tk.all():
                     # the rows at keys not seen yet pick for them
+                    miss = np.flatnonzero(u < 0)
                     rows = lb[miss]
                     picks = _select_batch(spec, rows, None)
                     for n, other in alike:
@@ -238,11 +253,11 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                 row += obs_draws >= cum[u]
             if path is not None:
                 path.append((u, row - u * Y))
-            lb += np.take(logk_rows, row, axis=0)
+            lbw += logk_rows.take(row, axis=0)
             if cache is not None:
-                key += np.take(dk, row)
+                key += dk.take(row)
             if track_z:
-                z += np.take(llr_rows, row, axis=0)
+                z += llr_rows.take(row, axis=0)
         step = stop
         c_incs.append(_confidence_increments(model, lb, refs))
         if track_z:

@@ -44,6 +44,26 @@ def kernel_models():
     return [found[Y] for Y in sorted(found)]
 
 
+def wide_models():
+    """Random models with M = 4 and M = 5 hypotheses, and two
+    experiments to keep them quick, on which every strategy kind
+    builds: the engine pads the 3 LLR columns of the first to 4 and
+    stores the 4 of the second, and its beliefs, as they are."""
+    rng = np.random.default_rng(43)
+    found = {}
+    while len(found) < 2:
+        m = random_model(rng, max_hyp=5, max_exp=2)
+        M = m.num_hypotheses
+        if M < 4 or M in found or m.num_experiments < 2:
+            continue
+        try:
+            build_strategy(m, "symmetric", 60)
+        except ValueError:
+            continue
+        found[M] = m
+    return [found[4], found[5]]
+
+
 def decimal_models():
     """Random short-decimal models (conftest.decimal_model) on which
     every strategy kind builds and whose likelihood lattice has fewer
@@ -333,9 +353,15 @@ class TestEngineKernel:
         LLRs times the weights, summed in ascending alternate order.
         The symmetric composite runs with each inner kind: with `ors`
         its most common rule reads the whole chunk's experiment draws
-        and the others read their rows' draws."""
+        and the others read their rows' draws.  The rules that track
+        weighted LLRs also run on models of 4 and 5 hypotheses, so the
+        engine's rows of beliefs and LLRs take every width it stores
+        them in, padded or not."""
         assert mc.CHUNK == REFERENCE_CHUNK
-        for m in (t1, t2, *kernel_models()):
+        models = [t1, t2, *kernel_models()]
+        if kind != "symmetric":
+            models += wide_models()
+        for m in models:
             M = m.num_hypotheses
             refs = tuple(range(M)) if kind == "symmetric" else (0,)
             for N in (8, 60):     # tilt 1 on every model; below 1 on all but the Y = 2 one
@@ -429,6 +455,22 @@ class TestPickCache:
         seen[0] = 0
         self.assert_matches_reference(m, spec, 60, 1, tuple(range(m.num_hypotheses)), 1000)
         assert seen[0] == 1000 * 60
+
+    def test_filled_table_selects_no_row(self, t1, monkeypatch):
+        """A second run of the same chunk on the table the first filled
+        reads every pick from it: the same increments and weighted
+        LLRs, and no row handed to the selector."""
+        seen = self.counted_rows(monkeypatch)
+        spec = build_strategy(t1, "das", 200, reference=0)
+        cache = mc._pick_table(spec, 200)
+        runs, rows = [], []
+        for _ in range(2):
+            runs.append(mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK,
+                                           (0, 1, 2), spec.game.beta_star, cache=cache))
+            rows.append(seen[0] - sum(rows))
+        assert rows[0] > 0 and rows[1] == 0
+        assert runs[0][0].tobytes() == runs[1][0].tobytes()
+        assert runs[0][1].tobytes() == runs[1][1].tobytes()
 
     def test_one_entry_table_for_two_hypotheses(self):
         """With one alternate, das reads no ratio: a rank-0 key, a table
