@@ -13,16 +13,15 @@ __version__ = "0.3.0"
 from .belief import (Belief, confidence, confidence_increment,
                      decomposition_terms, new_trajectory, prior_belief,
                      step_trajectory, tilde_belief, update_belief)
-from .bounds import (binomial_quantile, strong_bound_binary_example,
-                     strong_converse_empirical, weak_converse)
-from .game import GameSolution, payoff, solve, verify_minimax
+from .bounds import binomial_quantile, strong_bound_binary_example, weak_converse
+from .game import GameSolution, solve
 from .model import (HypothesisModel, ModelError, kl_divergence, load_model,
-                    load_model_file, log_likelihood_ratio, resolve_model,
-                    serialize_model, table1, table2)
+                    load_model_file, resolve_model, serialize_model, table1,
+                    table2)
 from .montecarlo import (SimulationConfig, SimulationReport,
                          best_threshold_search, enumerate_exact, estimate,
                          estimate_phi_lse, run_trial, sweep)
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
-                       criterion_holds, infer, mgf, s_schedule, score_M,
+                       criterion_holds, infer, mgf, s_schedule,
                        select_experiment, threshold_asymmetric,
                        threshold_symmetric)

@@ -83,12 +83,6 @@ def tilde_belief(b: Belief, i: int) -> np.ndarray:
     return np.exp(tilde_log(b, i))
 
 
-def uniform_prior_log_posterior(b: Belief, model: HypothesisModel) -> np.ndarray:
-    """Log posterior the agent would hold after the same history had the
-    prior been uniform: divide out the actual prior and renormalize."""
-    return log_normalize(b.log_prob - model.log_prior)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One run's history plus derived state for a fixed reference
@@ -167,12 +161,4 @@ def decomposition_terms(t: Trajectory, beta_star) -> tuple[float, float, float]:
     h_end = float(-np.dot(beta, tilde_log(t.belief, t.reference)))
     z_bar = float(np.dot(beta, t.z))
     return h_end, z_bar, h_start
-
-
-def recompute_belief(t: Trajectory) -> Belief:
-    """Replay the history through Bayes updates (consistency checks)."""
-    b = prior_belief(t.model)
-    for u, y in t.history:
-        b = update_belief(b, t.model, u, y)
-    return b
 

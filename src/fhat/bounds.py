@@ -46,29 +46,15 @@ def weak_converse(game: GameSolution, model: HypothesisModel, N: int,
     return (game.value + h1 / N + LN2 / N) / (1.0 - epsilon)
 
 
-def strong_converse_empirical(zbar_samples, h_start: float, chi: float,
-                              epsilon: float) -> float:
-    """Tail-probability bound at one cut point chi:
-
-        ln(1/phi) <= chi - ln( P_i[Zbar_N + h_start <= chi] - eps )
-
-    with the tail probability replaced by its empirical frequency.
-    Returns +inf ("unbounded") when the frequency does not exceed eps —
-    the bound is vacuous at this chi and the caller should sweep.
-    """
-    z = np.asarray(zbar_samples, dtype=float)
-    if z.size == 0:
-        raise ValueError("need at least one sample")
-    p_hat = float(np.mean(z + h_start <= chi))
-    if p_hat <= epsilon:
-        return math.inf
-    return chi - math.log(p_hat - epsilon)
-
-
 def strong_converse_sweep(zbar_samples, h_start: float,
                           epsilon: float) -> tuple[float, float]:
-    """Sweep chi over the sample's empirical quantile points and return
-    (best chi, tightest finite bound): the first minimum over the sorted
+    """The tail-probability bound
+
+        ln(1/phi) <= chi - ln( P_i[Zbar_N + h_start <= chi] - eps ),
+
+    with the tail probability replaced by its empirical frequency, swept
+    over chi at the sample's empirical quantile points.  Returns (best
+    chi, tightest finite bound): the first minimum over the sorted
     samples, or (nan, inf) where no point has a tail frequency above
     epsilon (an empty sample)."""
     z = np.sort(np.asarray(zbar_samples, dtype=float)) + h_start
@@ -79,8 +65,8 @@ def strong_converse_sweep(zbar_samples, h_start: float,
     if k0 == z.size:
         return math.nan, math.inf
     k = k0 + int(np.argmin(z[k0:] - np.log(p_hat[k0:] - epsilon)))
-    # the bound at the pick through math.log, as strong_converse_empirical
-    # takes it: numpy's vectorized log may differ from it in the last bit
+    # the bound at the pick through math.log: numpy's vectorized log may
+    # differ from it in the last bit
     return float(z[k]), float(z[k] - math.log(p_hat[k] - epsilon))
 
 
@@ -110,7 +96,7 @@ def strong_bound_binary_example(N: int, nu: float, epsilon: float) -> float:
         ln(1/phi) <= chi* - ln(eps),
 
     where Q is the Bin(N, nu) quantile function.  Inapplicable to models
-    without this structure; use strong_converse_empirical there.
+    without this structure; use strong_converse_sweep there.
     """
     if not 0 < nu < 1:
         raise ValueError(f"nu must be in (0, 1), got {nu}")

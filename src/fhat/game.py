@@ -159,17 +159,6 @@ class GameSolution:
     duality_gap: float
 
 
-def payoff(alpha, beta, payoff_matrix) -> float:
-    """Bilinear payoff sum_u sum_j alpha(u) A[u, j] beta(j)."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    A = np.asarray(payoff_matrix, dtype=float)
-    if alpha.shape != (A.shape[0],) or beta.shape != (A.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: alpha {alpha.shape}, beta {beta.shape}, payoff {A.shape}")
-    return float(alpha @ A @ beta)
-
-
 def guaranteed_floor(alpha, payoff_matrix) -> float:
     """min_j sum_u alpha(u) A[u, j] — what alpha secures."""
     return float(np.min(np.asarray(alpha) @ np.asarray(payoff_matrix)))
@@ -205,20 +194,3 @@ def solve(model: HypothesisModel, i: int) -> GameSolution:
     return GameSolution(reference=i, value=value, alpha_star=alpha,
                         beta_star=beta, payoff_matrix=A, duality_gap=gap)
 
-
-@dataclass(frozen=True)
-class MinimaxReport:
-    maxmin: float
-    minmax: float
-    gap: float
-    tol: float
-    ok: bool
-
-
-def verify_minimax(s: GameSolution, tol: float) -> MinimaxReport:
-    """Recompute both one-sided values from the stored mixtures and
-    check the duality gap against tol."""
-    floor = guaranteed_floor(s.alpha_star, s.payoff_matrix)
-    cap = guaranteed_cap(s.beta_star, s.payoff_matrix)
-    gap = abs(cap - floor)
-    return MinimaxReport(maxmin=floor, minmax=cap, gap=gap, tol=tol, ok=gap <= tol)

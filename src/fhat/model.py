@@ -91,6 +91,11 @@ def make_model(hypotheses, experiments, observations, kernel,
         raise ModelError(f"need at least 2 hypotheses, got {M}")
     if U < 1 or Y < 1:
         raise ModelError("need at least one experiment and one observation")
+    for what, names in (("hypothesis", hypotheses), ("experiment", experiments),
+                        ("observation", observations)):
+        if len(set(names)) < len(names):
+            dup = next(n for k, n in enumerate(names) if n in names[:k])
+            raise ModelError(f"{what} name {dup!r} repeats")
     if kernel.shape != (M, U, Y):
         raise ModelError(f"kernel shape {kernel.shape} does not match (M,U,Y)=({M},{U},{Y})")
     if prior.shape != (M,):
@@ -140,18 +145,6 @@ def make_model(hypotheses, experiments, observations, kernel,
 
     return HypothesisModel(hypotheses, experiments, observations,
                            kernel, prior, support, B, log_kernel=logk)
-
-
-def assumption_pairwise_informative(model: HypothesisModel) -> bool:
-    """True when every experiment distinguishes every pair of hypotheses,
-    i.e. D(p_i^u || p_j^u) > 0 for all u and all i != j."""
-    for u in range(model.num_experiments):
-        idx = model.support_indices(u)
-        for i in range(model.num_hypotheses):
-            for j in range(model.num_hypotheses):
-                if i != j and np.array_equal(model.kernel[i, u, idx], model.kernel[j, u, idx]):
-                    return False
-    return True
 
 
 def _prime_exponents(a: int) -> dict[int, int]:
@@ -253,15 +246,6 @@ def kl_matrix(model: HypothesisModel, i: int) -> np.ndarray:
     return A
 
 
-def log_likelihood_ratio(model: HypothesisModel, i: int, j: int, u: int, y: int) -> float:
-    """log(p_i^u(y) / p_j^u(y)); y must be in the support of experiment u."""
-    if not model.support[u, y]:
-        raise ModelError(
-            f"observation {model.observations[y]} outside the support of "
-            f"experiment {model.experiments[u]}")
-    return float(model.log_kernel[i, u, y] - model.log_kernel[j, u, y])
-
-
 def llr_table(model: HypothesisModel, i: int) -> np.ndarray:
     """Lookup L[k, u, y] = log(p_i^u(y)/p_j^u(y)) for alternates j != i
     (k indexes ascending j); 0 outside the support (callers must not
@@ -301,12 +285,19 @@ def load_model(document: str) -> HypothesisModel:
     for key in ("hypotheses", "experiments", "observations", "prior", "kernel"):
         if key not in doc:
             raise ModelError(f"model document missing field {key!r}")
+    for key in ("hypotheses", "experiments", "observations"):
+        if not isinstance(doc[key], list):
+            raise ModelError(f"model field {key!r} must be a list of names")
     hyps = [str(h) for h in doc["hypotheses"]]
     exps = [str(u) for u in doc["experiments"]]
     obs = [str(y) for y in doc["observations"]]
-    prior = doc["prior"]
+    prior = _reals(doc["prior"], "prior")
     M, U, Y = len(hyps), len(exps), len(obs)
     kernel = np.zeros((M, U, Y))
+    if not (isinstance(doc["kernel"], dict)
+            and all(isinstance(row, dict) for row in doc["kernel"].values())):
+        raise ModelError("model field 'kernel' must map each experiment to "
+                         "a tree of hypothesis rows")
     ktree = {str(k): {str(h): v for h, v in row.items()}
              for k, row in doc["kernel"].items()}
     for u, uname in enumerate(exps):
@@ -316,12 +307,23 @@ def load_model(document: str) -> HypothesisModel:
         for i, hname in enumerate(hyps):
             if hname not in row:
                 raise ModelError(f"kernel[{uname!r}] missing hypothesis {hname!r}")
-            vals = row[hname]
+            vals = _reals(row[hname], f"kernel[{uname!r}][{hname!r}]")
             if len(vals) != Y:
                 raise ModelError(
                     f"kernel[{uname!r}][{hname!r}] has {len(vals)} entries, expected {Y}")
-            kernel[i, u, :] = [float(v) for v in vals]
+            kernel[i, u, :] = vals
     return make_model(hyps, exps, obs, kernel, prior)
+
+
+def _reals(node, where: str) -> list[float]:
+    """The list of reals a model document holds at `where`."""
+    bad = ModelError(f"{where} must be a list of reals")
+    if not isinstance(node, list):
+        raise bad
+    try:
+        return [float(v) for v in node]
+    except (TypeError, ValueError):
+        raise bad from None
 
 
 def load_model_file(path) -> HypothesisModel:

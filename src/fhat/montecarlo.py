@@ -458,7 +458,6 @@ class SimulationReport:
     gamma_hat: float = math.nan
     gamma_hat_lse: float = math.nan
     gamma_lse_se: float = math.nan
-    histogram: dict = field(default_factory=dict)
 
 
 def _batch_estimates(c_inc: np.ndarray, col: int, dec: np.ndarray, i: int):
@@ -512,9 +511,6 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     dec_by_hyp = {}
     for h in range(model.num_hypotheses) if symmetric else refs:
         c_inc, dec_by_hyp[h] = run(h, T, PURPOSE_ESTIMATE)
-        report.histogram[model.hypotheses[h]] = {
-            name: int(np.sum(dec_by_hyp[h] == k))
-            for k, name in [*enumerate(model.hypotheses), (-1, "inconclusive")]}
         if h in rule.thresholds:
             report.psi_hat[h], report.psi_se[h], report.lse[h] = _batch_estimates(
                 c_inc, refs.index(h), dec_by_hyp[h], h)

@@ -22,7 +22,9 @@ One selector, select_batch, picks for a batch of beliefs; the engine
 batch of one) and exact enumeration all call it.  A row's pick depends
 on that row alone, and values within a relative TIE_RTOL of the row's
 best are ties that go to the first label, so the pick is a function of
-the state and not of the rounding of the path that reached it.
+the state and not of the rounding of the path that reached it.  The
+tilted score has one scorer, _tilted_scores: select_batch reads it for
+``das`` and ``das-rs``, and criterion_holds for a batch of one.
 
 One threshold rule, decisions_from_increments, decides for a batch of
 confidence increments: Monte Carlo estimation, run_trial, enumeration
@@ -40,7 +42,6 @@ from . import game as game_mod
 from .belief import Belief, confidence, prior_belief
 from .game import GameSolution
 from .model import HypothesisModel, kl_divergence, ratio_lattice
-from .numerics import logsumexp
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
 # the kinds the symmetric composite can delegate to
@@ -103,41 +104,6 @@ def reverse_kl_matrix(model: HypothesisModel, i: int) -> np.ndarray:
         for k, j in enumerate(alts):
             out[u, k] = kl_divergence(model.kernel[j, u, idx], model.kernel[i, u, idx])
     return out
-
-
-def tilted_alternate_log_weights(log_belief: np.ndarray, i: int, s: float) -> np.ndarray:
-    """log of rho(j)^s / sum_k rho(k)^s over alternates (ascending j),
-    computed with logsumexp; insensitive to the belief's normalization."""
-    alts = np.concatenate([log_belief[:i], log_belief[i + 1:]])
-    w = s * alts
-    total = logsumexp(w)
-    if not np.isfinite(total):
-        raise ValueError("all alternate mass is zero; score undefined")
-    return w - total
-
-
-def score_all(model: HypothesisModel, i: int, belief: Belief, s: float,
-              mu: np.ndarray | None = None) -> np.ndarray:
-    """Tilted-MGF score of every experiment at the given belief."""
-    if mu is None:
-        mu = mgf_matrix(model, i, s)
-    w = np.exp(tilted_alternate_log_weights(belief.log_prob, i, s))
-    return mu @ w
-
-
-def score_M(model: HypothesisModel, i: int, u: int, belief: Belief, s: float) -> float:
-    """Score of a single experiment (lower is better for the tester)."""
-    return float(score_all(model, i, belief, s)[u])
-
-
-def criterion_holds(alpha_n, belief: Belief, s: float, game: GameSolution,
-                    model: HypothesisModel, i: int) -> bool:
-    """Admissibility check: the strategy's expected score at this belief
-    must not exceed the optimal mixture's expected score."""
-    scores = score_all(model, i, belief, s)
-    lhs = float(np.dot(np.asarray(alpha_n, dtype=float), scores))
-    rhs = float(np.dot(game.alpha_star, scores))
-    return lhs <= rhs + CRITERION_SLACK
 
 
 @dataclass(frozen=True)
@@ -270,6 +236,32 @@ def _first_best(columns, largest: bool, scale: float = 0.0) -> np.ndarray:
     return first if labels == list(range(len(labels))) else np.take(labels, first)
 
 
+def _tilted_scores(spec: StrategySpec, lb: np.ndarray, table: np.ndarray,
+                   experiments) -> tuple[list, list]:
+    """The tilted score sum_j w_j table[v, j] of each row of `lb`, an
+    (n, M) array of log beliefs, for each experiment v of `experiments`,
+    with the unnormalized weights w_j = exp(c_j - max c), c_j = s lb_j,
+    over spec's alternates j: the (v, score) pairs and the weights, one
+    (n,) array each.  Every score is summed over the alternates in
+    ascending order."""
+    w = [spec.s_value * lb[:, j] for j in spec.model.alternates(spec.reference)]
+    top = w[0].copy()
+    for c in w[1:]:
+        np.maximum(top, c, out=top)
+    if not np.isfinite(top).all():
+        raise ValueError("all alternate mass is zero; score undefined")
+    for c in w:
+        np.exp(np.subtract(c, top, out=c), out=c)
+    # `top` is no longer read: it is scratch for the products
+    scores = []
+    for v in experiments:
+        score = w[0] * table[v, 0]
+        for k in range(1, len(w)):
+            score += np.multiply(w[k], table[v, k], out=top)
+        scores.append((v, score))
+    return scores, w
+
+
 def select_batch(spec: StrategySpec, lb: np.ndarray,
                  exp_draws: np.ndarray | None) -> np.ndarray:
     """The experiment picked for each row of `lb`, an (n, M) array of log
@@ -305,26 +297,11 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     if spec.kind in ("das", "das-rs"):
         # a positive factor per row moves no argmin or argmax, so the
         # weights need no normalization
-        w = [spec.s_value * lb[:, j] for j in model.alternates(spec.reference)]
-        top = w[0].copy()
-        for c in w[1:]:
-            np.maximum(top, c, out=top)
-        if not np.isfinite(top).all():
-            raise ValueError("all alternate mass is zero; score undefined")
-        for c in w:
-            np.exp(np.subtract(c, top, out=c), out=c)
         limit = spec.s_value >= 1.0
         table = spec.kl if limit else spec.mu
         allowed = (np.flatnonzero(spec.support_mask) if spec.kind == "das-rs"
                    else range(table.shape[0]))
-        # each score summed over the alternates in ascending order, with
-        # `top` (no longer read) as scratch for the products
-        scores = []
-        for v in allowed:
-            score = w[0] * table[v, 0]
-            for k in range(1, len(w)):
-                score += np.multiply(w[k], table[v, k], out=top)
-            scores.append((v, score))
+        scores, _ = _tilted_scores(spec, lb, table, allowed)
         return _first_best(scores, largest=limit)
     lp = model.log_prior
     scale = float(np.max(np.abs(lp)))
@@ -354,6 +331,20 @@ def select_experiment(spec: StrategySpec, belief: Belief, rng) -> int:
     is not touched otherwise."""
     draws = np.array([rng.random()]) if reads_draws(spec) else None
     return int(select_batch(spec, belief.log_prob[None, :], draws)[0])
+
+
+def criterion_holds(alpha_n, belief: Belief, spec: StrategySpec) -> bool:
+    """Admissibility check at `belief`, a batch of one: the expected
+    tilted score of the experiment mixture alpha_n must not exceed that
+    of spec's optimal mixture alpha*, on spec's tilt and mu over every
+    experiment, with the weights normalized to sum to 1.  `spec` is a
+    rule with a reference hypothesis (any kind but ``symmetric``)."""
+    pairs, w = _tilted_scores(spec, belief.log_prob[None, :], spec.mu,
+                              range(spec.mu.shape[0]))
+    scores = np.concatenate([score for _, score in pairs]) / sum(w)
+    lhs = float(np.dot(np.asarray(alpha_n, dtype=float), scores))
+    rhs = float(np.dot(spec.game.alpha_star, scores))
+    return lhs <= rhs + CRITERION_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +408,8 @@ class InferenceRule:
             raise ValueError(f"unknown inference kind {self.kind!r}")
         if not self.thresholds:
             raise ValueError("thresholds must cover at least one hypothesis")
+        if any(math.isnan(theta) for theta in self.thresholds.values()):
+            raise ValueError("a threshold is NaN")
 
 
 def asymmetric_rule(model: HypothesisModel, game: GameSolution, N: int,

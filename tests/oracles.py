@@ -12,6 +12,11 @@ sums in a scalar per-leaf loop, where the library walks blocks of
 nodes, selects for a block of beliefs at once and cuts the draw's
 range into pieces, and the strong-bound sweep loops over the
 sorted samples where the library takes one argmin.
+
+The reference definitions below restate single quantities of the paper
+the plain way, one value at a time: the tilted score on a normalized
+belief, the log-likelihood ratio, the bilinear payoff, the strong bound
+at one cut point, and a belief replayed from its history.
 """
 
 import math
@@ -20,9 +25,101 @@ from math import comb
 
 import numpy as np
 
-from fhat.belief import Belief, confidence, prior_belief, uniform_prior_log_posterior
+from fhat.belief import Belief, confidence, prior_belief, update_belief
+from fhat.model import ModelError
 from fhat.numerics import log_normalize, logsumexp
-from fhat.strategy import TIE_RTOL, score_all, tilted_alternate_log_weights
+from fhat.strategy import TIE_RTOL, mgf_matrix
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions of single quantities
+# ---------------------------------------------------------------------------
+
+def tilted_alternate_log_weights(log_belief, i, s):
+    """log of rho(j)^s / sum_k rho(k)^s over alternates (ascending j),
+    computed with logsumexp; insensitive to the belief's normalization."""
+    alts = np.concatenate([log_belief[:i], log_belief[i + 1:]])
+    w = s * alts
+    total = logsumexp(w)
+    if not np.isfinite(total):
+        raise ValueError("all alternate mass is zero; score undefined")
+    return w - total
+
+
+def score_all(model, i, belief, s, mu=None):
+    """Tilted-MGF score of every experiment at the given belief."""
+    if mu is None:
+        mu = mgf_matrix(model, i, s)
+    w = np.exp(tilted_alternate_log_weights(belief.log_prob, i, s))
+    return mu @ w
+
+
+def score_M(model, i, u, belief, s):
+    """Score of a single experiment (lower is better for the tester)."""
+    return float(score_all(model, i, belief, s)[u])
+
+
+def uniform_prior_log_posterior(b, model):
+    """Log posterior the agent would hold after the same history had the
+    prior been uniform: divide out the actual prior and renormalize."""
+    return log_normalize(b.log_prob - model.log_prior)
+
+
+def recompute_belief(t):
+    """Replay a trajectory's history through Bayes updates."""
+    b = prior_belief(t.model)
+    for u, y in t.history:
+        b = update_belief(b, t.model, u, y)
+    return b
+
+
+def log_likelihood_ratio(model, i, j, u, y):
+    """log(p_i^u(y) / p_j^u(y)); y must be in the support of experiment u."""
+    if not model.support[u, y]:
+        raise ModelError(
+            f"observation {model.observations[y]} outside the support of "
+            f"experiment {model.experiments[u]}")
+    return float(model.log_kernel[i, u, y] - model.log_kernel[j, u, y])
+
+
+def assumption_pairwise_informative(model):
+    """True when every experiment distinguishes every pair of hypotheses,
+    i.e. D(p_i^u || p_j^u) > 0 for all u and all i != j."""
+    for u in range(model.num_experiments):
+        idx = model.support_indices(u)
+        for i in range(model.num_hypotheses):
+            for j in range(model.num_hypotheses):
+                if i != j and np.array_equal(model.kernel[i, u, idx], model.kernel[j, u, idx]):
+                    return False
+    return True
+
+
+def payoff(alpha, beta, payoff_matrix):
+    """Bilinear payoff sum_u sum_j alpha(u) A[u, j] beta(j)."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    A = np.asarray(payoff_matrix, dtype=float)
+    if alpha.shape != (A.shape[0],) or beta.shape != (A.shape[1],):
+        raise ValueError(
+            f"dimension mismatch: alpha {alpha.shape}, beta {beta.shape}, payoff {A.shape}")
+    return float(alpha @ A @ beta)
+
+
+def strong_converse_empirical(zbar_samples, h_start, chi, epsilon):
+    """Tail-probability bound at one cut point chi:
+
+        ln(1/phi) <= chi - ln( P_i[Zbar_N + h_start <= chi] - eps )
+
+    with the tail probability replaced by its empirical frequency.
+    Returns +inf ("unbounded") when the frequency does not exceed eps:
+    the bound is vacuous at this chi."""
+    z = np.asarray(zbar_samples, dtype=float)
+    if z.size == 0:
+        raise ValueError("need at least one sample")
+    p_hat = float(np.mean(z + h_start <= chi))
+    if p_hat <= epsilon:
+        return math.inf
+    return chi - math.log(p_hat - epsilon)
 
 
 def simplex_grid(dim: int, step: float) -> np.ndarray:

@@ -8,12 +8,13 @@ import pytest
 from conftest import random_model, random_trajectory, sample_observation
 from fhat.belief import (Belief, confidence, confidence_increment,
                          decomposition_terms, new_trajectory, prior_belief,
-                         recompute_belief, step_trajectory, tilde_belief,
-                         tilde_log, update_belief, uniform_prior_log_posterior)
+                         step_trajectory, tilde_belief, tilde_log,
+                         update_belief)
 from fhat.model import ModelError, make_model
 from fhat.numerics import logsumexp
 from fhat.strategy import build_strategy
-from oracles import reference_enumerate_paths
+from oracles import (recompute_belief, reference_enumerate_paths,
+                     uniform_prior_log_posterior)
 
 LN15 = math.log(1.5)
 

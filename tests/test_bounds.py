@@ -13,7 +13,8 @@ from fhat.game import solve
 from fhat.strategy import build_strategy
 
 from oracles import (binomial_cdf_exact, binomial_quantile_exact,
-                     reference_enumerate_paths, reference_strong_converse_sweep)
+                     reference_enumerate_paths, reference_strong_converse_sweep,
+                     strong_converse_empirical)
 
 LN15 = math.log(1.5)
 LN2 = math.log(2)
@@ -53,22 +54,22 @@ class TestWeakConverse:
 class TestStrongConverseEmpirical:
     def test_huge_chi_gives_chi_minus_log(self):
         z = np.zeros(100)
-        got = bounds.strong_converse_empirical(z, 0.0, 50.0, 0.02)
+        got = strong_converse_empirical(z, 0.0, 50.0, 0.02)
         np.testing.assert_allclose(got, 50.0 - math.log(1 - 0.02), atol=1e-12)
 
     def test_vacuous_below_epsilon(self):
         z = np.arange(100.0)
-        got = bounds.strong_converse_empirical(z, 0.0, -1.0, 0.02)
+        got = strong_converse_empirical(z, 0.0, -1.0, 0.02)
         assert got == math.inf
 
     def test_degenerate_samples(self):
         z = np.full(1000, 3.25)
-        got = bounds.strong_converse_empirical(z, 0.5, 3.75, 0.1)
+        got = strong_converse_empirical(z, 0.5, 3.75, 0.1)
         np.testing.assert_allclose(got, 3.75 - math.log(0.9), atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bounds.strong_converse_empirical([], 0.0, 1.0, 0.1)
+            strong_converse_empirical([], 0.0, 1.0, 0.1)
 
     def test_sweep_finds_tightest(self):
         rng = np.random.default_rng(0)
@@ -77,7 +78,7 @@ class TestStrongConverseEmpirical:
         assert math.isfinite(best)
         # brute sweep over a fine chi grid can do no better
         grid = np.linspace(z.min(), z.max() + 2, 3000)
-        vals = [bounds.strong_converse_empirical(z, LN2, c, 0.05) for c in grid]
+        vals = [strong_converse_empirical(z, LN2, c, 0.05) for c in grid]
         assert best <= min(vals) + 1e-9
 
     def test_sweep_matches_the_loop(self):
@@ -103,11 +104,11 @@ class TestStrongConverseEmpirical:
         z = np.random.default_rng(4).integers(0, 6, 300).astype(float)
         chi, best = bounds.strong_converse_sweep(z, LN2, 0.05)
         points = list(np.unique(z + LN2))
-        vals = [bounds.strong_converse_empirical(z, LN2, c, 0.05) for c in points]
+        vals = [strong_converse_empirical(z, LN2, c, 0.05) for c in points]
         assert (chi, best) == (points[vals.index(min(vals))], min(vals))
         # each sample at the log of its own tail frequency bounds at 0
         z = np.array([math.log(0.25), math.log(0.5), -0.25, 0.0])
-        vals = [bounds.strong_converse_empirical(z, 0.0, c, 0.0) for c in z]
+        vals = [strong_converse_empirical(z, 0.0, c, 0.0) for c in z]
         assert vals[0] == vals[1] == vals[3] == 0.0 < vals[2]
         assert bounds.strong_converse_sweep(z, 0.0, 0.0) == (math.log(0.25), 0.0)
 
@@ -116,7 +117,7 @@ class TestStrongConverseEmpirical:
         exactly bounds nothing; the tightest bound is the next point's."""
         z = np.arange(20.0) * 10.0
         eps = 0.25
-        vals = [bounds.strong_converse_empirical(z, 0.0, c, eps) for c in z]
+        vals = [strong_converse_empirical(z, 0.0, c, eps) for c in z]
         assert vals[4] == math.inf and vals[5] == min(vals)
         assert bounds.strong_converse_sweep(z, 0.0, eps) == (50.0, vals[5])
 

@@ -71,6 +71,46 @@ ENUMERATE_TEXT = [
         id="table1-das-200-theory"),
 ]
 
+# (arguments after --model, printed text) of `fhat solve-game`, recorded
+# when the duality gap was still recomputed from the stored mixtures
+SOLVE_GAME_TEXT = [
+    pytest.param(
+        "table1 --reference 0",
+        "model: table1\nreference: 0\nvalue: 0.0405465108 nats\n"
+        "alpha_star: A=0.5 B=0.5\nbeta_star: 1=0.5 2=0.5\n"
+        "payoff_matrix (experiments x alternates):\n"
+        "  A: 0.0810930216 0\n  B: 0 0.0810930216\n"
+        "duality_gap: 2.77555756e-17\n",
+        id="table1-0"),
+    pytest.param(
+        "table2 --reference 0",
+        "model: table2\nreference: 0\nvalue: 0.0561012718 nats\n"
+        "alpha_star: A=0 B=0 C=0.5 D=0.5\nbeta_star: 1=0.5 2=0.5\n"
+        "payoff_matrix (experiments x alternates):\n"
+        "  A: 0.0810930216 0\n  B: 0 0.0810930216\n"
+        "  C: 0.0778391784 0.0343633652\n  D: 0.0343633652 0.0778391784\n"
+        "duality_gap: 4.85722573e-17\n",
+        id="table2-0"),
+    pytest.param(
+        "table2 --reference 1",
+        "model: table2\nreference: 1\nvalue: 0.0810930216 nats\n"
+        "alpha_star: A=1 B=0 C=0 D=0\nbeta_star: 0=0.977027154 2=0.0229728463\n"
+        "payoff_matrix (experiments x alternates):\n"
+        "  A: 0.0810930216 0.0810930216\n  B: 0 0.0810930216\n"
+        "  C: 0.0778391784 0.219477841\n  D: 0.0324100339 0.207151047\n"
+        "duality_gap: 0\n",
+        id="table2-1"),
+    pytest.param(
+        "table2 --reference 2",
+        "model: table2\nreference: 2\nvalue: 0.0810930216 nats\n"
+        "alpha_star: A=0 B=1 C=0 D=0\nbeta_star: 0=0.977027154 1=0.0229728463\n"
+        "payoff_matrix (experiments x alternates):\n"
+        "  A: 0 0.0810930216\n  B: 0.0810930216 0.0810930216\n"
+        "  C: 0.0324100339 0.207151047\n  D: 0.0778391784 0.219477841\n"
+        "duality_gap: 0\n",
+        id="table2-2"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -86,6 +126,11 @@ class TestSolveGame:
         assert "value: 0.0405465108" in out
         assert "A=0.5 B=0.5" in out
         assert "duality_gap" in out
+
+    @pytest.mark.parametrize("argv,text", SOLVE_GAME_TEXT)
+    def test_prints_the_recorded_text(self, capsys, argv, text):
+        code, out, _ = run(capsys, "solve-game", "--model", *argv.split())
+        assert code == 0 and out == text
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "solve-game", "--model", "/nope/missing.yaml",
@@ -316,6 +361,26 @@ class TestCrossPath:
 def test_horizon_zero_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv, "--model", "table1")
     assert code == 2 and err.startswith("fhat: error:") and "horizon" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--strategy", "das", "--reference", "0", "--horizon", "10",
+     "--trials", "100", "--theta", "nan"),
+    ("enumerate", "--strategy", "das", "--reference", "0", "--horizon", "4",
+     "--theta", "nan"),
+])
+def test_nan_threshold_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv, "--model", "table1")
+    assert code == 2 and "NaN" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--strategies", "das", "--trials", "100"),
+    ("bounds", "--reference", "0"),
+])
+def test_empty_horizon_list_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--model", "table1", "--horizons", ",")
+    assert code == 2 and out == "" and "names no horizon" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,8 @@ from conftest import random_model
 from fhat import game
 from fhat.model import kl_matrix, make_model
 
-from oracles import grid_maxmin, grid_minmax
+from oracles import (assumption_pairwise_informative, grid_maxmin,
+                     grid_minmax, payoff)
 
 LN15 = math.log(1.5)
 
@@ -17,20 +18,20 @@ LN15 = math.log(1.5)
 class TestPayoff:
     def test_point_masses_pick_one_entry(self, t1):
         A = kl_matrix(t1, 0)
-        got = game.payoff([1, 0], [1, 0], A)
+        got = payoff([1, 0], [1, 0], A)
         np.testing.assert_allclose(got, 0.2 * LN15, atol=1e-12)
 
     def test_uniform_mixtures_average(self, t1):
         A = kl_matrix(t1, 0)
-        got = game.payoff([0.5, 0.5], [0.5, 0.5], A)
+        got = payoff([0.5, 0.5], [0.5, 0.5], A)
         np.testing.assert_allclose(got, 0.1 * LN15, atol=1e-12)
 
     def test_zero_matrix(self):
-        assert game.payoff([0.3, 0.7], [0.2, 0.8], np.zeros((2, 2))) == 0.0
+        assert payoff([0.3, 0.7], [0.2, 0.8], np.zeros((2, 2))) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            game.payoff([1.0], [0.5, 0.5], np.zeros((2, 2)))
+            payoff([1.0], [0.5, 0.5], np.zeros((2, 2)))
 
 
 class TestSolve:
@@ -81,23 +82,28 @@ class TestSolve:
 
 
 class TestVerifyMinimax:
+    """The duality gap solve stores: what beta* concedes at most less
+    what alpha* secures."""
+
     def test_table1_passes(self, t1):
         sol = game.solve(t1, 0)
-        rep = game.verify_minimax(sol, 1e-8)
-        assert rep.ok and rep.gap <= 1e-8
+        A = sol.payoff_matrix
+        assert sol.duality_gap == abs(game.guaranteed_cap(sol.beta_star, A)
+                                      - game.guaranteed_floor(sol.alpha_star, A))
+        assert sol.duality_gap <= 1e-8
 
     def test_perturbed_alpha_fails(self, t1):
+        """A mixture off alpha* secures less than the cap beta* concedes."""
         sol = game.solve(t1, 0)
-        from dataclasses import replace
-        bad = replace(sol, alpha_star=np.array([0.6, 0.4]))
-        rep = game.verify_minimax(bad, 1e-8)
-        assert not rep.ok and rep.gap > 1e-3
+        A = sol.payoff_matrix
+        gap = (game.guaranteed_cap(sol.beta_star, A)
+               - game.guaranteed_floor(np.array([0.6, 0.4]), A))
+        assert gap > 1e-3
 
     def test_one_by_one_game_has_zero_gap(self):
         m = make_model(["a", "b"], ["u"], ["0", "1"],
                        [[[0.3, 0.7]], [[0.8, 0.2]]], [0.5, 0.5])
-        rep = game.verify_minimax(game.solve(m, 0), 1e-12)
-        assert rep.gap == 0.0
+        assert game.solve(m, 0).duality_gap == 0.0
 
 
 class TestRandomGames:
@@ -137,7 +143,6 @@ class TestRandomGames:
 
     def test_positive_value_when_every_experiment_informative(self):
         rng = np.random.default_rng(12)
-        from fhat.model import assumption_pairwise_informative
         found = 0
         for _ in range(40):
             m = random_model(rng, allow_dropped_symbols=False)

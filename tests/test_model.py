@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import decimal_model, random_model
-from fhat.model import (HypothesisModel, ModelError,
-                        assumption_pairwise_informative,
-                        kl_divergence, kl_matrix, llr_table, load_model,
-                        log_likelihood_ratio, make_model, ratio_lattice,
-                        serialize_model, table1, table2)
+from fhat.model import (HypothesisModel, ModelError, kl_divergence,
+                        kl_matrix, llr_table, load_model, make_model,
+                        ratio_lattice, serialize_model, table1, table2)
+from fhat.cli import main
+from oracles import assumption_pairwise_informative, log_likelihood_ratio
 
 LN15 = math.log(1.5)
 
@@ -101,6 +101,43 @@ class TestLoadModel:
     def test_missing_field(self):
         with pytest.raises(ModelError, match="missing field"):
             load_model("hypotheses: [a, b]\n")
+
+    @pytest.mark.parametrize("doc,message", [
+        pytest.param(TABLE1_DOC[:TABLE1_DOC.index("kernel:")] + "kernel: [1, 2]\n",
+                     "'kernel' must map", id="kernel-list"),
+        pytest.param(TABLE1_DOC[:TABLE1_DOC.index("kernel:")] + "kernel: {u: [1, 2]}\n",
+                     "'kernel' must map", id="kernel-row-list"),
+        pytest.param(TABLE1_DOC.replace("safe:   [0.6, 0.4]", "safe:   0.5", 1),
+                     r"kernel\['A'\]\['safe'\] must be a list of reals", id="row-scalar"),
+        pytest.param(TABLE1_DOC.replace("hypotheses: [safe, near-a, near-b]",
+                                        "hypotheses: 5"),
+                     "'hypotheses' must be a list", id="hypotheses-scalar"),
+    ])
+    def test_malformed_node_is_a_model_error(self, capsys, tmp_path, doc, message):
+        """A node of the wrong type is named, and `fhat solve-game` on
+        the file exits 2 rather than with a traceback."""
+        with pytest.raises(ModelError, match=message):
+            load_model(doc)
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc)
+        assert main(["solve-game", "--reference", "0", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("fhat: error:")
+
+    def test_repeated_hypothesis_name(self):
+        """Two hypotheses named alike would both read the one kernel row."""
+        doc = ("hypotheses: [a, a]\nexperiments: [u]\nobservations: ['0', '1']\n"
+               "prior: [0.5, 0.5]\nkernel:\n  u:\n    a: [0.3, 0.7]\n")
+        with pytest.raises(ModelError, match="hypothesis name 'a' repeats"):
+            load_model(doc)
+
+    @pytest.mark.parametrize("names,what", [
+        ((["a", "b"], ["u", "u"], ["0", "1"]), "experiment name 'u'"),
+        ((["a", "b"], ["u", "v"], ["0", "0"]), "observation name '0'"),
+    ])
+    def test_repeated_names(self, names, what):
+        kernel = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ModelError, match=what + " repeats"):
+            make_model(*names, kernel, [0.5, 0.5])
 
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(5)

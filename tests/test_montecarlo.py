@@ -239,14 +239,6 @@ class TestEstimate:
         assert rep.lse[0].is_lower_bound
         np.testing.assert_allclose(rep.lse[0].log_inv_phi, math.log(500))
 
-    def test_histogram_counts_sum_to_trials(self, t1):
-        spec = build_strategy(t1, "das", horizon=4, reference=0)
-        rule = empirical_rule(0, 0.1, 0.05)
-        rep = mc.estimate(mc.SimulationConfig(t1, spec, rule, 4, 300, 1))
-        hist = rep.histogram["0"]
-        assert sum(hist.values()) == 300
-        assert hist["1"] == 0 and hist["2"] == 0   # rule never declares them
-
     def test_gamma_combines_phi(self, t1):
         """gamma_hat = sum_i phi_hat(i) (1 - prior(i)) by construction."""
         spec = build_strategy(t1, "symmetric", horizon=30)

@@ -16,10 +16,10 @@ from fhat.numerics import log_normalize, logsumexp
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, criterion_holds, default_epsilon,
                            default_n_prime, empirical_rule, infer, mgf, mgf_matrix,
-                           reads_draws, score_M, s_schedule, select_batch,
+                           reads_draws, s_schedule, select_batch,
                            select_experiment, symmetric_rule, threshold_asymmetric,
                            threshold_symmetric)
-from oracles import reference_select
+from oracles import log_likelihood_ratio, reference_select, score_all, score_M
 
 LN15 = math.log(1.5)
 
@@ -84,7 +84,6 @@ class TestMgf:
                     assert mgf(m, i, j, u, s) <= 1.0 + 1e-12
 
     def test_two_evaluation_forms_agree(self, t2):
-        from fhat.model import log_likelihood_ratio
         for u in range(4):
             for s in (0.3, 0.7):
                 via_power = sum(t2.kernel[0, u, y] ** (1 - s) * t2.kernel[1, u, y] ** s
@@ -313,8 +312,7 @@ class TestCriterion:
     def test_alpha_star_always_admissible(self, t1):
         spec = build_strategy(t1, "das", horizon=200, reference=0)
         for p in belief_grid():
-            assert criterion_holds(spec.game.alpha_star, Belief.from_probs(p),
-                                   spec.s_value, spec.game, t1, 0)
+            assert criterion_holds(spec.game.alpha_star, Belief.from_probs(p), spec)
 
     def test_score_minimizer_always_admissible(self, t2):
         spec = build_strategy(t2, "das", horizon=200, reference=0)
@@ -322,17 +320,16 @@ class TestCriterion:
             b = Belief.from_probs(p)
             u = select_experiment(spec, b, None)
             alpha = np.eye(4)[u]
-            assert criterion_holds(alpha, b, spec.s_value, spec.game, t2, 0)
+            assert criterion_holds(alpha, b, spec)
 
     def test_score_maximizer_fails_when_strictly_worse(self, t2):
-        from fhat.strategy import score_all
         spec = build_strategy(t2, "das", horizon=200, reference=0)
         b = Belief.from_probs([0.2, 0.6, 0.2])
         scores = score_all(t2, 0, b, spec.s_value, spec.mu)
         worst = int(np.argmax(scores))
         assert scores[worst] > scores.min() + 1e-6
         alpha = np.eye(4)[worst]
-        assert not criterion_holds(alpha, b, spec.s_value, spec.game, t2, 0)
+        assert not criterion_holds(alpha, b, spec)
 
     def test_chernoff_det_violates_criterion_on_table2(self, t2):
         """The most-likely-alternate heuristic is inadmissible here: it
@@ -344,7 +341,7 @@ class TestCriterion:
             b = Belief.from_probs(p)
             u = select_experiment(spec, b, None)
             alpha = np.eye(4)[u]
-            if not criterion_holds(alpha, b, das.s_value, das.game, t2, 0):
+            if not criterion_holds(alpha, b, das):
                 violations += 1
         assert violations > 0
 
@@ -364,9 +361,8 @@ class TestCriterion:
                             alpha = sp.sample_alpha
                         else:
                             alpha = np.eye(U)[select_experiment(sp, b, None)]
-                        assert criterion_holds(alpha, b, sp.s_value, sp.game,
-                                               model, 0), (model.experiments,
-                                                           kind, N, p)
+                        assert criterion_holds(alpha, b, sp), (
+                            model.experiments, kind, N, p)
 
 
 class TestThresholds:
@@ -458,6 +454,13 @@ class TestInfer:
         b = Belief.from_probs([0.4, 0.35, 0.25])
         with pytest.raises(ValueError, match="cleared"):
             infer(b, prior, bad)
+
+    def test_nan_threshold_is_refused_and_infinities_are_legal(self, t1):
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_rule(0, math.nan, 0.05)
+        prior = prior_belief(t1)
+        assert infer(prior, prior, empirical_rule(0, -math.inf, 0.05)) == 0
+        assert infer(prior, prior, empirical_rule(0, math.inf, 0.05)) is None
 
     def test_theory_rule_factory(self, t1):
         sol = solve(t1, 0)
