@@ -300,6 +300,14 @@ def load_model(document: str) -> HypothesisModel:
                          "a tree of hypothesis rows")
     ktree = {str(k): {str(h): v for h, v in row.items()}
              for k, row in doc["kernel"].items()}
+    # a kernel entry that no listed name reads would vanish from the game
+    for uname, row in ktree.items():
+        if uname not in exps:
+            raise ModelError(f"kernel experiment {uname!r} is not in 'experiments'")
+        for hname in row:
+            if hname not in hyps:
+                raise ModelError(f"kernel[{uname!r}] hypothesis {hname!r} "
+                                 f"is not in 'hypotheses'")
     for u, uname in enumerate(exps):
         if uname not in ktree:
             raise ModelError(f"kernel missing experiment {uname!r}")

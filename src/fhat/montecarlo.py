@@ -7,12 +7,13 @@ from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
 Where that state lies on a small likelihood-ratio lattice, the engine
-reads its picks from a table that the selector fills on the rows that
-reach a lattice point first (_pick_table).  The pick is a function of
-the point whatever the chunk, purpose or true hypothesis, so one table
-serves every chunk of a run, and every run of estimate(); only a run
-that checks shorter horizons' specs as it fills (`alike`) takes a
-fresh table per chunk.
+reads its picks from a table that the selector fills at every point of
+the lattice box before any trial runs (_pick_table), so a step never
+calls the selector.  The pick is a function of the point whatever the
+chunk, purpose or true hypothesis, so one table serves every chunk and
+run of estimate() or of a sweep group, and comparing two specs' picks
+over a box decides before running whether a shorter horizon shares a
+sweep run (_picks_agree).
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -91,18 +92,76 @@ def _chunk_draws(gen, lo: int, hi: int) -> np.ndarray:
 
 
 def _lattice_box(K: np.ndarray, N: int, cap: int):
-    """(dk, key0, size) packing mixed-radix the box of lattice points
-    K.T @ n that N steps can reach into keys in [0, size), or None when
-    size exceeds `cap`: a path's key is key0 plus dk[u*Y + y] per
-    observation, every partial sum in [0, size), so int64 for a cap of
-    at most 2**63."""
+    """(dk, key0, lo, width) packing mixed-radix the box of lattice
+    points K.T @ n that N steps can reach, corner lo and width[k] points
+    along column k (the first column the fastest), into keys in
+    [0, prod(width)), or None when that size exceeds `cap`: a path's key
+    is key0 plus dk[u*Y + y] per observation, every partial sum in the
+    range, so int64 for a cap of at most 2**63."""
     lo = [N * min(int(c.min()), 0) for c in K.T]
     width = [N * max(int(c.max()), 0) - a + 1 for a, c in zip(lo, K.T)]
-    size = math.prod(width)
-    if size > cap:
+    if math.prod(width) > cap:
         return None
     stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
-    return K @ stride, -int(np.dot(lo, stride)), size
+    return K @ stride, -int(np.dot(lo, stride)), lo, width
+
+
+def _ratio_matrix(spec: StrategySpec) -> np.ndarray:
+    """G, (r, M): the log-likelihood ratios that the lattice point P of
+    spec.pick_key spans are P @ G, in the columns of the hypotheses
+    selection reads (the alternates' ratios to the first alternate, or
+    for the symmetric composite every hypothesis's ratio to hypothesis
+    0); the other columns are 0.
+
+    K has full column rank r, so Gauss-Jordan elimination of [K | L] over
+    the rows the key spans (its nonzero ones; the rest are rows the rule
+    never observes, or rows of ratio 1) leaves [I | G] in its first r
+    rows, exactly in fractions of the floats L, and rows of K zero
+    after it.  Their ratios must be zero too, or the key would not span
+    them: that is checked to rounding."""
+    # imported here: fractions imports decimal, which runs that never
+    # fill a table need not load
+    from fractions import Fraction
+    model, K = spec.model, spec.pick_key
+    M, U, Y = model.kernel.shape
+    r = K.shape[1]
+    hyps = range(M) if spec.reference is None else model.alternates(spec.reference)
+    logk = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    rows = [[Fraction(int(k)) for k in K[i]]
+            + [Fraction(float(logk[i, h] - logk[i, hyps[0]])) if h in hyps else 0
+               for h in range(M)]
+            for i in np.flatnonzero(K.any(axis=1))]
+    for c in range(r):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        pivot = rows.pop(p)
+        rows.insert(c, [x / pivot[c] for x in pivot])
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[c])]
+    if any(abs(x) > 1e-9 for row in rows[r:] for x in row[r:]):
+        raise RuntimeError("the pick key does not span the log-likelihood ratios")
+    return np.array([[float(x) for x in row[r:]] for row in rows[:r]]).reshape(r, M)
+
+
+def _box_picks(spec: StrategySpec, lo, width):
+    """spec's picks at the points of the box (lo, width), in packed
+    order, CHUNK points at a time: (first index, coordinates per key
+    column, picks).  A point's representative row is log prior plus the
+    ratios it spans (_ratio_matrix), which selection reads up to a
+    common shift of the alternates; the pick is a function of the point,
+    so it is the pick of every trial there."""
+    G = _ratio_matrix(spec)
+    size = math.prod(width)
+    for a in range(0, size, CHUNK):
+        rest = np.arange(a, min(a + CHUNK, size))
+        lb = np.tile(spec.model.log_prior, (rest.size, 1))
+        coords = []
+        for first, w, g in zip(lo, width, G):
+            rest, c = np.divmod(rest, w)
+            c += first
+            lb += c[:, None] * g
+            coords.append(c)
+        yield a, coords, _select_batch(spec, lb, None)
 
 
 def _pick_table(spec: StrategySpec, N: int):
@@ -113,19 +172,43 @@ def _pick_table(spec: StrategySpec, N: int):
     n its observation counts) packed by _lattice_box.  Equal keys mean
     equal likelihood ratios among the hypotheses selection reads (the
     key spans the experiments the rule can pick, the only ones its
-    trials observe), so the pick is a function of the key; the table
-    caches it as pick + 1, 0 where no trial has reached the key yet.
-    Nothing else enters the pick, so one table serves every chunk,
-    stream purpose and true hypothesis of `spec` at N: estimate() makes
-    one for all of its runs.  It is allocated zeroed, so memory pages
-    the trials never reach are never touched."""
+    trials observe), so the pick is a function of the key.  The table
+    holds the pick at every point of the box, filled by _box_picks
+    before any trial runs, so it serves every chunk, stream purpose and
+    true hypothesis of `spec` at N without a selector call: estimate()
+    and a sweep group make one for all of their runs."""
     if spec.pick_key is None:
         return None
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
     if box is None:
         return None
-    dk, key0, size = box
-    return np.zeros(size, dtype=np.min_scalar_type(spec.model.num_experiments)), dk, key0
+    dk, key0, lo, width = box
+    table = np.empty(math.prod(width),
+                     dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+    for a, _, picks in _box_picks(spec, lo, width):
+        table[a:a + picks.size] = picks
+    return table, dk, key0
+
+
+def _picks_agree(spec: StrategySpec, N: int, table, other: StrategySpec,
+                 n: int) -> bool:
+    """True when `other`, built for horizon n <= N, picks as `table`,
+    the _pick_table of `spec` at N, at every point of its (n - 1)-step
+    box: every key a trial reads in its first n steps.  Its runs are
+    then the first n steps of spec's, bit for bit."""
+    if not np.array_equal(other.pick_key, spec.pick_key):
+        return False
+    picks, _, key0 = table
+    width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)[3]
+    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
+    _, _, lo, width = _lattice_box(other.pick_key, n - 1, PICK_TABLE_CAP)
+    for _, coords, want in _box_picks(other, lo, width):
+        key = np.full(want.size, key0, dtype=np.int64)
+        for c, s in zip(coords, stride):
+            key += c * s
+        if not np.array_equal(picks.take(key), want):
+            return False
+    return True
 
 
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
@@ -148,16 +231,11 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PicksDiffer(Exception):
-    """A shared run's spec and a shorter horizon's spec picked apart on
-    a key its pick table filled (_simulate_chunk's `alike`)."""
-
-
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, lo: int, hi: int, refs: tuple,
                     zbar_weights: np.ndarray | None, path: list | None = None,
-                    alike: tuple = (), cache=None):
+                    table=None):
     """Simulate trials lo..hi-1 of one chunk to the last of the ascending
     `horizons`, and return (c_inc, zbar) stacked over them; a list
     `path` gets each step's (u, y) arrays appended.
@@ -176,26 +254,11 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     rows a step gathers for them, are _padded to 4: ndarray.take copies
     32-byte items on a fast path, 24-byte ones not.  Pads stay 0, unread.
 
-    When the rule has a pick table for the last horizon, each trial
-    carries its lattice key, a step reads the picks from the table, and
-    the selector runs only on the rows at keys that no trial filling
-    the table reached before; their pick is the one every row of that
-    key would get.  Sorting the new keys out to select one row each
-    costs more than selecting on all of them.  `cache` is the
-    _pick_table of spec at the last horizon to read and fill, which
-    earlier chunks and runs may have filled; without it the call makes
-    its own.
-
-    `alike` holds (n, spec_n) pairs of shorter horizons whose runs this
-    one stands for: wherever step t fills the table, spec_n with n > t
-    picks on the same rows, and a pick that differs raises _PicksDiffer.
-    Every key a trial reads in its first n steps was filled at a step
-    below n, so where none differs those steps are spec_n's run, bit for
-    bit.  That holds only for a table this call fills from empty: keys
-    recur at different steps, so an entry another chunk filled at step
-    t_f, checked only for n > t_f, may be read here at a step before
-    t_f.  So a call with `alike` takes no `cache`, and it needs spec to
-    have a table at the last horizon."""
+    `table`, the _pick_table of spec at the last horizon (or of a spec
+    that picks as it does in these steps, _picks_agree), has each trial
+    carry its lattice key and a step read every pick from it with one
+    take; the pick there is the one the selector gives the trial's row.
+    Without it every step runs the selector on the rows."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -218,10 +281,8 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
         z = _padded(np.zeros((hi - lo, M - 1)))
     reads = reads_draws(spec)
     exp_draws = None
-    if cache is None:
-        cache = _pick_table(spec, horizons[-1])
-    if cache is not None:
-        table, dk, key0 = cache
+    if table is not None:
+        picks, dk, key0 = table
         key = np.full(hi - lo, key0, dtype=np.int64)
     c_incs, zbars = [], []
     step = 0
@@ -232,29 +293,17 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             else:   # where drawing the chunk's uniforms leaves it
                 gen.bit_generator.advance(CHUNK)
             obs_draws = _chunk_draws(gen, lo, hi)
-            if cache is None:
+            if table is None:
                 u = _select_batch(spec, lb, exp_draws)
             else:
-                tk = table.take(key)
-                u = np.subtract(tk, 1, dtype=np.int64)
-                if not tk.all():
-                    # the rows at keys not seen yet pick for them
-                    miss = np.flatnonzero(u < 0)
-                    rows = lb[miss]
-                    picks = _select_batch(spec, rows, None)
-                    for n, other in alike:
-                        if n > t and not np.array_equal(
-                                _select_batch(other, rows, None), picks):
-                            raise _PicksDiffer(n, t)
-                    table[key[miss]] = picks + 1
-                    u[miss] = picks
+                u = picks.take(key).astype(np.int64)
             row = u * Y
             for cum in cum_cols:
                 row += obs_draws >= cum[u]
             if path is not None:
                 path.append((u, row - u * Y))
             lbw += logk_rows.take(row, axis=0)
-            if cache is not None:
+            if table is not None:
                 key += dk.take(row)
             if track_z:
                 z += llr_rows.take(row, axis=0)
@@ -271,16 +320,12 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
 
 
 def _chunk_block(args):
-    """The results of chunks first..last-1 of a run of `trials` trials,
-    one table for them all (a fresh one unless `cache` is given), or
-    one table per chunk when `alike` is given."""
+    """The results of chunks first..last-1 of a run of `trials` trials."""
     (model, spec, horizons, true_hyp, master_seed, purpose, first, last,
-     trials, refs, w, alike, cache) = args
-    if cache is None and not alike:
-        cache = _pick_table(spec, horizons[-1])
+     trials, refs, w, table) = args
     return [_simulate_chunk(model, spec, horizons, true_hyp, master_seed, purpose,
                             c, 0, min(CHUNK, trials - c * CHUNK), refs, w,
-                            alike=alike, cache=cache)
+                            table=table)
             for c in range(first, last)]
 
 
@@ -288,7 +333,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
                      true_hyp: int, trials: int, master_seed: int,
                      purpose: int = PURPOSE_ESTIMATE, refs: tuple = (),
                      zbar_weights=None, workers: int = 0,
-                     snapshots=None, alike: tuple = (), cache=None):
+                     snapshots=None, table=None):
     """Run `trials` trials of N steps under X = true_hyp.
 
     Returns (c_inc, zbar): confidence increments per requested reference
@@ -304,29 +349,22 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     (*snapshots, N), and entry k is bit for bit what a run of that
     many steps returns; without it they are entry -1 alone.
 
-    `alike`, (n, spec_n) pairs of snapshot horizons and the specs built
-    for them, has each chunk check on every key its pick table fills
-    that spec_n picks as `spec` does (for the steps below n), so that
-    snapshot n is also what spec_n's own run returns; where one differs
-    the run raises _PicksDiffer instead.  It needs `spec` to have a pick
-    table at N, and each chunk fills a table of its own (_simulate_chunk).
-
-    Without `alike` the run's chunks share one pick table: `cache`, the
-    _pick_table(spec, N) that estimate() passes to each of its runs, or
-    a table of the run's own.  With `workers` > 1 each worker runs a
-    contiguous block of chunks with one table of its own; a chunk's
+    Every chunk reads its picks from one pick table: `table`, which
+    estimate() and sweep() make once for all of their runs, or else
+    _pick_table(spec, N), where spec has one.  With `workers` > 1 each
+    worker runs a contiguous block of chunks on that table; a chunk's
     stream does not depend on its block, so the results do not either.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if N < 0:   # before a table for N is made
         raise ValueError(f"horizon must be >= 0, got {N}")
-    if alike and cache is not None:
-        raise ValueError("a run with alike fills a pick table per chunk")
     if snapshots is not None:
         snapshots = tuple(int(n) for n in snapshots)
         if any(not 0 <= a < b for a, b in zip(snapshots, (*snapshots[1:], N))):
             raise ValueError("snapshots must be strictly ascending horizons in [0, N)")
+    if table is None:
+        table = _pick_table(spec, N)
     refs = tuple(refs) if refs else (true_hyp,)
     horizons = (*(snapshots or ()), N)
     w = None if zbar_weights is None else np.asarray(zbar_weights, dtype=float)
@@ -338,12 +376,12 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
         from concurrent.futures import ProcessPoolExecutor
         blocks = min(workers, n_chunks)
         edges = [b * n_chunks // blocks for b in range(blocks + 1)]
-        tasks = [(*task, a, b, trials, refs, w, alike, None)
+        tasks = [(*task, a, b, trials, refs, w, table)
                  for a, b in zip(edges, edges[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for block in pool.map(_chunk_block, tasks) for r in block]
     else:
-        results = _chunk_block((*task, 0, n_chunks, trials, refs, w, alike, cache))
+        results = _chunk_block((*task, 0, n_chunks, trials, refs, w, table))
     c_inc = np.concatenate([r[0] for r in results], axis=1)
     zbar = None
     if w is not None:
@@ -358,6 +396,8 @@ def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
     """Trial `trial_index` of the estimation stream: the engine run on
     its one row, so it takes the engine's path and gets the engine's
     decision (None to abstain) bit for bit, for every strategy kind.
+    It hands the engine no pick table, so each step selects on the one
+    row: the pick a table holds for its key, without filling one.
     The trajectory, for the rule's first hypothesis, steps the belief
     layer along that path."""
     chunk_idx, row = divmod(trial_index, CHUNK)
@@ -494,18 +534,18 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     Otherwise phi_hat(i) comes from trials under the alternate mixture
     with those weights, allocated by largest remainder.
 
-    All of these runs read and fill one pick table (_pick_table).
+    All of these runs read their picks from one pick table (_pick_table).
     """
     model, rule, T = config.model, config.rule, config.trials
     refs = tuple(sorted(rule.thresholds))
     symmetric = rule.kind == "symmetric"
     report = SimulationReport(horizon=config.horizon, trials=T, seed=config.seed)
-    cache = _pick_table(config.spec, config.horizon)
+    table = _pick_table(config.spec, config.horizon)
 
     def run(h, trials, purpose):
         c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
                                     trials, config.seed, purpose, refs=refs,
-                                    workers=config.workers, cache=cache)
+                                    workers=config.workers, table=table)
         return c_inc, decisions_from_increments(c_inc, refs, rule)
 
     dec_by_hyp = {}
@@ -572,7 +612,7 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
 
     The cuts of the sampling mixtures (``ors``, alone or as the
     symmetric composite's inner rule) split [0, 1) into pieces on each
-    of which every draw picks alike; a rule that reads no draws has the
+    of which every draw picks the same; a rule that reads no draws has the
     one piece [0, 1).  A level picks once per state and piece, on log
     prior plus loglik with the piece's left edge as the draw, expands
     each (state, piece) over the pick's support with the multiplicity
@@ -749,13 +789,14 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     table run in groups, one calibration and one estimation run to each
     group's longest, and the group's other horizons take their trials'
     state on the way there: the same bits as runs of their own.  For a
-    spec that is not horizon_free() the run checks this as it fills its
-    pick table: each shorter horizon's spec picks on the rows that fill
-    it, and on the first pick that differs the group's results are
-    dropped and its horizons run one by one.  A group holds as many
-    horizons as fit _SHARED_BYTES of results (13 at 100 000 trials, 170
-    at 8192), so memory does not grow with the horizon list.  Other
-    horizons run on their own.
+    spec that is not horizon_free() that is decided before running: a
+    shorter horizon joins its group's run when its spec picks as the
+    group's pick table at every key its trials can read (_picks_agree),
+    and otherwise runs on its own.  A group holds as many horizons as
+    fit _SHARED_BYTES of results (13 at 100 000 trials, 170 at 8192), so
+    memory does not grow with the horizon list.  Other horizons run on
+    their own.  Each run's calibration and estimation read one pick
+    table.
     """
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
@@ -796,33 +837,40 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
             for N in sorted(cells):
                 spec = cells[N][1]
                 # the box alone says whether _pick_table would give a table
-                table = spec.pick_key is not None and _lattice_box(
+                fits = spec.pick_key is not None and _lattice_box(
                     spec.pick_key, N, PICK_TABLE_CAP) is not None
-                (shared if spec.horizon_free() or table else alone).append(N)
-            size = max(1, _SHARED_BYTES // (24 * trials))
-            groups = [shared[g:g + size] for g in range(0, len(shared), size)]
-            groups += [[N] for N in alone]
-            for group in groups:    # a group whose picks differ is re-queued
+                (shared if spec.horizon_free() or fits else alone).append(N)
+
+            def run(group, table):
                 spec = cells[group[-1]][1]
-                alike = () if spec.horizon_free() else \
-                    tuple((N, cells[N][1]) for N in group[:-1])
                 zw = spec.game.beta_star if strong == "empirical" else None
-                try:
-                    cal, _ = simulate_measure(
-                        model, spec, group[-1], reference, trials, seed,
-                        PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
-                        snapshots=group[:-1], alike=alike)
-                    inc, z = simulate_measure(
-                        model, spec, group[-1], reference, trials, seed,
-                        PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
-                        workers=workers, snapshots=group[:-1], alike=alike)
-                except _PicksDiffer:
-                    groups += [[N] for N in group]
-                    continue
+                cal, _ = simulate_measure(
+                    model, spec, group[-1], reference, trials, seed,
+                    PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
+                    snapshots=group[:-1], table=table)
+                inc, z = simulate_measure(
+                    model, spec, group[-1], reference, trials, seed,
+                    PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
+                    workers=workers, snapshots=group[:-1], table=table)
                 for k, N in enumerate(group):
                     made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
                                          inc[k], None if z is None else z[k],
                                          seed, strong, nu)
+
+            for N in alone:
+                run([N], None)
+            size = max(1, _SHARED_BYTES // (24 * trials))
+            for g in range(0, len(shared), size):
+                group = shared[g:g + size]
+                spec = cells[group[-1]][1]
+                table = _pick_table(spec, group[-1])
+                if not spec.horizon_free():
+                    own = [N for N in group[:-1] if not _picks_agree(
+                        spec, group[-1], table, cells[N][1], N)]
+                    for N in own:
+                        run([N], _pick_table(cells[N][1], N))
+                    group = [N for N in group if N not in own]
+                run(group, table)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 

@@ -134,9 +134,10 @@ class StrategySpec:
         spec was built for: ``ors`` samples the game's mixture and
         ``chernoff-det`` reads a table of the game, neither uses N or
         epsilon, so specs of one kind built for any two horizons select
-        alike.  ``das`` and ``das-rs`` tilt by the horizon; a sweep shares
-        their runs only where the pick table shows, as it fills, that the
-        specs of the shorter horizons pick alike (montecarlo.sweep)."""
+        the same.  ``das`` and ``das-rs`` tilt by the horizon; a sweep
+        shares their runs only where the shorter horizons' specs pick as
+        the longest one's pick table, checked before running
+        (montecarlo.sweep)."""
         return self.kind in ("ors", "chernoff-det")
 
 
@@ -339,6 +340,9 @@ def criterion_holds(alpha_n, belief: Belief, spec: StrategySpec) -> bool:
     of spec's optimal mixture alpha*, on spec's tilt and mu over every
     experiment, with the weights normalized to sum to 1.  `spec` is a
     rule with a reference hypothesis (any kind but ``symmetric``)."""
+    if spec.reference is None:
+        raise ValueError(f"criterion_holds needs a spec with a reference "
+                         f"hypothesis, not the {spec.kind} composite")
     pairs, w = _tilted_scores(spec, belief.log_prob[None, :], spec.mu,
                               range(spec.mu.shape[0]))
     scores = np.concatenate([score for _, score in pairs]) / sum(w)

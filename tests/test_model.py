@@ -123,6 +123,25 @@ class TestLoadModel:
         assert main(["solve-game", "--reference", "0", "--model", str(path)]) == 2
         assert capsys.readouterr().err.startswith("fhat: error:")
 
+    @pytest.mark.parametrize("doc,message", [
+        pytest.param(TABLE1_DOC.replace("experiments: [A, B]", "experiments: [A]"),
+                     "kernel experiment 'B' is not in 'experiments'", id="experiment"),
+        pytest.param(TABLE1_DOC.replace("    near-b: [0.4, 0.6]\n",
+                                        "    near-b: [0.4, 0.6]\n    far: [0.5, 0.5]\n"),
+                     r"kernel\['B'\] hypothesis 'far' is not in 'hypotheses'",
+                     id="hypothesis"),
+    ])
+    def test_unlisted_kernel_entry(self, capsys, tmp_path, doc, message):
+        """A kernel experiment, or a hypothesis inside a kernel row, that
+        the name lists do not hold is an error, not a silently dropped
+        entry, and `fhat solve-game` on the file exits 2."""
+        with pytest.raises(ModelError, match=message):
+            load_model(doc)
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc)
+        assert main(["solve-game", "--reference", "0", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("fhat: error:")
+
     def test_repeated_hypothesis_name(self):
         """Two hypotheses named alike would both read the one kernel row."""
         doc = ("hypotheses: [a, a]\nexperiments: [u]\nobservations: ['0', '1']\n"

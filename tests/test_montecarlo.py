@@ -380,7 +380,7 @@ class TestEngineKernel:
 class TestPickCache:
     @staticmethod
     def counted_rows(monkeypatch):
-        """Rows the engine hands the selector, counted."""
+        """Rows the engine and the table fill hand the selector, counted."""
         seen = [0]
         select = mc._select_batch
 
@@ -393,7 +393,10 @@ class TestPickCache:
 
     @staticmethod
     def assert_matches_reference(m, spec, N, h, refs, rows=mc.CHUNK):
-        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None)
+        """A chunk on spec's pick table at N, where it has one, against
+        the reference step loop, which computes every pick."""
+        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None,
+                                      table=mc._pick_table(spec, N))
         lb, _ = reference_chunk(m, spec, N, h, 5, 0, 1, rows)
         assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, refs))
 
@@ -408,29 +411,67 @@ class TestPickCache:
         for h in range(3):
             self.assert_matches_reference(t1, spec, N, h, (0, 1, 2))
 
+    # some drawn models have a zero-value game; the symmetric build
+    # rejects them after game.solve has warned
+    @pytest.mark.filterwarnings("ignore:game value:RuntimeWarning")
+    def test_matches_reference_on_decimal_models(self):
+        """On random short-decimal models, whose lattices merge paths
+        with different counts, chunks on the filled table give the
+        reference step loop's increments bit for bit, for every rule
+        with a key and under every hypothesis: decimal_models() (two
+        hypotheses: rank-0 keys for the asymmetric rules) and three
+        models of three hypotheses, whose keys have one to three
+        directions."""
+        rng = np.random.default_rng(29)
+        models = decimal_models()
+        while len(models) < 6:
+            m = decimal_model(rng, units=10)
+            if m.num_hypotheses < 3:
+                continue
+            try:
+                build_strategy(m, "symmetric", 60)
+            except ValueError:
+                continue
+            models.append(m)
+        tables = 0
+        for m in models:
+            M = m.num_hypotheses
+            for kind in ("das", "das-rs", "chernoff-det", "symmetric"):
+                for N in (20, 60):
+                    spec = build_strategy(m, kind, N, reference=None
+                                          if kind == "symmetric" else 0)
+                    tables += mc._pick_table(spec, N) is not None
+                    for h in range(M):
+                        self.assert_matches_reference(m, spec, N, h, tuple(range(M)), 1000)
+        assert tables == 43
+
     @pytest.mark.parametrize("kind", ["das-rs", "chernoff-det"])
     def test_table2_keys_on_the_experiments_picked(self, t2, kind, monkeypatch):
         """table2 das-rs picks only C or D and chernoff-det only A or B,
         so their keys span those rows alone and fit a table at N = 500:
         a full chunk gives the reference step loop's increments bit for
-        bit under every hypothesis.  Under the reference hypothesis,
-        the one a sweep runs, the selector sees under 5% of the
-        trial-steps."""
+        bit under every hypothesis.  Filling the table hands the
+        selector one row per point of the key box, and the runs on it
+        hand it none."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t2, kind, 500, reference=0)
-        assert mc._pick_table(spec, 500) is not None
+        size = mc._pick_table(spec, 500)[0].size
+        assert seen[0] == size
         for h in range(3):
             self.assert_matches_reference(t2, spec, 500, h, (0, 1, 2))
-            if h == 0:
-                assert 0 < seen[0] < 0.05 * mc.CHUNK * 500
+        assert seen[0] == 4 * size
 
     def test_cache_is_used(self, t1, monkeypatch):
-        """table1 das at N = 200: the selector sees under 5% of the
-        trial-steps, the rows at lattice keys new to the chunk."""
+        """table1 das at N = 200: the fill selects once per point of the
+        401-point key box, and a full chunk on the table selects no row
+        at all."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t1, "das", 200, reference=0)
-        self.assert_matches_reference(t1, spec, 200, 1, (0,))
-        assert 0 < seen[0] < 0.05 * mc.CHUNK * 200
+        table = mc._pick_table(spec, 200)
+        assert seen[0] == table[0].size == 401
+        mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK, (0,), None,
+                           table=table)
+        assert seen[0] == 401
 
     def test_falls_back_over_the_cap_and_off_the_lattice(self, t2, monkeypatch):
         """table2 das at N = 60 (its key box, 121**3 entries, exceeds
@@ -449,38 +490,64 @@ class TestPickCache:
         assert seen[0] == 1000 * 60
 
     def test_filled_table_selects_no_row(self, t1, monkeypatch):
-        """A second run of the same chunk on the table the first filled
-        reads every pick from it: the same increments and weighted
-        LLRs, and no row handed to the selector."""
+        """A chunk on a filled table hands the selector no row, and gives
+        the increments and weighted LLRs, bit for bit, of the chunk run
+        without a table, which selects on every row at every step."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t1, "das", 200, reference=0)
-        cache = mc._pick_table(spec, 200)
+        table = mc._pick_table(spec, 200)
         runs, rows = [], []
-        for _ in range(2):
+        for t in (table, None):
+            seen[0] = 0
             runs.append(mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK,
-                                           (0, 1, 2), spec.game.beta_star, cache=cache))
-            rows.append(seen[0] - sum(rows))
-        assert rows[0] > 0 and rows[1] == 0
+                                           (0, 1, 2), spec.game.beta_star, table=t))
+            rows.append(seen[0])
+        assert rows == [0, mc.CHUNK * 200]
         assert runs[0][0].tobytes() == runs[1][0].tobytes()
         assert runs[0][1].tobytes() == runs[1][1].tobytes()
 
     def test_one_entry_table_for_two_hypotheses(self):
         """With one alternate, das reads no ratio: a rank-0 key, a table
-        of one entry, and one selector row per chunk."""
+        of one entry, and a chunk on it that matches the reference step
+        loop."""
         m = make_model(["a", "b"], ["u", "v"], ["0", "1"],
                        [[[0.3, 0.7], [0.5, 0.5]], [[0.6, 0.4], [0.25, 0.75]]],
                        [0.5, 0.5])
         spec = build_strategy(m, "das", 40, reference=0)
         table, dk, key0 = mc._pick_table(spec, 40)
         assert table.size == 1 and not dk.any() and key0 == 0
-        c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None)
+        c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None,
+                                      table=(table, dk, key0))
         lb, _ = reference_chunk(m, spec, 40, 1, 5, 0, 0, 100)
         assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, (0,)))
 
+    def test_ratio_matrix_decodes_every_lattice_point(self, t1, t2):
+        """The representative rows reproduce, to rounding, the
+        log-likelihood ratios a path's counts give, on paths drawn at
+        random, for every rule with a key."""
+        rng = np.random.default_rng(3)
+        for m in (t1, t2, *decimal_models()):
+            M, U, Y = m.kernel.shape
+            logk = m.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+            logk = np.where(np.isfinite(logk), logk, 0.0)   # rows never observed
+            for kind in ("das", "das-rs", "chernoff-det", "symmetric"):
+                spec = build_strategy(m, kind, 30, reference=None
+                                      if kind == "symmetric" else 0)
+                hyps = list(range(M) if kind == "symmetric" else m.alternates(0))
+                G = mc._ratio_matrix(spec)
+                spanned = np.flatnonzero(spec.pick_key.any(axis=1))
+                for _ in range(20 if spanned.size else 0):
+                    n = np.bincount(rng.choice(spanned, 30), minlength=U * Y)
+                    want = n @ logk
+                    want = want - want[hyps[0]]
+                    got = (n @ spec.pick_key) @ G
+                    assert np.allclose(got[hyps], want[hyps], rtol=0, atol=1e-9)
+                    assert not np.delete(got, hyps).any()
+
 
 class TestSharedPickTable:
-    """estimate() fills one pick table across all of its runs and their
-    chunks; a run with `alike` fills one per chunk."""
+    """estimate() reads one pick table, filled before its runs, across
+    all of its runs and their chunks."""
 
     T = 3 * mc.CHUNK + 100      # three full chunks and a partial one
 
@@ -521,37 +588,31 @@ class TestSharedPickTable:
                                           mc._confidence_increments(m, lb, refs))
 
     def test_workers_do_not_change_reports(self, t1, t2):
-        """Two workers, each with a block of chunks and a table of its
-        own, report what one table for every run reports."""
+        """Two workers, each running a block of chunks on the caller's
+        table, report what one serial run on it reports."""
         for config in self.configs(t1, t2):
             serial = mc.estimate(config)
             assert mc.estimate(replace(config, workers=2)) == serial
 
     def test_shared_table_selects_fewer_rows(self, t1, monkeypatch):
         """The symmetric composite at N = 200: its runs under the three
-        hypotheses hand the selector fewer rows with one table per run
-        than with one per chunk, and estimate(), one table for the three
-        runs, fewer still."""
+        hypotheses, each making its own table, hand the selector three
+        key boxes of rows, and estimate(), one table for the three runs,
+        one box."""
         seen = TestPickCache.counted_rows(monkeypatch)
         spec, rule = symmetric_setup(t1, 200, 0.05)
-        rows = []
-        for h in range(3):
-            for c in range(0, self.T, mc.CHUNK):
-                mc._simulate_chunk(t1, spec, (200,), h, 4, mc.PURPOSE_ESTIMATE,
-                                   c // mc.CHUNK, 0, min(mc.CHUNK, self.T - c),
-                                   (0, 1, 2), None)
-        rows.append(seen[0])
+        box = math.prod(mc._lattice_box(spec.pick_key, 200, mc.PICK_TABLE_CAP)[3])
         for h in range(3):
             mc.simulate_measure(t1, spec, 200, h, self.T, 4, refs=(0, 1, 2))
-        rows.append(seen[0] - rows[0])
+        assert seen[0] == 3 * box
+        seen[0] = 0
         mc.estimate(mc.SimulationConfig(t1, spec, rule, 200, self.T, 4))
-        rows.append(seen[0] - sum(rows))
-        assert rows[0] > rows[1] > rows[2] > 0
+        assert seen[0] == box
 
-    def test_alike_runs_fill_a_table_per_chunk(self, t1, monkeypatch):
-        """A run that checks a shorter horizon's spec makes a table for
-        each chunk, and takes none from the caller; a run without makes
-        one for all of its chunks."""
+    def test_tables_are_made_per_run_not_per_chunk(self, t1, monkeypatch):
+        """A run makes one table for all of its chunks, with workers too,
+        and none when the caller hands it one; a one-row replay makes
+        none."""
         made = [0]
         pick_table = mc._pick_table
 
@@ -561,15 +622,15 @@ class TestSharedPickTable:
 
         monkeypatch.setattr(mc, "_pick_table", counting)
         spec = build_strategy(t1, "das", 100, reference=0)
-        alike = ((50, build_strategy(t1, "das", 50, reference=0)),)
-        mc.simulate_measure(t1, spec, 100, 0, self.T, 4, snapshots=(50,), alike=alike)
-        assert made[0] == 4
-        made[0] = 0
-        mc.simulate_measure(t1, spec, 100, 0, self.T, 4)
-        assert made[0] == 1
-        with pytest.raises(ValueError, match="alike"):
+        for workers in (0, 2):
+            made[0] = 0
             mc.simulate_measure(t1, spec, 100, 0, self.T, 4, snapshots=(50,),
-                                alike=alike, cache=pick_table(spec, 100))
+                                workers=workers)
+            assert made[0] == 1
+        made[0] = 0
+        mc.simulate_measure(t1, spec, 100, 0, self.T, 4, table=pick_table(spec, 100))
+        mc.run_trial(t1, spec, empirical_rule(0, 5.0, 0.05), 100, 0, 4, mc.CHUNK + 3)
+        assert made[0] == 0
 
 
 def count_state_picks(m, spec, N):
@@ -1165,8 +1226,9 @@ class TestSweep:
     def test_lattice_keyed_groups_run_once_per_purpose(self, t1, t2, monkeypatch):
         """On table1 a das or das-rs horizon group makes one calibration
         and one estimation run, and so does table2 das-rs to N = 500; on
-        table2 das the shared run finds a pick that differs and each
-        horizon runs on its own."""
+        table2 das every shorter horizon picks apart from N = 34, which
+        the sweep finds before running, so it makes only the twelve runs
+        of single horizons."""
         calls = []
         run = mc.simulate_measure
 
@@ -1186,10 +1248,26 @@ class TestSweep:
         calls.clear()
         horizons = [5, 7, 12, 20, 30, 34]
         mc.sweep(t2, ["das"], 0, horizons, 300, 2)
-        assert calls[0] == ("das", 34, (5, 7, 12, 20, 30), mc.PURPOSE_CALIBRATE)
-        assert calls[-12:] == [("das", N, (), purpose) for N in horizons
-                               for purpose in (mc.PURPOSE_CALIBRATE,
-                                               mc.PURPOSE_ESTIMATE)]
+        assert calls == [("das", N, (), purpose) for N in horizons
+                         for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
+
+    def test_grouping_is_decided_before_running(self, t1, t2):
+        """_picks_agree decides which shorter horizons share the longest
+        one's run from the specs alone: table1 das and das-rs share from
+        10 to 400 with 500, on both sides of the s = 1 clamp, table2
+        das-rs shares 100 and 300 with 500, and table2 das at 5 to 30
+        picks apart from 34 at some point of each shorter box."""
+        cases = [(t1, "das", 500, (10, 49, 50, 100, 200, 300, 400), True),
+                 (t1, "das-rs", 500, (10, 49, 50, 100, 200, 300, 400), True),
+                 (t2, "das-rs", 500, (100, 300), True),
+                 (t2, "das", 34, (5, 7, 12, 20, 30), False)]
+        for m, kind, N, shorter, agree in cases:
+            spec = build_strategy(m, kind, N, reference=0)
+            table = mc._pick_table(spec, N)
+            for n in shorter:
+                other = build_strategy(m, kind, n, reference=0)
+                assert mc._picks_agree(spec, N, table, other, n) is agree, (kind, n)
+                assert mc._picks_agree(other, n, mc._pick_table(other, n), other, n)
 
     def test_horizon_groups_bound_memory(self, t2, monkeypatch):
         """A horizon list longer than the result budget runs in groups,

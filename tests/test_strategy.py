@@ -331,6 +331,13 @@ class TestCriterion:
         alpha = np.eye(4)[worst]
         assert not criterion_holds(alpha, b, spec)
 
+    def test_symmetric_spec_is_refused(self, t1):
+        """The symmetric composite has no reference hypothesis, so no
+        tilted score to compare: a ValueError that says so."""
+        spec = build_strategy(t1, "symmetric", 50)
+        with pytest.raises(ValueError, match="reference hypothesis"):
+            criterion_holds([0.5, 0.5], prior_belief(t1), spec)
+
     def test_chernoff_det_violates_criterion_on_table2(self, t2):
         """The most-likely-alternate heuristic is inadmissible here: it
         insists on sensors A/B while the optimal play mixes C/D."""
