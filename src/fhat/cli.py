@@ -189,8 +189,10 @@ def cmd_sweep(args) -> int:
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("subcommand") != "sweep":
+        if not isinstance(manifest, dict) or manifest.get("subcommand") != "sweep":
             raise ModelError(f"{args.manifest} is not a sweep manifest")
+        if not isinstance(manifest.get("flags"), dict) or "seed" not in manifest:
+            raise ModelError(f"{args.manifest} records no flags object or no seed")
         if manifest.get("version") != __version__:
             print(f"fhat: warning: {args.manifest} was written by fhat "
                   f"{manifest.get('version')}, not {__version__}; the CSV may "

@@ -13,7 +13,7 @@ calls the selector.  The pick is a function of the point whatever the
 chunk, purpose or true hypothesis, so one table serves every chunk and
 run of estimate() or of a sweep group, and comparing two specs' picks
 over a box decides before running whether a shorter horizon shares a
-sweep run (_picks_agree).
+sweep run (_shares).
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -145,23 +145,21 @@ def _ratio_matrix(spec: StrategySpec) -> np.ndarray:
 
 def _box_picks(spec: StrategySpec, lo, width):
     """spec's picks at the points of the box (lo, width), in packed
-    order, CHUNK points at a time: (first index, coordinates per key
-    column, picks).  A point's representative row is log prior plus the
-    ratios it spans (_ratio_matrix), which selection reads up to a
-    common shift of the alternates; the pick is a function of the point,
-    so it is the pick of every trial there."""
+    order, CHUNK points at a time: (first index, picks).  A point's
+    representative row is log prior plus the ratios it spans
+    (_ratio_matrix), which selection reads up to a common shift of the
+    alternates; the pick is a function of the point, so it is the pick
+    of every trial there."""
     G = _ratio_matrix(spec)
     size = math.prod(width)
     for a in range(0, size, CHUNK):
         rest = np.arange(a, min(a + CHUNK, size))
         lb = np.tile(spec.model.log_prior, (rest.size, 1))
-        coords = []
         for first, w, g in zip(lo, width, G):
             rest, c = np.divmod(rest, w)
             c += first
             lb += c[:, None] * g
-            coords.append(c)
-        yield a, coords, _select_batch(spec, lb, None)
+        yield a, _select_batch(spec, lb, None)
 
 
 def _pick_table(spec: StrategySpec, N: int):
@@ -185,30 +183,28 @@ def _pick_table(spec: StrategySpec, N: int):
     dk, key0, lo, width = box
     table = np.empty(math.prod(width),
                      dtype=np.min_scalar_type(spec.model.num_experiments - 1))
-    for a, _, picks in _box_picks(spec, lo, width):
+    for a, picks in _box_picks(spec, lo, width):
         table[a:a + picks.size] = picks
     return table, dk, key0
 
 
-def _picks_agree(spec: StrategySpec, N: int, table, other: StrategySpec,
-                 n: int) -> bool:
-    """True when `other`, built for horizon n <= N, picks as `table`,
-    the _pick_table of `spec` at N, at every point of its (n - 1)-step
-    box: every key a trial reads in its first n steps.  Its runs are
-    then the first n steps of spec's, bit for bit."""
-    if not np.array_equal(other.pick_key, spec.pick_key):
+def _shares(spec: StrategySpec, N: int, table, other: StrategySpec,
+            n: int) -> bool:
+    """True when runs of `other`, built for horizon n < N, are the first
+    n steps of runs of `spec` to N on `table`, its _pick_table, bit for
+    bit: when spec is horizon_free(), or when other has spec's pick key
+    and picks as `table` at every point of its own (n - 1)-step box,
+    every key a trial reads in its first n steps."""
+    if spec.horizon_free():
+        return True
+    if table is None or not np.array_equal(other.pick_key, spec.pick_key):
         return False
-    picks, _, key0 = table
-    width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)[3]
-    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
-    _, _, lo, width = _lattice_box(other.pick_key, n - 1, PICK_TABLE_CAP)
-    for _, coords, want in _box_picks(other, lo, width):
-        key = np.full(want.size, key0, dtype=np.int64)
-        for c, s in zip(coords, stride):
-            key += c * s
-        if not np.array_equal(picks.take(key), want):
-            return False
-    return True
+    _, _, lo, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
+    _, _, lo_n, width_n = _lattice_box(spec.pick_key, n - 1, PICK_TABLE_CAP)
+    # the packed table as an array, its first key column the last axis
+    sub = table[0].reshape(width[::-1])[tuple(
+        slice(b - a, b - a + w) for a, b, w in zip(lo, lo_n, width_n))[::-1]]
+    return np.array_equal(sub.ravel(), _pick_table(other, n - 1)[0])
 
 
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
@@ -255,7 +251,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     32-byte items on a fast path, 24-byte ones not.  Pads stay 0, unread.
 
     `table`, the _pick_table of spec at the last horizon (or of a spec
-    that picks as it does in these steps, _picks_agree), has each trial
+    that picks as it does in these steps, _shares), has each trial
     carry its lattice key and a step read every pick from it with one
     take; the pick there is the one the selector gives the trial's row.
     Without it every step runs the selector on the rows."""
@@ -784,19 +780,14 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     log-sum-exp channel and ln(1/gamma) in the log_inv_phi column.
 
     Rows come in the order of `kinds`, then of `horizons`; a repeated
-    horizon is simulated once.  The ascending distinct horizons whose
-    spec is horizon_free() (``ors``, ``chernoff-det``) or has a pick
-    table run in groups, one calibration and one estimation run to each
-    group's longest, and the group's other horizons take their trials'
-    state on the way there: the same bits as runs of their own.  For a
-    spec that is not horizon_free() that is decided before running: a
-    shorter horizon joins its group's run when its spec picks as the
-    group's pick table at every key its trials can read (_picks_agree),
-    and otherwise runs on its own.  A group holds as many horizons as
-    fit _SHARED_BYTES of results (13 at 100 000 trials, 170 at 8192), so
-    memory does not grow with the horizon list.  Other horizons run on
-    their own.  Each run's calibration and estimation read one pick
-    table.
+    horizon is simulated once.  Horizons run in groups, one calibration
+    and one estimation run to the group's longest on its pick table,
+    and the group's other horizons take their trials' state on the way
+    there: the same bits as runs of their own.  The longest horizon left
+    leads a group, and the next shorter ones join it while they share
+    its run (_shares) and the group fits _SHARED_BYTES of results (13
+    horizons at 100 000 trials, 170 at 8192), so memory does not grow
+    with the horizon list.
     """
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
@@ -833,44 +824,29 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
                     eps = epsilon_fn(N)
                     cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
                                                     epsilon=eps))
-            shared, alone = [], []
-            for N in sorted(cells):
+            left = sorted(cells)
+            size = max(1, _SHARED_BYTES // (24 * trials))
+            while left:
+                N = left.pop()
                 spec = cells[N][1]
-                # the box alone says whether _pick_table would give a table
-                fits = spec.pick_key is not None and _lattice_box(
-                    spec.pick_key, N, PICK_TABLE_CAP) is not None
-                (shared if spec.horizon_free() or fits else alone).append(N)
-
-            def run(group, table):
-                spec = cells[group[-1]][1]
+                table = _pick_table(spec, N)
+                group = [N]
+                while left and len(group) < size and _shares(
+                        spec, N, table, cells[left[-1]][1], left[-1]):
+                    group.insert(0, left.pop())
                 zw = spec.game.beta_star if strong == "empirical" else None
                 cal, _ = simulate_measure(
-                    model, spec, group[-1], reference, trials, seed,
+                    model, spec, N, reference, trials, seed,
                     PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
                     snapshots=group[:-1], table=table)
                 inc, z = simulate_measure(
-                    model, spec, group[-1], reference, trials, seed,
+                    model, spec, N, reference, trials, seed,
                     PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
                     workers=workers, snapshots=group[:-1], table=table)
                 for k, N in enumerate(group):
                     made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
                                          inc[k], None if z is None else z[k],
                                          seed, strong, nu)
-
-            for N in alone:
-                run([N], None)
-            size = max(1, _SHARED_BYTES // (24 * trials))
-            for g in range(0, len(shared), size):
-                group = shared[g:g + size]
-                spec = cells[group[-1]][1]
-                table = _pick_table(spec, group[-1])
-                if not spec.horizon_free():
-                    own = [N for N in group[:-1] if not _picks_agree(
-                        spec, group[-1], table, cells[N][1], N)]
-                    for N in own:
-                        run([N], _pick_table(cells[N][1], N))
-                    group = [N for N in group if N not in own]
-                run(group, table)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 

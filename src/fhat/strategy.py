@@ -135,9 +135,9 @@ class StrategySpec:
         ``chernoff-det`` reads a table of the game, neither uses N or
         epsilon, so specs of one kind built for any two horizons select
         the same.  ``das`` and ``das-rs`` tilt by the horizon; a sweep
-        shares their runs only where the shorter horizons' specs pick as
-        the longest one's pick table, checked before running
-        (montecarlo.sweep)."""
+        shares their runs only where a shorter horizon's spec picks as
+        the longer one's pick table, checked before running
+        (montecarlo._shares)."""
         return self.kind in ("ors", "chernoff-det")
 
 
@@ -389,9 +389,7 @@ def threshold_symmetric(N: int, i: int, game: GameSolution, epsilon: float,
         raise ValueError(f"n_prime must be in [1, N], got {n_prime}")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    n2 = N - n_prime + 1
-    s = s_schedule(n2, M, epsilon / 2.0, B)
-    branch = n2 * game.value - s * n2 * B * B / 2.0 - math.log(2.0 * M / epsilon) / s
+    branch = threshold_asymmetric(N - n_prime + 1, game, epsilon / 2.0, M, B)
     return max(zeta - prior_confidence, branch)
 
 

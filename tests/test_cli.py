@@ -309,6 +309,21 @@ class TestSweep:
         assert len(lines) == 1 and "warning" in lines[0]
         assert "0.2.0" in lines[0] and "may differ" in lines[0]
 
+    def test_malformed_manifest_exits_2(self, capsys, tmp_path):
+        """A manifest that is not an object, or lacks its flags or its
+        seed, exits 2 with an error that names the problem."""
+        path = tmp_path / "bad.json"
+        good = {"subcommand": "sweep", "flags": {}, "seed": 4}
+        cases = [([good], "not a sweep manifest"),
+                 ({k: v for k, v in good.items() if k != "flags"}, "no flags"),
+                 ({**good, "flags": ["das"]}, "no flags"),
+                 ({k: v for k, v in good.items() if k != "seed"}, "no seed")]
+        for doc, message in cases:
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "sweep", "--manifest", str(path))
+            assert code == 2 and out == "", doc
+            assert err.startswith("fhat: error:") and message in err, (doc, err)
+
 
 def csv_rows(text):
     header, *lines = text.strip().split("\n")

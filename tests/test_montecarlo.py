@@ -1206,12 +1206,14 @@ class TestSweep:
         of one horizon, where the horizons share a run (table1, on both
         sides of the s = 1 clamp, and table2 das-rs, keyed on C and D)
         and where their picks differ and the sweep falls back to a run
-        per horizon (table2 das)."""
+        per horizon or a shorter group (table2 das), also across the
+        horizon past which table2 das has no pick table."""
         T = mc.CHUNK + 1
         cases = [(t1, ["das", "das-rs"], [300, 10, 50, 100, 49, 10],
                   dict(strong="binary", nu=0.6)),
                  (t2, ["das-rs"], [500, 100, 300], dict(strong="empirical")),
-                 (t2, ["das"], [5, 7, 12, 20, 30, 34], dict(strong="empirical"))]
+                 (t2, ["das"], [5, 7, 12, 20, 30, 34], dict(strong="empirical")),
+                 (t2, ["das"], [5, 10, 60, 80], dict(strong="empirical"))]
         for m, kinds, horizons, kw in cases:
             rows = mc.sweep(m, kinds, 0, horizons, T, 23, workers=workers, **kw)
             assert [(r.strategy, r.N) for r in rows] == \
@@ -1226,9 +1228,9 @@ class TestSweep:
     def test_lattice_keyed_groups_run_once_per_purpose(self, t1, t2, monkeypatch):
         """On table1 a das or das-rs horizon group makes one calibration
         and one estimation run, and so does table2 das-rs to N = 500; on
-        table2 das every shorter horizon picks apart from N = 34, which
-        the sweep finds before running, so it makes only the twelve runs
-        of single horizons."""
+        table2 das 30 picks apart from 34, 20 from 30 and 12 from 20, but
+        5 and 7 share the run to 12, which the sweep finds before
+        running, so it makes eight runs."""
         calls = []
         run = mc.simulate_measure
 
@@ -1246,28 +1248,59 @@ class TestSweep:
         assert calls == [("das-rs", 500, (100, 300), purpose)
                          for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
         calls.clear()
-        horizons = [5, 7, 12, 20, 30, 34]
-        mc.sweep(t2, ["das"], 0, horizons, 300, 2)
-        assert calls == [("das", N, (), purpose) for N in horizons
+        mc.sweep(t2, ["das"], 0, [5, 7, 12, 20, 30, 34], 300, 2)
+        assert calls == [("das", N, snapshots, purpose)
+                         for N, snapshots in ((34, ()), (30, ()), (20, ()), (12, (5, 7)))
                          for purpose in (mc.PURPOSE_CALIBRATE, mc.PURPOSE_ESTIMATE)]
 
     def test_grouping_is_decided_before_running(self, t1, t2):
-        """_picks_agree decides which shorter horizons share the longest
-        one's run from the specs alone: table1 das and das-rs share from
-        10 to 400 with 500, on both sides of the s = 1 clamp, table2
-        das-rs shares 100 and 300 with 500, and table2 das at 5 to 30
-        picks apart from 34 at some point of each shorter box."""
+        """_shares decides which shorter horizons share a longer one's
+        run from the specs alone: table1 das and das-rs share from 10 to
+        400 with 500, on both sides of the s = 1 clamp, table2 das-rs
+        shares 100 and 300 with 500, table2 das at 5 to 30 picks apart
+        from 34 at some point of each shorter box and 5 and 7 share with
+        12.  ors and chernoff-det share with no table, and table2 das at
+        60, which has none, shares nothing."""
         cases = [(t1, "das", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t1, "das-rs", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t2, "das-rs", 500, (100, 300), True),
-                 (t2, "das", 34, (5, 7, 12, 20, 30), False)]
-        for m, kind, N, shorter, agree in cases:
+                 (t2, "das", 34, (5, 7, 12, 20, 30), False),
+                 (t2, "das", 12, (5, 7), True),
+                 (t2, "das", 60, (5, 10, 30, 50), False),
+                 (t1, "ors", 500, (10, 100), True),
+                 (t2, "chernoff-det", 500, (10, 100), True)]
+        for m, kind, N, shorter, share in cases:
             spec = build_strategy(m, kind, N, reference=0)
-            table = mc._pick_table(spec, N)
+            table = None if spec.horizon_free() else mc._pick_table(spec, N)
+            assert (table is None) == (spec.horizon_free() or N == 60), (kind, N)
             for n in shorter:
                 other = build_strategy(m, kind, n, reference=0)
-                assert mc._picks_agree(spec, N, table, other, n) is agree, (kind, n)
-                assert mc._picks_agree(other, n, mc._pick_table(other, n), other, n)
+                assert mc._shares(spec, N, table, other, n) is share, (kind, N, n)
+                assert mc._shares(other, n, mc._pick_table(other, n), other, n)
+
+    @pytest.mark.filterwarnings("ignore:game value:RuntimeWarning")
+    def test_shares_slices_every_key_column(self):
+        """On short-decimal models whose das key box is wider along some
+        key columns than others, a spec shares with itself at every
+        shorter horizon: _shares finds the (n - 1)-step box in the right
+        place along each column of the table."""
+        rng = np.random.default_rng(29)
+        found = 0
+        while found < 3:
+            m = decimal_model(rng, units=10)
+            try:
+                spec = build_strategy(m, "das", 12, reference=0)
+            except ValueError:
+                continue
+            table = mc._pick_table(spec, 12)
+            if table is None:
+                continue
+            width = mc._lattice_box(spec.pick_key, 12, mc.PICK_TABLE_CAP)[3]
+            if len(set(width)) < 2:
+                continue
+            found += 1
+            for n in range(1, 12):
+                assert mc._shares(spec, 12, table, spec, n), (width, n)
 
     def test_horizon_groups_bound_memory(self, t2, monkeypatch):
         """A horizon list longer than the result budget runs in groups,
@@ -1287,8 +1320,8 @@ class TestSweep:
         monkeypatch.setattr(mc, "_SHARED_BYTES", 24 * T * 2)
         monkeypatch.setattr(mc, "simulate_measure", counted)
         rows = mc.sweep(t2, ["ors", "das-rs"], 0, horizons, T, 4, strong="empirical")
-        assert calls[::2] == [("ors", 7, (5,)), ("ors", 30, (12,)),
-                              ("das-rs", 7, (5,)), ("das-rs", 30, (12,))]
+        assert calls[::2] == [("ors", 30, (12,)), ("ors", 7, (5,)),
+                              ("das-rs", 30, (12,)), ("das-rs", 7, (5,))]
         assert calls[1::2] == calls[::2]
         for row in rows:
             assert vars(row) == vars(alone[(row.strategy, row.N)])
