@@ -185,25 +185,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _replay(args):
+    """The arguments of the sweep that the manifest `args.manifest`
+    records, parsed as its command line with this call's --output and
+    --workers, so that a flag the sweep parser would refuse (an unknown
+    name, a bad type or choice) exits 2 as it does there.  A null flag
+    is one the run did not give."""
+    with open(args.manifest, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or manifest.get("subcommand") != "sweep":
+        raise ModelError(f"{args.manifest} is not a sweep manifest")
+    if not isinstance(manifest.get("flags"), dict) or "seed" not in manifest:
+        raise ModelError(f"{args.manifest} records no flags object or no seed")
+    if manifest.get("version") != __version__:
+        print(f"fhat: warning: {args.manifest} was written by fhat "
+              f"{manifest.get('version')}, not {__version__}; the CSV may "
+              "differ from the original", file=sys.stderr)
+    given = {**manifest["flags"], "seed": manifest["seed"],
+             "output": args.output, "workers": args.workers}
+    return _parser().parse_args(
+        ["sweep", *(f"--{k}={v}" for k, v in given.items() if v is not None)])
+
+
 def cmd_sweep(args) -> int:
-    if args.manifest:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict) or manifest.get("subcommand") != "sweep":
-            raise ModelError(f"{args.manifest} is not a sweep manifest")
-        if not isinstance(manifest.get("flags"), dict) or "seed" not in manifest:
-            raise ModelError(f"{args.manifest} records no flags object or no seed")
-        if manifest.get("version") != __version__:
-            print(f"fhat: warning: {args.manifest} was written by fhat "
-                  f"{manifest.get('version')}, not {__version__}; the CSV may "
-                  "differ from the original", file=sys.stderr)
-        flags = manifest["flags"]
-        for key, value in flags.items():
-            setattr(args, key, value)
-        args.seed = manifest["seed"]
-    if not args.strategies:
-        raise ModelError("--strategies must name at least one strategy")
     kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
+    if not kinds:
+        raise ModelError("--strategies must name at least one strategy")
     for k in kinds:
         if k not in STRATEGY_CHOICES:
             raise ModelError(f"unknown strategy {k!r}")
@@ -295,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="override the min(0.05, 10/N) schedule")
-    sp.add_argument("--theta", type=float, default=None,
-                    help="fixed inference threshold (nats)")
-    sp.add_argument("--calibrate", action="store_true",
-                    help="find the threshold by binary search instead of theory")
+    threshold = sp.add_mutually_exclusive_group()
+    threshold.add_argument("--theta", type=float, default=None,
+                           help="fixed inference threshold (nats)")
+    threshold.add_argument("--calibrate", action="store_true",
+                           help="find the threshold by binary search instead of theory")
     sp.add_argument("--inner", default="das", choices=INNER_KINDS,
                     help="inner strategy kind for the symmetric composite")
     sp.set_defaults(func=cmd_simulate)
@@ -353,12 +361,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "manifest", None):
+            args = _replay(args)
         if args.workers is None:
             # read at call time, so a changed FHAT_WORKERS takes effect
             args.workers = _workers_default()
         if args.workers < 0:
             raise ValueError(f"the worker count must be >= 0, got {args.workers}")
-        if args.model is None and not getattr(args, "manifest", None):
+        if args.model is None:
             raise ModelError("--model is required")
         return args.func(args)
     except (ModelError, ValueError, OSError) as exc:

@@ -9,6 +9,7 @@ share the same support, which keeps every log-likelihood ratio finite.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,29 +162,34 @@ def _prime_exponents(a: int) -> dict[int, int]:
     return out
 
 
-def ratio_lattice(model: HypothesisModel, hyps,
-                  experiments=None) -> np.ndarray | None:
-    """Integer likelihood-ratio exponents of the hypotheses `hyps` over
-    the experiments `experiments` (default all): an int64 (U*Y, r)
-    matrix K, or None when some kernel entry p read is not a decimal of
-    at most 6 places, float(a / 10**6) == p for an integer a (no
+def ratio_lattice(model: HypothesisModel, hyps, experiments=None
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(K, G), the integer likelihood-ratio lattice of the hypotheses
+    `hyps` over the experiments `experiments` (default all) and its
+    decode, or None when some kernel entry p read is not a decimal of at
+    most 6 places, float(a / 10**6) == p for an integer a (no
     tolerance).
 
-    Row u*Y + y of K holds prime exponents of p_j(y|u) / p_hyps[0](y|u)
-    for the j in `hyps`, with only a rationally independent set of the
-    (j, prime) columns kept, so the dropped ones are rational
-    combinations of the kept ones.  Logs of distinct primes are
-    independent over the rationals, so two paths of observation counts
-    n on `experiments` have the same likelihood ratios among `hyps`
-    exactly when K.T @ n agree.  A rule that only ever picks from
-    `experiments` needs no more to key its state.  The columns are
-    tried narrowest first, by max(c, 0) - min(c, 0) over the rows, to
-    keep the box they span small (montecarlo._lattice_box).  A
-    base hyps[0] of None is the constant 1: then K keys the likelihoods
-    of the other hypotheses themselves.  Rows off the support or off
-    `experiments` are zero; r may be 0."""
+    K, int64 (U*Y, r): row u*Y + y holds prime exponents of
+    p_j(y|u) / p_hyps[0](y|u) for the j in `hyps`, with only a
+    rationally independent set of the (j, prime) columns kept, so the
+    dropped ones are rational combinations of the kept ones.  Logs of
+    distinct primes are independent over the rationals, so two paths of
+    observation counts n on `experiments` have the same likelihood
+    ratios among `hyps` exactly when K.T @ n agree.  A rule that only
+    ever picks from `experiments` needs no more to key its state.  The
+    columns are tried narrowest first, by max(c, 0) - min(c, 0) over
+    the rows, to keep the box they span small
+    (montecarlo._lattice_box).  Rows off the support or off
+    `experiments` are zero; r may be 0.
+
+    G, float (r, M): the log-likelihood ratios of a lattice point P =
+    K.T @ n are P @ G, column j holding log(p_j / p_hyps[0]) summed
+    over the path for each j in hyps[1:] and the other columns 0.
+    A base hyps[0] of None is the constant 1: then K keys, and G
+    decodes, the log-likelihoods of the other hypotheses themselves."""
     hyps = list(hyps)
-    U, Y = model.num_experiments, model.num_observations
+    M, U, Y = model.kernel.shape
     columns = {}     # (j, prime) -> exponent per row u*Y + y
     for u in range(U) if experiments is None else experiments:
         for y in model.support_indices(u):
@@ -199,22 +205,35 @@ def ratio_lattice(model: HypothesisModel, hyps,
                     e = num.get(q, 0) - nums[0].get(q, 0)
                     if e:
                         columns.setdefault((j, q), [0] * (U * Y))[u * Y + int(y)] = e
-    # greedy exact elimination: each basis vector is zero at the pivots
-    # of those before it, so reducing a column by them in order leaves
-    # it zero at every pivot, and what is left is independent of them
+    # greedy exact elimination in integers: each basis vector is zero at
+    # the pivots of those before it, so reducing a column by them in
+    # order leaves it zero at every pivot, and what is left is
+    # independent of them.  Each vector carries its expression over the
+    # kept columns: v = s * column + sum_k c[k] kept[k].  A column left
+    # nonzero is kept; one left zero is sum_k (-c[k] / s) kept[k].
     basis, kept = [], []
-    for key in sorted(columns, key=lambda k: (max(*columns[k], 0)
-                                              - min(*columns[k], 0), k)):
-        v = list(columns[key])
-        for piv, b in basis:
+    G = [[0.0] * M for _ in columns]
+    for (j, q) in sorted(columns, key=lambda k: (max(*columns[k], 0)
+                                                 - min(*columns[k], 0), k)):
+        v, s, c = columns[(j, q)], 1, [0] * len(columns)
+        for piv, b, e in basis:
             if v[piv]:
                 f, g = b[piv], v[piv]
                 v = [f * x - g * z for x, z in zip(v, b)]
+                c = [f * x - g * z for x, z in zip(c, e)]
+                s *= f
         if any(v):
-            piv = next(k for k, x in enumerate(v) if x)
-            basis.append((piv, v))
-            kept.append(columns[key])
-    return np.array(kept, dtype=np.int64).reshape(-1, U * Y).T
+            c[len(kept)] = s
+            basis.append((next(k for k, x in enumerate(v) if x), v, c))
+            G[len(kept)][j] = math.log(q)
+            kept.append(columns[(j, q)])
+        else:
+            for k, x in enumerate(c):
+                if x:
+                    G[k][j] -= x / s * math.log(q)
+    r = len(kept)
+    return (np.array(kept, dtype=np.int64).reshape(r, U * Y).T,
+            np.array(G[:r]).reshape(r, M))
 
 
 def kl_divergence(p, q) -> float:

@@ -106,62 +106,6 @@ def _lattice_box(K: np.ndarray, N: int, cap: int):
     return K @ stride, -int(np.dot(lo, stride)), lo, width
 
 
-def _ratio_matrix(spec: StrategySpec) -> np.ndarray:
-    """G, (r, M): the log-likelihood ratios that the lattice point P of
-    spec.pick_key spans are P @ G, in the columns of the hypotheses
-    selection reads (the alternates' ratios to the first alternate, or
-    for the symmetric composite every hypothesis's ratio to hypothesis
-    0); the other columns are 0.
-
-    K has full column rank r, so Gauss-Jordan elimination of [K | L] over
-    the rows the key spans (its nonzero ones; the rest are rows the rule
-    never observes, or rows of ratio 1) leaves [I | G] in its first r
-    rows, exactly in fractions of the floats L, and rows of K zero
-    after it.  Their ratios must be zero too, or the key would not span
-    them: that is checked to rounding."""
-    # imported here: fractions imports decimal, which runs that never
-    # fill a table need not load
-    from fractions import Fraction
-    model, K = spec.model, spec.pick_key
-    M, U, Y = model.kernel.shape
-    r = K.shape[1]
-    hyps = range(M) if spec.reference is None else model.alternates(spec.reference)
-    logk = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
-    rows = [[Fraction(int(k)) for k in K[i]]
-            + [Fraction(float(logk[i, h] - logk[i, hyps[0]])) if h in hyps else 0
-               for h in range(M)]
-            for i in np.flatnonzero(K.any(axis=1))]
-    for c in range(r):
-        p = next(i for i in range(c, len(rows)) if rows[i][c])
-        pivot = rows.pop(p)
-        rows.insert(c, [x / pivot[c] for x in pivot])
-        for i, row in enumerate(rows):
-            if i != c and row[c]:
-                rows[i] = [x - row[c] * y for x, y in zip(row, rows[c])]
-    if any(abs(x) > 1e-9 for row in rows[r:] for x in row[r:]):
-        raise RuntimeError("the pick key does not span the log-likelihood ratios")
-    return np.array([[float(x) for x in row[r:]] for row in rows[:r]]).reshape(r, M)
-
-
-def _box_picks(spec: StrategySpec, lo, width):
-    """spec's picks at the points of the box (lo, width), in packed
-    order, CHUNK points at a time: (first index, picks).  A point's
-    representative row is log prior plus the ratios it spans
-    (_ratio_matrix), which selection reads up to a common shift of the
-    alternates; the pick is a function of the point, so it is the pick
-    of every trial there."""
-    G = _ratio_matrix(spec)
-    size = math.prod(width)
-    for a in range(0, size, CHUNK):
-        rest = np.arange(a, min(a + CHUNK, size))
-        lb = np.tile(spec.model.log_prior, (rest.size, 1))
-        for first, w, g in zip(lo, width, G):
-            rest, c = np.divmod(rest, w)
-            c += first
-            lb += c[:, None] * g
-        yield a, _select_batch(spec, lb, None)
-
-
 def _pick_table(spec: StrategySpec, N: int):
     """(table, dk, key0) for runs of `spec` to horizon N, or None when
     it has no lattice key or its key box exceeds PICK_TABLE_CAP.
@@ -171,20 +115,28 @@ def _pick_table(spec: StrategySpec, N: int):
     equal likelihood ratios among the hypotheses selection reads (the
     key spans the experiments the rule can pick, the only ones its
     trials observe), so the pick is a function of the key.  The table
-    holds the pick at every point of the box, filled by _box_picks
-    before any trial runs, so it serves every chunk, stream purpose and
-    true hypothesis of `spec` at N without a selector call: estimate()
-    and a sweep group make one for all of their runs."""
+    holds the pick at every point P of the box, made CHUNK points at a
+    time from the representative row log prior + P @ G (G is
+    spec.pick_ratios), before any trial runs, so it serves every chunk,
+    stream purpose and true hypothesis of `spec` at N without a
+    selector call: estimate() and a sweep group make one for all of
+    their runs."""
     if spec.pick_key is None:
         return None
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
     if box is None:
         return None
     dk, key0, lo, width = box
-    table = np.empty(math.prod(width),
-                     dtype=np.min_scalar_type(spec.model.num_experiments - 1))
-    for a, picks in _box_picks(spec, lo, width):
-        table[a:a + picks.size] = picks
+    size = math.prod(width)
+    table = np.empty(size, dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+    for a in range(0, size, CHUNK):
+        rest = np.arange(a, min(a + CHUNK, size))
+        lb = np.tile(spec.model.log_prior, (rest.size, 1))
+        for first, w, g in zip(lo, width, spec.pick_ratios):
+            rest, c = np.divmod(rest, w)
+            c += first
+            lb += c[:, None] * g
+        table[a:a + CHUNK] = _select_batch(spec, lb, None)
     return table, dk, key0
 
 
@@ -374,7 +326,8 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
         edges = [b * n_chunks // blocks for b in range(blocks + 1)]
         tasks = [(*task, a, b, trials, refs, w, table)
                  for a, b in zip(edges, edges[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one process per block: under fork the pool starts them all at once
+        with ProcessPoolExecutor(max_workers=blocks) as pool:
             results = [r for block in pool.map(_chunk_block, tasks) for r in block]
     else:
         results = _chunk_block((*task, 0, n_chunks, trials, refs, w, table))
@@ -597,7 +550,7 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     program over likelihood-lattice states level by level.
 
     A path's state is its point K.T @ n (n its counts n[u, y]) of the
-    lattice K = ratio_lattice(model, [None, *hypotheses]), or of the
+    lattice K of ratio_lattice(model, [None, *hypotheses]), or of the
     identity on the support (the counts) for a model not written in
     short decimals.  Paths to one point have the same likelihood under
     each hypothesis, exactly, so they merge: a state keeps its point
@@ -626,9 +579,9 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
             for c in np.cumsum(s.sample_alpha)[:-1] if c < 1.0)
     edges = np.array(sorted({0.0, *cuts}))
     lengths = np.diff(edges, append=1.0)
-    K = ratio_lattice(model, [None, *range(M)])
-    if K is None:
-        K = np.eye(U * Y, dtype=np.int64)[:, model.support.ravel()]
+    lattice = ratio_lattice(model, [None, *range(M)])
+    K = (np.eye(U * Y, dtype=np.int64)[:, model.support.ravel()]
+         if lattice is None else lattice[0])
     box = _lattice_box(K, N, 1 << 63)
     if box is None:
         # coordinates in the narrowest type that holds the box keep the

@@ -111,7 +111,10 @@ class StrategySpec:
     """A fully resolved experiment-selection strategy for one run.
 
     Schedules (s_value) and lookup tables are frozen at construction;
-    strategies are time-invariant given the horizon.
+    strategies are time-invariant given the horizon.  Like mu and kl,
+    the pick key K and its decode G (pick_ratios) are derived, not
+    settings: a point P of the key stands for the log beliefs
+    log prior + P @ G, up to a shift that selection does not read.
     """
 
     kind: str
@@ -126,8 +129,9 @@ class StrategySpec:
     support_mask: np.ndarray = field(repr=False, default=None)   # (U,) bool
     chernoff_u: np.ndarray = field(repr=False, default=None)     # (M-1,) int
     # ratio_lattice of the hypotheses selection reads over the
-    # experiments the rule can pick, or None
-    pick_key: np.ndarray | None = field(repr=False, default=None)  # (U*Y, r) int
+    # experiments the rule can pick, its key K and decode G, or None
+    pick_key: np.ndarray | None = field(repr=False, default=None)     # (U*Y, r) int
+    pick_ratios: np.ndarray | None = field(repr=False, default=None)  # (r, M)
 
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the
@@ -147,9 +151,9 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     """Resolve a strategy: solve the game(s), fix the tilt schedule, and
     precompute per-run lookup tables.
 
-    Rules that pick on the belief alone get a pick key, the ratio
-    lattice of the hypotheses they read over the experiments they can
-    pick: ``das-rs`` picks only on the support of alpha*, and
+    Rules that pick on the belief alone get a pick key and its decode,
+    the ratio lattice of the hypotheses they read over the experiments
+    they can pick: ``das-rs`` picks only on the support of alpha*, and
     ``chernoff-det`` only its table's experiments, so no other
     experiment is ever observed in their runs.
 
@@ -176,9 +180,11 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                     f"{model.hypotheses[i]} has game value 0")
             inner.append(spec_i)
         # the maximum-likelihood step reads every hypothesis
-        key = (None if inner_kind == "ors"
-               else ratio_lattice(model, range(model.num_hypotheses)))
-        return StrategySpec(kind=kind, model=model, inner=tuple(inner), pick_key=key)
+        lattice = (None if inner_kind == "ors"
+                   else ratio_lattice(model, range(model.num_hypotheses)))
+        key, ratios = lattice or (None, None)
+        return StrategySpec(kind=kind, model=model, inner=tuple(inner),
+                            pick_key=key, pick_ratios=ratios)
 
     if reference is None:
         raise ValueError(f"strategy {kind!r} needs a reference hypothesis")
@@ -196,12 +202,13 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     # through their differences, observed on the experiments they pick
     picks = {"das-rs": np.flatnonzero(mask),
              "chernoff-det": sorted(set(chern.tolist()))}
-    key = None if kind == "ors" else ratio_lattice(
+    lattice = None if kind == "ors" else ratio_lattice(
         model, model.alternates(reference), picks.get(kind))
+    key, ratios = lattice or (None, None)
     return StrategySpec(kind=kind, model=model, reference=reference,
                         s_value=s_val, game=sol, sample_alpha=alpha,
                         mu=mu, kl=kl, support_mask=mask, chernoff_u=chern,
-                        pick_key=key)
+                        pick_key=key, pick_ratios=ratios)
 
 
 def reads_draws(spec: StrategySpec) -> bool:

@@ -15,8 +15,9 @@ sorted samples where the library takes one argmin.
 
 The reference definitions below restate single quantities of the paper
 the plain way, one value at a time: the tilted score on a normalized
-belief, the log-likelihood ratio, the bilinear payoff, the strong bound
-at one cut point, and a belief replayed from its history.
+belief, the log-likelihood ratio, the decode of a pick key solved in
+fractions, the bilinear payoff, the strong bound at one cut point, and
+a belief replayed from its history.
 """
 
 import math
@@ -80,6 +81,42 @@ def log_likelihood_ratio(model, i, j, u, y):
             f"observation {model.observations[y]} outside the support of "
             f"experiment {model.experiments[u]}")
     return float(model.log_kernel[i, u, y] - model.log_kernel[j, u, y])
+
+
+def reference_ratio_matrix(spec):
+    """G, (r, M), for spec.pick_key K by Gauss-Jordan elimination in
+    fractions: the log-likelihood ratios that the lattice point P of K
+    spans are P @ G, in the columns of the hypotheses selection reads
+    (the alternates' ratios to the first alternate, or for the
+    symmetric composite every hypothesis's ratio to hypothesis 0); the
+    other columns are 0.
+
+    K has full column rank r, so the elimination of [K | L] over the
+    rows the key spans (its nonzero ones; the rest are rows the rule
+    never observes, or rows of ratio 1) leaves [I | G] in its first r
+    rows, exactly in fractions of the floats L, and rows of K zero
+    after it.  Their ratios must be zero too, or the key would not span
+    them: that is checked to rounding.  The library derives G from the
+    primes of the kernel's decimals instead (model.ratio_lattice)."""
+    model, K = spec.model, spec.pick_key
+    M, U, Y = model.kernel.shape
+    r = K.shape[1]
+    hyps = range(M) if spec.reference is None else model.alternates(spec.reference)
+    logk = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
+    rows = [[Fraction(int(k)) for k in K[i]]
+            + [Fraction(float(logk[i, h] - logk[i, hyps[0]])) if h in hyps else 0
+               for h in range(M)]
+            for i in np.flatnonzero(K.any(axis=1))]
+    for c in range(r):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        pivot = rows.pop(p)
+        rows.insert(c, [x / pivot[c] for x in pivot])
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[c])]
+    if any(abs(x) > 1e-9 for row in rows[r:] for x in row[r:]):
+        raise RuntimeError("the pick key does not span the log-likelihood ratios")
+    return np.array([[float(x) for x in row[r:]] for row in rows[:r]]).reshape(r, M)
 
 
 def assumption_pairwise_informative(model):

@@ -169,6 +169,16 @@ class TestSimulate:
                            "--strategy", "das", "--horizon", "5")
         assert code == 2 and "reference" in err
 
+    def test_theta_with_calibrate_exits_2(self, capsys):
+        """A fixed threshold and a calibrated one exclude each other:
+        the command names the clash rather than dropping --calibrate."""
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--model", "table1", "--strategy", "das",
+                  "--reference", "0", "--horizon", "5", "--trials", "100",
+                  "--theta", "0.5", "--calibrate"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and "--calibrate" in err and "--theta" in err
+
     def test_symmetric_on_indistinguishable_model_exits_2(self, capsys, tmp_path):
         doc = """
 hypotheses: [a, b]
@@ -232,6 +242,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--model", "table1",
                            "--strategies", "", "--horizons", "5")
         assert code == 2 and "strategies" in err
+
+    def test_strategies_naming_none_exits_2(self, capsys):
+        """A strategy list of separators alone names no strategy, as an
+        empty one does, and writes no header-only CSV."""
+        code, out, err = run(capsys, "sweep", "--model", "table1",
+                             "--strategies", ",", "--horizons", "5")
+        assert code == 2 and out == "" and "strategies" in err
 
     def test_unknown_strategy_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--model", "table1",
@@ -308,6 +325,60 @@ class TestSweep:
         lines = err.strip().split("\n")
         assert len(lines) == 1 and "warning" in lines[0]
         assert "0.2.0" in lines[0] and "may differ" in lines[0]
+
+    @staticmethod
+    def manifest_sweep(capsys, tmp_path):
+        """A small sweep's CSV bytes and its manifest, as a dict."""
+        a = tmp_path / "a.csv"
+        code, _, _ = run(capsys, "sweep", "--model", "table1",
+                         "--strategies", "das", "--reference", "0",
+                         "--horizons", "6", "--trials", "300",
+                         "--seed", "4", "--output", str(a))
+        assert code == 0
+        path = tmp_path / "a.csv.manifest.json"
+        return a.read_bytes(), json.loads(path.read_text())
+
+    def test_manifest_flags_parse_as_on_the_command_line(self, capsys, tmp_path):
+        """Manifest flags are read as the command line reads them: a
+        number written as a string, or a horizon list as one number,
+        replays the same sweep."""
+        csv, manifest = self.manifest_sweep(capsys, tmp_path)
+        manifest["flags"].update(trials="300", horizons=6)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        b = tmp_path / "b.csv"
+        code, _, _ = run(capsys, "sweep", "--manifest", str(path),
+                         "--output", str(b))
+        assert code == 0 and b.read_bytes() == csv
+
+    @pytest.mark.parametrize("flags", [{"bogus": 1}, {"trials": 1.5},
+                                       {"reference": [0]}, {"inner": "x"}],
+                             ids=["unknown", "float-trials", "list", "choice"])
+    def test_manifest_flag_the_parser_refuses_exits_2(self, capsys, tmp_path, flags):
+        """A manifest flag that the sweep parser would refuse on the
+        command line (an unknown name, a bad type or choice) exits 2
+        with the parser's message, before any run."""
+        _, manifest = self.manifest_sweep(capsys, tmp_path)
+        manifest["flags"].update(flags)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--manifest", str(path)])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "error: " in captured.err and next(iter(flags)) in captured.err
+
+    def test_manifest_model_is_a_name_or_path(self, capsys, tmp_path, monkeypatch):
+        """A model recorded as a number is read as the command line
+        reads it, a file name, and never as a file descriptor."""
+        _, manifest = self.manifest_sweep(capsys, tmp_path)
+        manifest["flags"]["model"] = 1000000
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "sweep", "--manifest", str(path))
+        assert code == 2 and out == ""
+        assert "No such file" in err and "1000000" in err
 
     def test_malformed_manifest_exits_2(self, capsys, tmp_path):
         """A manifest that is not an object, or lacks its flags or its

@@ -344,8 +344,9 @@ class TestRatioLattice:
         experiments given (all by default), two paths share a key
         exactly when they share the likelihood ratios among `hyps`: the
         key is exact, merging no more and no fewer, and zero on the
-        rows of other experiments.  With the base None the ratios are
-        the likelihoods themselves, the key enumeration merges on."""
+        rows of other experiments; G decodes each key to the log ratios.
+        With the base None the ratios are the likelihoods themselves, the
+        key enumeration merges on."""
         rng = np.random.default_rng(8)
         models = [t1, t2, *(decimal_model(rng) for _ in range(6))]
         merged = 0
@@ -356,7 +357,7 @@ class TestRatioLattice:
                     (None, (0,), tuple(range(U // 2, U)))):
                 cells = [u * Y + y for u in (range(U) if exps is None else exps)
                          for y in m.support_indices(u)]
-                K = ratio_lattice(m, hyps, exps)
+                K, G = ratio_lattice(m, hyps, exps)
                 assert K.dtype == np.int64 and K.shape[0] == U * Y
                 assert not K[[r for r in range(U * Y) if r not in cells]].any()
                 by_key, by_ratio = {}, {}
@@ -366,6 +367,9 @@ class TestRatioLattice:
                     n = np.zeros(U * Y, dtype=np.int64)
                     n[cells] = c
                     key, ratio = tuple(n @ K), self.ratios(m, hyps, n)
+                    want = np.zeros(M)
+                    want[list(hyps[1:])] = [math.log(r) for r in ratio]
+                    assert np.allclose(np.array(key) @ G, want, rtol=0, atol=1e-12)
                     by_key.setdefault(key, set()).add(ratio)
                     by_ratio.setdefault(ratio, set()).add(key)
                 assert all(len(v) == 1 for v in by_key.values()), (m.kernel, exps)
@@ -380,14 +384,14 @@ class TestRatioLattice:
         narrowest first, table2's columns are all steps of -1, 0 or 1.
         The likelihoods themselves take one direction fewer than the
         (U, Y) cells on table1, and as many on table2."""
-        assert ratio_lattice(t1, (1, 2)).shape == (4, 1)
-        assert ratio_lattice(t1, (0, 1, 2)).shape == (4, 2)
-        assert ratio_lattice(t2, (1, 2)).shape == (8, 3)
-        assert np.abs(ratio_lattice(t2, (1, 2))).max() == 1
-        assert ratio_lattice(t2, (1, 2), (2, 3)).shape == (8, 2)
-        assert ratio_lattice(t2, (1, 2), (0, 1)).shape == (8, 1)
-        assert ratio_lattice(t1, (None, 0, 1, 2)).shape == (4, 3)
-        assert ratio_lattice(t2, (None, 0, 1, 2)).shape == (8, 7)
+        assert ratio_lattice(t1, (1, 2))[0].shape == (4, 1)
+        assert ratio_lattice(t1, (0, 1, 2))[0].shape == (4, 2)
+        assert ratio_lattice(t2, (1, 2))[0].shape == (8, 3)
+        assert np.abs(ratio_lattice(t2, (1, 2))[0]).max() == 1
+        assert ratio_lattice(t2, (1, 2), (2, 3))[0].shape == (8, 2)
+        assert ratio_lattice(t2, (1, 2), (0, 1))[0].shape == (8, 1)
+        assert ratio_lattice(t1, (None, 0, 1, 2))[0].shape == (4, 3)
+        assert ratio_lattice(t2, (None, 0, 1, 2))[0].shape == (8, 7)
 
     def test_float_models_have_no_lattice(self):
         rng = np.random.default_rng(2)
@@ -404,11 +408,11 @@ class TestRatioLattice:
     def test_rank_zero(self, t1):
         """A single hypothesis, or hypotheses with equal kernels, leave
         no ratio to track: a (U*Y, 0) key."""
-        assert ratio_lattice(t1, (0,)).shape == (4, 0)
+        assert ratio_lattice(t1, (0,))[0].shape == (4, 0)
         m = make_model(["a", "b", "c"], ["u"], ["0", "1"],
                        [[[0.5, 0.5]], [[0.3, 0.7]], [[0.3, 0.7]]], [0.2, 0.3, 0.5])
-        assert ratio_lattice(m, (1, 2)).shape == (2, 0)
-        assert ratio_lattice(m, (0, 1, 2)).shape == (2, 2)
+        assert ratio_lattice(m, (1, 2))[0].shape == (2, 0)
+        assert ratio_lattice(m, (0, 1, 2))[0].shape == (2, 2)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))

@@ -18,7 +18,7 @@ from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            symmetric_rule, symmetric_setup)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
-                     reference_select_experiment)
+                     reference_ratio_matrix, reference_select_experiment)
 
 
 def identical_rows_model():
@@ -73,7 +73,7 @@ def decimal_models():
     found = []
     while len(found) < 3:
         m = decimal_model(rng, units=10)
-        K = ratio_lattice(m, (None, *range(m.num_hypotheses)))
+        K, _ = ratio_lattice(m, (None, *range(m.num_hypotheses)))
         if K.shape[1] == m.support.sum():
             continue
         try:
@@ -221,6 +221,38 @@ class TestSimulateMeasure:
             assert c_inc.tobytes() == full[0][:, lo:hi].tobytes()
             if zw is not None:
                 assert zbar.tobytes() == full[1][:, lo:hi].tobytes()
+
+    def test_pool_has_one_process_per_block(self, t1, monkeypatch):
+        """With more workers than chunks the pool asks for one process
+        per block of chunks, not one per worker: under fork a pool
+        starts all of its processes at once.  A stand-in executor that
+        records its arguments and maps in this process keeps the test
+        from starting any; the results are those of a serial run."""
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        spec = build_strategy(t1, "das", 6, reference=0)
+        trials = 2 * mc.CHUNK + 5      # three chunks
+        serial = mc.simulate_measure(t1, spec, 6, 0, trials, 3)[0]
+        pooled = mc.simulate_measure(t1, spec, 6, 0, trials, 3, workers=64)[0]
+        assert asked == [3]
+        assert pooled.tobytes() == serial.tobytes()
 
 
 class TestEstimate:
@@ -534,7 +566,7 @@ class TestPickCache:
                 spec = build_strategy(m, kind, 30, reference=None
                                       if kind == "symmetric" else 0)
                 hyps = list(range(M) if kind == "symmetric" else m.alternates(0))
-                G = mc._ratio_matrix(spec)
+                G = spec.pick_ratios
                 spanned = np.flatnonzero(spec.pick_key.any(axis=1))
                 for _ in range(20 if spanned.size else 0):
                     n = np.bincount(rng.choice(spanned, 30), minlength=U * Y)
@@ -543,6 +575,53 @@ class TestPickCache:
                     got = (n @ spec.pick_key) @ G
                     assert np.allclose(got[hyps], want[hyps], rtol=0, atol=1e-9)
                     assert not np.delete(got, hyps).any()
+
+    @staticmethod
+    def decode_cases(t1, t2):
+        """(spec, N): the figure rules on table1 and table2 at the
+        figures' horizons and the symmetric composite at the benchmark's,
+        then short-decimal models with keys of every rank 0-3 and one of
+        rank 4 or more, at N = 5 and 30."""
+        for m in (t1, t2):
+            for kind in ("das", "das-rs", "chernoff-det"):
+                for N in (100, 300, 500):
+                    yield build_strategy(m, kind, N, reference=0), N
+            for N in (200, 350):
+                yield build_strategy(m, "symmetric", N), N
+        rng = np.random.default_rng(23)
+        wanted = {0, 1, 2, 3, 4}
+        while wanted:
+            m = decimal_model(rng)
+            for kind in ("das", "das-rs", "chernoff-det", "symmetric"):
+                try:
+                    spec = build_strategy(m, kind, 30, reference=None
+                                          if kind == "symmetric" else 0)
+                except ValueError:
+                    continue
+                rank = min(spec.pick_key.shape[1], 4)
+                if rank in wanted:
+                    wanted.discard(rank)
+                    yield spec, 5
+                    yield spec, 30
+
+    @pytest.mark.filterwarnings("ignore:game value")
+    def test_pick_ratios_match_the_fraction_solve(self, t1, t2):
+        """ratio_lattice's integer elimination decodes the key as the
+        Gauss-Jordan solve in fractions of the float log ratios does
+        (oracles.reference_ratio_matrix), to 1e-12, and a table filled
+        with either decode is the same, entry for entry."""
+        tables = 0
+        for spec, N in self.decode_cases(t1, t2):
+            want = reference_ratio_matrix(spec)
+            assert spec.pick_ratios.shape == want.shape
+            assert np.abs(spec.pick_ratios - want).max(initial=0) <= 1e-12
+            got = mc._pick_table(spec, N)
+            ref = mc._pick_table(replace(spec, pick_ratios=want), N)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert np.array_equal(got[0], ref[0]), (spec.kind, N)
+                tables += 1
+        assert tables >= 20
 
 
 class TestSharedPickTable:
