@@ -106,6 +106,39 @@ def _lattice_box(K: np.ndarray, N: int, cap: int):
     return K @ stride, -int(np.dot(lo, stride)), lo, width
 
 
+def _box_rows(spec: StrategySpec, N: int):
+    """Blocks (a, rows) of the representative rows of spec's key box at
+    N, in key order: rows[k] is log prior + P @ G at the point P of key
+    a + k (G is spec.pick_ratios).
+
+    A line of the box, its keys along key column 0 with the others
+    fixed, has the rows ((log prior + c0 G[0]) + c1 G[1]) + ..., summed
+    in column order: a block computes the column-0 terms once and each
+    other column's term once per line, decoded from the line index
+    alone.  A block holds whole lines, at most CHUNK rows, or a
+    CHUNK-point piece of a longer line.  Its rows are the transpose of
+    an (M, rows) array, so the selector reads each column contiguous."""
+    _, _, lo, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
+    lp, G = spec.model.log_prior, spec.pick_ratios
+    w0 = width[0] if width else 1     # a rank-0 key is one row
+    piece = min(w0, CHUNK)
+    lines, per_block = math.prod(width[1:]), CHUNK // piece
+    for start in range(0, lines, per_block):
+        rest = np.arange(start, min(start + per_block, lines))
+        terms = []
+        for first, w, g in zip(lo[1:], width[1:], G[1:]):
+            rest, c = np.divmod(rest, w)
+            terms.append(g[:, None, None] * (c + first)[:, None])
+        for p in range(0, w0, piece):
+            rows = lp[:, None, None]    # (M, lines, points)
+            if width:
+                c0 = np.arange(lo[0] + p, lo[0] + min(p + piece, w0))
+                rows = rows + G[0][:, None, None] * c0
+            for t in terms:
+                rows = rows + t
+            yield start * w0 + p, rows.reshape(lp.size, -1).T
+
+
 def _pick_table(spec: StrategySpec, N: int):
     """(table, dk, key0) for runs of `spec` to horizon N, or None when
     it has no lattice key or its key box exceeds PICK_TABLE_CAP.
@@ -115,28 +148,21 @@ def _pick_table(spec: StrategySpec, N: int):
     equal likelihood ratios among the hypotheses selection reads (the
     key spans the experiments the rule can pick, the only ones its
     trials observe), so the pick is a function of the key.  The table
-    holds the pick at every point P of the box, made CHUNK points at a
-    time from the representative row log prior + P @ G (G is
-    spec.pick_ratios), before any trial runs, so it serves every chunk,
-    stream purpose and true hypothesis of `spec` at N without a
-    selector call: estimate() and a sweep group make one for all of
-    their runs."""
+    holds the pick at every point of the box, made block by block from
+    the representative rows of _box_rows, before any trial runs, so it
+    serves every chunk, stream purpose and true hypothesis of `spec` at
+    N without a selector call: estimate() and a sweep group make one
+    for all of their runs."""
     if spec.pick_key is None:
         return None
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
     if box is None:
         return None
-    dk, key0, lo, width = box
-    size = math.prod(width)
-    table = np.empty(size, dtype=np.min_scalar_type(spec.model.num_experiments - 1))
-    for a in range(0, size, CHUNK):
-        rest = np.arange(a, min(a + CHUNK, size))
-        lb = np.tile(spec.model.log_prior, (rest.size, 1))
-        for first, w, g in zip(lo, width, spec.pick_ratios):
-            rest, c = np.divmod(rest, w)
-            c += first
-            lb += c[:, None] * g
-        table[a:a + CHUNK] = _select_batch(spec, lb, None)
+    dk, key0, _, width = box
+    table = np.empty(math.prod(width),
+                     dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+    for a, rows in _box_rows(spec, N):
+        table[a:a + len(rows)] = _select_batch(spec, rows, None)
     return table, dk, key0
 
 
@@ -146,17 +172,20 @@ def _shares(spec: StrategySpec, N: int, table, other: StrategySpec,
     n steps of runs of `spec` to N on `table`, its _pick_table, bit for
     bit: when spec is horizon_free(), or when other has spec's pick key
     and picks as `table` at every point of its own (n - 1)-step box,
-    every key a trial reads in its first n steps."""
+    every key a trial reads in its first n steps.  The comparison runs
+    block by block (_box_rows) and stops at the first that differs."""
     if spec.horizon_free():
         return True
     if table is None or not np.array_equal(other.pick_key, spec.pick_key):
         return False
     _, _, lo, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
     _, _, lo_n, width_n = _lattice_box(spec.pick_key, n - 1, PICK_TABLE_CAP)
-    # the packed table as an array, its first key column the last axis
+    # the packed table as an array, its first key column the last axis,
+    # sliced to the (n - 1)-step box and flattened in that box's key order
     sub = table[0].reshape(width[::-1])[tuple(
-        slice(b - a, b - a + w) for a, b, w in zip(lo, lo_n, width_n))[::-1]]
-    return np.array_equal(sub.ravel(), _pick_table(other, n - 1)[0])
+        slice(b - a, b - a + w) for a, b, w in zip(lo, lo_n, width_n))[::-1]].ravel()
+    return all(np.array_equal(_select_batch(other, rows, None), sub[a:a + len(rows)])
+               for a, rows in _box_rows(other, n - 1))
 
 
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
@@ -206,7 +235,9 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     that picks as it does in these steps, _shares), has each trial
     carry its lattice key and a step read every pick from it with one
     take; the pick there is the one the selector gives the trial's row.
-    Without it every step runs the selector on the rows."""
+    Without it every step runs the selector on the padded rows, whose
+    pad it does not read, so the symmetric composite's row gather takes
+    the fast path too."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -242,12 +273,12 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                 gen.bit_generator.advance(CHUNK)
             obs_draws = _chunk_draws(gen, lo, hi)
             if table is None:
-                u = _select_batch(spec, lb, exp_draws)
+                u = _select_batch(spec, lbw, exp_draws)
             else:
                 u = picks.take(key).astype(np.int64)
             row = u * Y
             for cum in cum_cols:
-                row += obs_draws >= cum[u]
+                row += obs_draws >= cum.take(u)
             if path is not None:
                 path.append((u, row - u * Y))
             lbw += logk_rows.take(row, axis=0)

@@ -272,9 +272,11 @@ def _tilted_scores(spec: StrategySpec, lb: np.ndarray, table: np.ndarray,
 
 def select_batch(spec: StrategySpec, lb: np.ndarray,
                  exp_draws: np.ndarray | None) -> np.ndarray:
-    """The experiment picked for each row of `lb`, an (n, M) array of log
-    beliefs, normalized or not; `exp_draws` holds one uniform per row and
-    may be None when reads_draws(spec) is False.
+    """The experiment picked for each row of `lb`, an array of log
+    beliefs, normalized or not, in its first M columns (the columns past
+    M, such as the engine's padding, are not read); `exp_draws` holds one
+    uniform in [0, 1) per row and may be None when reads_draws(spec) is
+    False.
 
     Every step is elementwise or runs column by column in a fixed order,
     so a row's pick does not depend on the other rows.  ``das`` and
@@ -297,10 +299,18 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     if spec.kind == "ors":
         # inverse CDF: #{cum <= r} over all but the last column, which
         # is the clip to the last experiment (cum never decreases); a
-        # draw of 0.0 lands on the first positive-mass experiment
+        # draw of 0.0 lands on the first positive-mass experiment.  Every
+        # draw, in [0, 1), passes a cut at 0: those count as a constant,
+        # with no compare per row
         u = np.zeros(lb.shape[0], dtype=np.int64)
+        at_zero = 0
         for c in np.cumsum(spec.sample_alpha)[:-1]:
-            u += exp_draws >= c
+            if c > 0.0:
+                u += exp_draws >= c
+            else:
+                at_zero += 1
+        if at_zero:
+            u += at_zero
         return u
     if spec.kind in ("das", "das-rs"):
         # a positive factor per row moves no argmin or argmax, so the

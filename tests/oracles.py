@@ -16,8 +16,9 @@ sorted samples where the library takes one argmin.
 The reference definitions below restate single quantities of the paper
 the plain way, one value at a time: the tilted score on a normalized
 belief, the log-likelihood ratio, the decode of a pick key solved in
-fractions, the bilinear payoff, the strong bound at one cut point, and
-a belief replayed from its history.
+fractions, a pick table filled point by point, the bilinear payoff,
+the strong bound at one cut point, and a belief replayed from its
+history.
 """
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from fhat.belief import Belief, confidence, prior_belief, update_belief
 from fhat.model import ModelError
 from fhat.numerics import log_normalize, logsumexp
-from fhat.strategy import TIE_RTOL, mgf_matrix
+from fhat.strategy import TIE_RTOL, mgf_matrix, select_batch
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,43 @@ def reference_ratio_matrix(spec):
     if any(abs(x) > 1e-9 for row in rows[r:] for x in row[r:]):
         raise RuntimeError("the pick key does not span the log-likelihood ratios")
     return np.array([[float(x) for x in row[r:]] for row in rows[:r]]).reshape(r, M)
+
+
+def _reference_box(spec, N):
+    """(lo, width) of the box of points spec.pick_key's columns reach in
+    N steps: its corner and its width along each column."""
+    lo = [N * min(int(c.min()), 0) for c in spec.pick_key.T]
+    width = [N * max(int(c.max()), 0) - a + 1 for a, c in zip(lo, spec.pick_key.T)]
+    return lo, width
+
+
+def reference_key_rows(spec, N, keys):
+    """The representative row of each of `keys` of spec's key box at
+    horizon N, one point at a time: the key decoded mixed-radix, column
+    0 the fastest, to its point P, and log prior + P @ G (G is
+    spec.pick_ratios) accumulated from the log prior column by column.
+    The library decodes one line of the box at a time instead
+    (montecarlo._box_rows)."""
+    lo, width = _reference_box(spec, N)
+    lb = np.tile(spec.model.log_prior, (keys.size, 1))
+    rest = keys
+    for first, w, g in zip(lo, width, spec.pick_ratios):
+        rest, c = np.divmod(rest, w)
+        lb += (c + first)[:, None] * g
+    return lb
+
+
+def reference_pick_table(spec, N):
+    """The pick table of `spec` (one with a pick key) at horizon N,
+    filled point by point: the selector runs on blocks of
+    REFERENCE_CHUNK keys' reference_key_rows, in key order."""
+    size = math.prod(_reference_box(spec, N)[1])
+    table = np.empty(size, dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+    for a in range(0, size, REFERENCE_CHUNK):
+        keys = np.arange(a, min(a + REFERENCE_CHUNK, size))
+        table[a:a + REFERENCE_CHUNK] = select_batch(spec, reference_key_rows(spec, N, keys),
+                                                    None)
+    return table
 
 
 def assumption_pairwise_informative(model):

@@ -18,6 +18,7 @@ from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            symmetric_rule, symmetric_setup)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
+                     reference_key_rows, reference_pick_table,
                      reference_ratio_matrix, reference_select_experiment)
 
 
@@ -412,12 +413,14 @@ class TestEngineKernel:
 class TestPickCache:
     @staticmethod
     def counted_rows(monkeypatch):
-        """Rows the engine and the table fill hand the selector, counted."""
+        """Rows the engine and the table fill hand the selector: their
+        total in entry 0, then each call's rows in call order."""
         seen = [0]
         select = mc._select_batch
 
         def counting(spec, lb, draws):
             seen[0] += lb.shape[0]
+            seen.append(lb.shape[0])
             return select(spec, lb, draws)
 
         monkeypatch.setattr(mc, "_select_batch", counting)
@@ -538,13 +541,17 @@ class TestPickCache:
         assert runs[0][0].tobytes() == runs[1][0].tobytes()
         assert runs[0][1].tobytes() == runs[1][1].tobytes()
 
+    @staticmethod
+    def two_hypothesis_model():
+        return make_model(["a", "b"], ["u", "v"], ["0", "1"],
+                          [[[0.3, 0.7], [0.5, 0.5]], [[0.6, 0.4], [0.25, 0.75]]],
+                          [0.5, 0.5])
+
     def test_one_entry_table_for_two_hypotheses(self):
         """With one alternate, das reads no ratio: a rank-0 key, a table
         of one entry, and a chunk on it that matches the reference step
         loop."""
-        m = make_model(["a", "b"], ["u", "v"], ["0", "1"],
-                       [[[0.3, 0.7], [0.5, 0.5]], [[0.6, 0.4], [0.25, 0.75]]],
-                       [0.5, 0.5])
+        m = self.two_hypothesis_model()
         spec = build_strategy(m, "das", 40, reference=0)
         table, dk, key0 = mc._pick_table(spec, 40)
         assert table.size == 1 and not dk.any() and key0 == 0
@@ -603,6 +610,49 @@ class TestPickCache:
                     wanted.discard(rank)
                     yield spec, 5
                     yield spec, 30
+
+    @pytest.mark.filterwarnings("ignore:game value")
+    def test_line_fill_matches_point_by_point_fill(self, t1, t2):
+        """The rows decoded a line of the key box at a time are, bit for
+        bit, the rows decoded point by point (oracles.reference_key_rows),
+        and the table filled from them equals, entry for entry and in
+        dtype, the table filled point by point
+        (oracles.reference_pick_table): on every decode case, on table1
+        das at N = 5000, whose one line of 10 001 points is longer than
+        a block, and on a rank-0 key."""
+        cases = [*self.decode_cases(t1, t2),
+                 (build_strategy(t1, "das", 5000, reference=0), 5000),
+                 (build_strategy(self.two_hypothesis_model(), "das", 40, reference=0), 40)]
+        ranks = set()
+        for spec, N in cases:
+            got = mc._pick_table(spec, N)
+            if got is None:
+                continue
+            for a, rows in mc._box_rows(spec, N):
+                want = reference_key_rows(spec, N, np.arange(a, a + len(rows)))
+                assert np.ascontiguousarray(rows).tobytes() == want.tobytes(), (spec.kind, N, a)
+            want = reference_pick_table(spec, N)
+            assert got[0].dtype == want.dtype, (spec.kind, N)
+            assert np.array_equal(got[0], want), (spec.kind, N)
+            ranks.add(min(spec.pick_key.shape[1], 4))
+        assert ranks == {0, 1, 2, 3, 4}
+
+    def test_fill_blocks_hold_at_most_a_chunk(self, t1, t2, monkeypatch):
+        """Filling a table hands the selector at most CHUNK rows a call,
+        and one row per point of the key box in all: whole lines of
+        table2 das-rs (rank 2) and das (rank 3), table1 symmetric, the
+        two pieces of table1 das's 10 001-point line at N = 5000, and
+        the one row of a rank-0 key."""
+        seen = self.counted_rows(monkeypatch)
+        cases = [(t2, "das-rs", 500), (t2, "das", 50), (t1, "symmetric", 350),
+                 (t1, "das", 5000), (self.two_hypothesis_model(), "das", 40)]
+        for m, kind, N in cases:
+            spec = build_strategy(m, kind, N, reference=None
+                                  if kind == "symmetric" else 0)
+            seen[:] = [0]
+            size = mc._pick_table(spec, N)[0].size
+            assert max(seen[1:]) <= mc.CHUNK, (kind, N)
+            assert sum(seen[1:]) == seen[0] == size, (kind, N)
 
     @pytest.mark.filterwarnings("ignore:game value")
     def test_pick_ratios_match_the_fraction_solve(self, t1, t2):
@@ -1356,6 +1406,18 @@ class TestSweep:
                 other = build_strategy(m, kind, n, reference=0)
                 assert mc._shares(spec, N, table, other, n) is share, (kind, N, n)
                 assert mc._shares(other, n, mc._pick_table(other, n), other, n)
+
+    def test_shares_stops_at_the_first_block_that_differs(self, t2, monkeypatch):
+        """table2 das at 30 picks apart from 34 a few blocks into its
+        29-step box: _shares says so having handed the selector fewer
+        rows than that box holds."""
+        spec = build_strategy(t2, "das", 34, reference=0)
+        table = mc._pick_table(spec, 34)
+        other = build_strategy(t2, "das", 30, reference=0)
+        seen = TestPickCache.counted_rows(monkeypatch)
+        assert not mc._shares(spec, 34, table, other, 30)
+        box = math.prod(mc._lattice_box(other.pick_key, 29, mc.PICK_TABLE_CAP)[3])
+        assert 0 < seen[0] < box
 
     @pytest.mark.filterwarnings("ignore:game value:RuntimeWarning")
     def test_shares_slices_every_key_column(self):
