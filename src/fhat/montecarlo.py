@@ -10,10 +10,10 @@ Where that state lies on a small likelihood-ratio lattice, the engine
 reads its picks from a table that the selector fills at every point of
 the lattice box before any trial runs (_pick_table), so a step never
 calls the selector.  The pick is a function of the point whatever the
-chunk, purpose or true hypothesis, so one table serves every chunk and
-run of estimate() or of a sweep group, and comparing two specs' picks
-over a box decides before running whether a shorter horizon shares a
-sweep run (_shares).
+chunk, purpose or true hypothesis, so the table of a (spec, horizon),
+made once and kept in the spec, serves all of its chunks and runs, and
+comparing two specs' picks over a box decides before running whether a
+shorter horizon shares a sweep run (_shares).
 
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
@@ -141,9 +141,8 @@ def _box_rows(spec: StrategySpec, N: int):
 
 def _pick_table(spec: StrategySpec, N: int):
     """(table, dk, key0) for runs of `spec` to horizon N, or None when
-    it has no lattice key or its key box exceeds PICK_TABLE_CAP.
-
-    A trial's key is its point of the lattice K.T @ n (spec.pick_key,
+    it has no lattice key or its key box exceeds PICK_TABLE_CAP.  A
+    trial's key is its point of the lattice K.T @ n (spec.pick_key,
     n its observation counts) packed by _lattice_box.  Equal keys mean
     equal likelihood ratios among the hypotheses selection reads (the
     key spans the experiments the rule can pick, the only ones its
@@ -151,31 +150,32 @@ def _pick_table(spec: StrategySpec, N: int):
     holds the pick at every point of the box, made block by block from
     the representative rows of _box_rows, before any trial runs, so it
     serves every chunk, stream purpose and true hypothesis of `spec` at
-    N without a selector call: estimate() and a sweep group make one
-    for all of their runs."""
-    if spec.pick_key is None:
-        return None
+    N without a selector call.  The result, table or None, is made once
+    per (spec, N) and kept in the spec, which a pickle carries along."""
+    tables = spec._pick_tables
+    if N in tables or spec.pick_key is None:
+        return tables.get(N)
     box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
-    if box is None:
-        return None
-    dk, key0, _, width = box
-    table = np.empty(math.prod(width),
-                     dtype=np.min_scalar_type(spec.model.num_experiments - 1))
-    for a, rows in _box_rows(spec, N):
-        table[a:a + len(rows)] = _select_batch(spec, rows, None)
-    return table, dk, key0
+    if box is not None:
+        dk, key0, _, width = box
+        table = np.empty(math.prod(width),
+                         dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+        for a, rows in _box_rows(spec, N):
+            table[a:a + len(rows)] = _select_batch(spec, rows, None)
+        box = table, dk, key0
+    return tables.setdefault(N, box)
 
 
-def _shares(spec: StrategySpec, N: int, table, other: StrategySpec,
-            n: int) -> bool:
+def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
     """True when runs of `other`, built for horizon n < N, are the first
-    n steps of runs of `spec` to N on `table`, its _pick_table, bit for
-    bit: when spec is horizon_free(), or when other has spec's pick key
-    and picks as `table` at every point of its own (n - 1)-step box,
+    n steps of runs of `spec` to N, bit for bit: when spec is
+    horizon_free(), or when other has spec's pick key and picks as
+    spec's _pick_table at N at every point of its own (n - 1)-step box,
     every key a trial reads in its first n steps.  The comparison runs
     block by block (_box_rows) and stops at the first that differs."""
     if spec.horizon_free():
         return True
+    table = _pick_table(spec, N)
     if table is None or not np.array_equal(other.pick_key, spec.pick_key):
         return False
     _, _, lo, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
@@ -211,8 +211,7 @@ def _padded(a: np.ndarray) -> np.ndarray:
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, lo: int, hi: int, refs: tuple,
-                    zbar_weights: np.ndarray | None, path: list | None = None,
-                    table=None):
+                    zbar_weights: np.ndarray | None, path: list | None = None):
     """Simulate trials lo..hi-1 of one chunk to the last of the ascending
     `horizons`, and return (c_inc, zbar) stacked over them; a list
     `path` gets each step's (u, y) arrays appended.
@@ -231,13 +230,13 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     rows a step gathers for them, are _padded to 4: ndarray.take copies
     32-byte items on a fast path, 24-byte ones not.  Pads stay 0, unread.
 
-    `table`, the _pick_table of spec at the last horizon (or of a spec
-    that picks as it does in these steps, _shares), has each trial
-    carry its lattice key and a step read every pick from it with one
-    take; the pick there is the one the selector gives the trial's row.
-    Without it every step runs the selector on the padded rows, whose
-    pad it does not read, so the symmetric composite's row gather takes
-    the fast path too."""
+    spec's _pick_table at the last horizon, where it has one (a sweep
+    runs shorter horizons on it only where they pick alike, _shares),
+    has each trial carry its lattice key and a step read every pick from
+    it with one take; the pick there is the one the selector gives the
+    trial's row.  Without it every step runs the selector on the padded
+    rows, whose pad it does not read, so the symmetric composite's row
+    gather takes the fast path too."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -260,6 +259,7 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
         z = _padded(np.zeros((hi - lo, M - 1)))
     reads = reads_draws(spec)
     exp_draws = None
+    table = _pick_table(spec, horizons[-1])
     if table is not None:
         picks, dk, key0 = table
         key = np.full(hi - lo, key0, dtype=np.int64)
@@ -301,10 +301,9 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
 def _chunk_block(args):
     """The results of chunks first..last-1 of a run of `trials` trials."""
     (model, spec, horizons, true_hyp, master_seed, purpose, first, last,
-     trials, refs, w, table) = args
+     trials, refs, w) = args
     return [_simulate_chunk(model, spec, horizons, true_hyp, master_seed, purpose,
-                            c, 0, min(CHUNK, trials - c * CHUNK), refs, w,
-                            table=table)
+                            c, 0, min(CHUNK, trials - c * CHUNK), refs, w)
             for c in range(first, last)]
 
 
@@ -312,7 +311,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
                      true_hyp: int, trials: int, master_seed: int,
                      purpose: int = PURPOSE_ESTIMATE, refs: tuple = (),
                      zbar_weights=None, workers: int = 0,
-                     snapshots=None, table=None):
+                     snapshots=None):
     """Run `trials` trials of N steps under X = true_hyp.
 
     Returns (c_inc, zbar): confidence increments per requested reference
@@ -328,10 +327,10 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     (*snapshots, N), and entry k is bit for bit what a run of that
     many steps returns; without it they are entry -1 alone.
 
-    Every chunk reads its picks from one pick table: `table`, which
-    estimate() and sweep() make once for all of their runs, or else
-    _pick_table(spec, N), where spec has one.  With `workers` > 1 each
-    worker runs a contiguous block of chunks on that table; a chunk's
+    Every chunk reads its picks from spec's _pick_table at N, where it
+    has one, made here before any chunk runs unless an earlier run of
+    spec to N made it.  With `workers` > 1 each worker runs a contiguous
+    block of chunks on a copy of spec that carries that table; a chunk's
     stream does not depend on its block, so the results do not either.
     """
     if trials < 1:
@@ -342,8 +341,7 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
         snapshots = tuple(int(n) for n in snapshots)
         if any(not 0 <= a < b for a, b in zip(snapshots, (*snapshots[1:], N))):
             raise ValueError("snapshots must be strictly ascending horizons in [0, N)")
-    if table is None:
-        table = _pick_table(spec, N)
+    _pick_table(spec, N)    # in this process, before a pool copies spec
     refs = tuple(refs) if refs else (true_hyp,)
     horizons = (*(snapshots or ()), N)
     w = None if zbar_weights is None else np.asarray(zbar_weights, dtype=float)
@@ -355,13 +353,13 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
         from concurrent.futures import ProcessPoolExecutor
         blocks = min(workers, n_chunks)
         edges = [b * n_chunks // blocks for b in range(blocks + 1)]
-        tasks = [(*task, a, b, trials, refs, w, table)
+        tasks = [(*task, a, b, trials, refs, w)
                  for a, b in zip(edges, edges[1:])]
         # one process per block: under fork the pool starts them all at once
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             results = [r for block in pool.map(_chunk_block, tasks) for r in block]
     else:
-        results = _chunk_block((*task, 0, n_chunks, trials, refs, w, table))
+        results = _chunk_block((*task, 0, n_chunks, trials, refs, w))
     c_inc = np.concatenate([r[0] for r in results], axis=1)
     zbar = None
     if w is not None:
@@ -374,12 +372,10 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
 def run_trial(model: HypothesisModel, spec: StrategySpec, rule: InferenceRule,
               N: int, true_hypothesis: int, seed: int, trial_index: int = 0):
     """Trial `trial_index` of the estimation stream: the engine run on
-    its one row, so it takes the engine's path and gets the engine's
-    decision (None to abstain) bit for bit, for every strategy kind.
-    It hands the engine no pick table, so each step selects on the one
-    row: the pick a table holds for its key, without filling one.
-    The trajectory, for the rule's first hypothesis, steps the belief
-    layer along that path."""
+    its one row, so it takes the engine's path, on spec's pick table at
+    N where it has one, and gets the engine's decision (None to abstain)
+    bit for bit, for every strategy kind.  The trajectory, for the
+    rule's first hypothesis, steps the belief layer along that path."""
     chunk_idx, row = divmod(trial_index, CHUNK)
     refs = tuple(sorted(rule.thresholds))
     path = []
@@ -520,12 +516,11 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     refs = tuple(sorted(rule.thresholds))
     symmetric = rule.kind == "symmetric"
     report = SimulationReport(horizon=config.horizon, trials=T, seed=config.seed)
-    table = _pick_table(config.spec, config.horizon)
 
     def run(h, trials, purpose):
         c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
                                     trials, config.seed, purpose, refs=refs,
-                                    workers=config.workers, table=table)
+                                    workers=config.workers)
         return c_inc, decisions_from_increments(c_inc, refs, rule)
 
     dec_by_hyp = {}
@@ -813,20 +808,19 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
             while left:
                 N = left.pop()
                 spec = cells[N][1]
-                table = _pick_table(spec, N)
                 group = [N]
                 while left and len(group) < size and _shares(
-                        spec, N, table, cells[left[-1]][1], left[-1]):
+                        spec, N, cells[left[-1]][1], left[-1]):
                     group.insert(0, left.pop())
                 zw = spec.game.beta_star if strong == "empirical" else None
                 cal, _ = simulate_measure(
                     model, spec, N, reference, trials, seed,
                     PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
-                    snapshots=group[:-1], table=table)
+                    snapshots=group[:-1])
                 inc, z = simulate_measure(
                     model, spec, N, reference, trials, seed,
                     PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
-                    workers=workers, snapshots=group[:-1], table=table)
+                    workers=workers, snapshots=group[:-1])
                 for k, N in enumerate(group):
                     made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
                                          inc[k], None if z is None else z[k],

@@ -132,6 +132,9 @@ class StrategySpec:
     # experiments the rule can pick, its key K and decode G, or None
     pick_key: np.ndarray | None = field(repr=False, default=None)     # (U*Y, r) int
     pick_ratios: np.ndarray | None = field(repr=False, default=None)  # (r, M)
+    # montecarlo._pick_table's tables by horizon: not an __init__
+    # argument, emptied by dataclasses.replace, carried by pickle
+    _pick_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the

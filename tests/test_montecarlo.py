@@ -1,6 +1,7 @@
 """Simulation engine: determinism, estimators, enumeration, calibration."""
 
 import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import decimal_model, four_hypothesis_model, random_model
+from fhat import cli
 from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model, ratio_lattice
@@ -430,8 +432,7 @@ class TestPickCache:
     def assert_matches_reference(m, spec, N, h, refs, rows=mc.CHUNK):
         """A chunk on spec's pick table at N, where it has one, against
         the reference step loop, which computes every pick."""
-        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None,
-                                      table=mc._pick_table(spec, N))
+        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None)
         lb, _ = reference_chunk(m, spec, N, h, 5, 0, 1, rows)
         assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, refs))
 
@@ -494,7 +495,7 @@ class TestPickCache:
         assert seen[0] == size
         for h in range(3):
             self.assert_matches_reference(t2, spec, 500, h, (0, 1, 2))
-        assert seen[0] == 4 * size
+        assert seen[0] == size
 
     def test_cache_is_used(self, t1, monkeypatch):
         """table1 das at N = 200: the fill selects once per point of the
@@ -504,8 +505,7 @@ class TestPickCache:
         spec = build_strategy(t1, "das", 200, reference=0)
         table = mc._pick_table(spec, 200)
         assert seen[0] == table[0].size == 401
-        mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK, (0,), None,
-                           table=table)
+        mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK, (0,), None)
         assert seen[0] == 401
 
     def test_falls_back_over_the_cap_and_off_the_lattice(self, t2, monkeypatch):
@@ -527,15 +527,16 @@ class TestPickCache:
     def test_filled_table_selects_no_row(self, t1, monkeypatch):
         """A chunk on a filled table hands the selector no row, and gives
         the increments and weighted LLRs, bit for bit, of the chunk run
-        without a table, which selects on every row at every step."""
+        without a table (the spec without its pick key), which selects
+        on every row at every step."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t1, "das", 200, reference=0)
-        table = mc._pick_table(spec, 200)
+        mc._pick_table(spec, 200)
         runs, rows = [], []
-        for t in (table, None):
+        for s in (spec, replace(spec, pick_key=None)):
             seen[0] = 0
-            runs.append(mc._simulate_chunk(t1, spec, (200,), 1, 5, 0, 1, 0, mc.CHUNK,
-                                           (0, 1, 2), spec.game.beta_star, table=t))
+            runs.append(mc._simulate_chunk(t1, s, (200,), 1, 5, 0, 1, 0, mc.CHUNK,
+                                           (0, 1, 2), spec.game.beta_star))
             rows.append(seen[0])
         assert rows == [0, mc.CHUNK * 200]
         assert runs[0][0].tobytes() == runs[1][0].tobytes()
@@ -555,8 +556,7 @@ class TestPickCache:
         spec = build_strategy(m, "das", 40, reference=0)
         table, dk, key0 = mc._pick_table(spec, 40)
         assert table.size == 1 and not dk.any() and key0 == 0
-        c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None,
-                                      table=(table, dk, key0))
+        c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None)
         lb, _ = reference_chunk(m, spec, 40, 1, 5, 0, 0, 100)
         assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, (0,)))
 
@@ -675,8 +675,10 @@ class TestPickCache:
 
 
 class TestSharedPickTable:
-    """estimate() reads one pick table, filled before its runs, across
-    all of its runs and their chunks."""
+    """A spec keeps the pick table of each horizon it runs to, filled
+    once before the first run: estimate() reads it across all of its
+    runs and their chunks, and worker processes get it inside the
+    spec."""
 
     T = 3 * mc.CHUNK + 100      # three full chunks and a partial one
 
@@ -717,49 +719,107 @@ class TestSharedPickTable:
                                           mc._confidence_increments(m, lb, refs))
 
     def test_workers_do_not_change_reports(self, t1, t2):
-        """Two workers, each running a block of chunks on the caller's
-        table, report what one serial run on it reports."""
+        """Two workers, each running a block of chunks on the table its
+        copy of the spec carries, report what one serial run reports."""
         for config in self.configs(t1, t2):
             serial = mc.estimate(config)
             assert mc.estimate(replace(config, workers=2)) == serial
 
     def test_shared_table_selects_fewer_rows(self, t1, monkeypatch):
         """The symmetric composite at N = 200: its runs under the three
-        hypotheses, each making its own table, hand the selector three
-        key boxes of rows, and estimate(), one table for the three runs,
-        one box."""
+        hypotheses hand the selector one key box of rows, the one fill
+        of the spec's table, and estimate() on that spec then hands it
+        none; estimate() on a fresh copy of the spec fills one box."""
         seen = TestPickCache.counted_rows(monkeypatch)
         spec, rule = symmetric_setup(t1, 200, 0.05)
         box = math.prod(mc._lattice_box(spec.pick_key, 200, mc.PICK_TABLE_CAP)[3])
         for h in range(3):
             mc.simulate_measure(t1, spec, 200, h, self.T, 4, refs=(0, 1, 2))
-        assert seen[0] == 3 * box
+        assert seen[0] == box
         seen[0] = 0
         mc.estimate(mc.SimulationConfig(t1, spec, rule, 200, self.T, 4))
+        assert seen[0] == 0
+        mc.estimate(mc.SimulationConfig(t1, replace(spec), rule, 200, self.T, 4))
         assert seen[0] == box
 
-    def test_tables_are_made_per_run_not_per_chunk(self, t1, monkeypatch):
-        """A run makes one table for all of its chunks, with workers too,
-        and none when the caller hands it one; a one-row replay makes
-        none."""
-        made = [0]
-        pick_table = mc._pick_table
+    @staticmethod
+    def counted_fills(monkeypatch):
+        """The number of pick tables filled (_box_rows calls) in this
+        process, in entry 0."""
+        fills = [0]
+        box_rows = mc._box_rows
 
         def counting(spec, N):
-            made[0] += 1
-            return pick_table(spec, N)
+            fills[0] += 1
+            return box_rows(spec, N)
 
-        monkeypatch.setattr(mc, "_pick_table", counting)
-        spec = build_strategy(t1, "das", 100, reference=0)
+        monkeypatch.setattr(mc, "_box_rows", counting)
+        return fills
+
+    def test_tables_are_made_per_run_not_per_chunk(self, t1, monkeypatch):
+        """A run fills one table for all of its chunks, with workers too,
+        and none when an earlier run of the spec to that horizon filled
+        it; a one-row replay of such a spec fills none either."""
+        fills = self.counted_fills(monkeypatch)
         for workers in (0, 2):
-            made[0] = 0
+            spec = build_strategy(t1, "das", 100, reference=0)
+            fills[0] = 0
             mc.simulate_measure(t1, spec, 100, 0, self.T, 4, snapshots=(50,),
                                 workers=workers)
-            assert made[0] == 1
-        made[0] = 0
-        mc.simulate_measure(t1, spec, 100, 0, self.T, 4, table=pick_table(spec, 100))
+            assert fills[0] == 1
+        fills[0] = 0
+        mc.simulate_measure(t1, spec, 100, 1, self.T, 4, purpose=mc.PURPOSE_CALIBRATE)
         mc.run_trial(t1, spec, empirical_rule(0, 5.0, 0.05), 100, 0, 4, mc.CHUNK + 3)
-        assert made[0] == 0
+        assert fills[0] == 0
+        mc.simulate_measure(t1, spec, 60, 0, self.T, 4)
+        assert fills[0] == 1
+
+    def test_simulate_calibrate_fills_one_table(self, monkeypatch):
+        """fhat simulate --calibrate runs the calibration batch and then
+        the estimation batches on one spec: table2 das-rs at N = 500
+        fills its pick table once for all of them."""
+        fills = self.counted_fills(monkeypatch)
+        assert cli.main(["simulate", "--model", "table2", "--strategy", "das-rs",
+                         "--reference", "0", "--horizon", "500", "--trials", "300",
+                         "--calibrate"]) == 0
+        assert fills[0] == 1
+
+    def test_replaced_spec_reads_no_stale_table(self, t2):
+        """dataclasses.replace gives a spec with no tables: after the
+        table2 das spec at N = 34 has filled its table, a copy with the
+        tilt of the N = 30 spec (s_value, mu), or with a new decode
+        (pick_ratios), fills its own, equal to the table of a newly
+        built spec with those settings and apart from the original's."""
+        spec = build_strategy(t2, "das", 34, reference=0)
+        other = build_strategy(t2, "das", 30, reference=0)
+        table = mc._pick_table(spec, 34)[0]
+        cases = [(replace(spec, s_value=other.s_value, mu=other.mu), other),
+                 (replace(spec, pick_ratios=2 * spec.pick_ratios),
+                  replace(build_strategy(t2, "das", 34, reference=0),
+                          pick_ratios=2 * spec.pick_ratios))]
+        for copy, fresh in cases:
+            assert copy._pick_tables == {} and fresh._pick_tables == {}
+            got = mc._pick_table(copy, 34)[0]
+            assert np.array_equal(got, mc._pick_table(fresh, 34)[0])
+            assert not np.array_equal(got, table)
+        assert mc._pick_table(spec, 34)[0] is table
+
+    def test_table_travels_with_the_spec(self, t1, monkeypatch):
+        """A spec pickled after a run has filled its table (as a worker
+        process receives it) carries that table: a block of chunks run
+        on the copy hands the selector no row and gives the serial run's
+        increments and weighted LLRs bit for bit."""
+        spec = build_strategy(t1, "das", 200, reference=0)
+        zw = spec.game.beta_star
+        serial = mc.simulate_measure(t1, spec, 200, 1, self.T, 4, refs=(0, 1, 2),
+                                     zbar_weights=zw)
+        copy = pickle.loads(pickle.dumps(spec))
+        seen = TestPickCache.counted_rows(monkeypatch)
+        block = mc._chunk_block((t1, copy, (200,), 1, 4, mc.PURPOSE_ESTIMATE, 0, 4,
+                                 self.T, (0, 1, 2), zw))
+        assert seen[0] == 0
+        assert np.concatenate([r[0][0] for r in block]).tobytes() == serial[0].tobytes()
+        assert np.concatenate([r[1][0] for r in block]).tobytes() == serial[1].tobytes()
 
 
 def count_state_picks(m, spec, N):
@@ -1404,18 +1464,18 @@ class TestSweep:
             assert (table is None) == (spec.horizon_free() or N == 60), (kind, N)
             for n in shorter:
                 other = build_strategy(m, kind, n, reference=0)
-                assert mc._shares(spec, N, table, other, n) is share, (kind, N, n)
-                assert mc._shares(other, n, mc._pick_table(other, n), other, n)
+                assert mc._shares(spec, N, other, n) is share, (kind, N, n)
+                assert mc._shares(other, n, other, n)
 
     def test_shares_stops_at_the_first_block_that_differs(self, t2, monkeypatch):
         """table2 das at 30 picks apart from 34 a few blocks into its
         29-step box: _shares says so having handed the selector fewer
         rows than that box holds."""
         spec = build_strategy(t2, "das", 34, reference=0)
-        table = mc._pick_table(spec, 34)
+        mc._pick_table(spec, 34)
         other = build_strategy(t2, "das", 30, reference=0)
         seen = TestPickCache.counted_rows(monkeypatch)
-        assert not mc._shares(spec, 34, table, other, 30)
+        assert not mc._shares(spec, 34, other, 30)
         box = math.prod(mc._lattice_box(other.pick_key, 29, mc.PICK_TABLE_CAP)[3])
         assert 0 < seen[0] < box
 
@@ -1433,15 +1493,14 @@ class TestSweep:
                 spec = build_strategy(m, "das", 12, reference=0)
             except ValueError:
                 continue
-            table = mc._pick_table(spec, 12)
-            if table is None:
+            if mc._pick_table(spec, 12) is None:
                 continue
             width = mc._lattice_box(spec.pick_key, 12, mc.PICK_TABLE_CAP)[3]
             if len(set(width)) < 2:
                 continue
             found += 1
             for n in range(1, 12):
-                assert mc._shares(spec, 12, table, spec, n), (width, n)
+                assert mc._shares(spec, 12, spec, n), (width, n)
 
     def test_horizon_groups_bound_memory(self, t2, monkeypatch):
         """A horizon list longer than the result budget runs in groups,
