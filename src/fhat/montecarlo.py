@@ -33,6 +33,7 @@ distinct lattice states (polynomial in N) rather than of paths.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,8 +58,8 @@ ENUM_STATE_CAP = 1 << 18  # live lattice states (bounds enumeration memory)
 PICK_TABLE_CAP = 1 << 20  # entries of a run's pick table (one byte each)
 JACKKNIFE_BATCHES = 100
 THRESHOLD_TOL = 1e-6   # width of the calibrated threshold's bisection bracket
-# Results one shared sweep run may hold: per horizon, the calibration and
-# estimation increments and the weighted LLRs, 24 bytes per trial.
+# Results one sweep group may hold: 8 bytes per trial and horizon times
+# max(3, runs x references), see sweep.
 _SHARED_BYTES = 32 << 20
 
 # Stream purposes: estimation, threshold calibration, alternate mixture.
@@ -746,28 +747,25 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
           trials: int, seed: int, epsilon_fn=default_epsilon,
           strong: str = "none", nu: float | None = None,
           workers: int = 0, inner_kind: str = "das") -> list[SweepRow]:
-    """Evaluate each (strategy kind, horizon) cell.
-
-    Asymmetric kinds: calibrate the threshold empirically on a dedicated
-    batch, then estimate psi and ln(1/phi) (log-sum-exp channel) on a
-    fresh batch; bound columns use the weak rate bound and the selected
-    strong channel ("binary" needs `nu`, "empirical" reuses the
-    estimation batch's weighted-LLR samples, "none" leaves it infinite);
-    "binary" raises ValueError off its family (check_binary_family).
-
-    The symmetric composite row reports min_i psi_hat, gamma via the
-    log-sum-exp channel and ln(1/gamma) in the log_inv_phi column.
+    """Evaluate each (strategy kind, horizon) cell, its row made by
+    _sweep_row.  An asymmetric kind calibrates its threshold on a batch
+    of its own under `reference`; the symmetric composite keeps the
+    thresholds of symmetric_setup.  "binary" raises ValueError off its
+    family (check_binary_family).
 
     Rows come in the order of `kinds`, then of `horizons`; a repeated
-    horizon is simulated once.  Horizons run in groups, one calibration
-    and one estimation run to the group's longest on its pick table,
-    and the group's other horizons take their trials' state on the way
-    there: the same bits as runs of their own.  The longest horizon left
-    leads a group, and the next shorter ones join it while they share
-    its run (_shares) and the group fits _SHARED_BYTES of results (13
-    horizons at 100 000 trials, 170 at 8192), so memory does not grow
-    with the horizon list.
-    """
+    horizon is simulated once.  Horizons run in groups: the calibration
+    run, if any, and one estimation run under each thresholded
+    hypothesis go to the group's longest horizon on its pick table, and
+    its other horizons take their trials' state on the way there, the
+    same bits as runs of their own.  The longest horizon left leads a
+    group, and the next shorter ones join it while they share its run
+    (_shares) and the group fits _SHARED_BYTES of results, at 8 bytes
+    per trial and horizon times max(3, runs x references): 13 horizons
+    at 100 000 trials and 170 at 8192 for an asymmetric kind, 4 and 56
+    for the M = 3 composite.  A group's specs, and with them the
+    leader's pick table, go once its rows are made, so memory does not
+    grow with the horizon list."""
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
     if strong == "binary":
@@ -777,76 +775,85 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     horizons = list(horizons)
     rows = []
     for kind in kinds:
+        symmetric = kind == "symmetric"
+        refs = tuple(range(model.num_hypotheses)) if symmetric else (reference,)
+        cells = {}
+        for N in dict.fromkeys(horizons):
+            eps = epsilon_fn(N)
+            cells[N] = (eps, *(symmetric_setup(model, N, eps, inner_kind) if symmetric
+                               else (build_strategy(model, kind, N, reference=reference,
+                                                    epsilon=eps), None)))
+        left = sorted(cells)
+        size = max(1, _SHARED_BYTES // (8 * max(3, len(refs) ** 2) * trials))
         made = {}
-        if kind == "symmetric":
-            for N in dict.fromkeys(horizons):
-                eps = epsilon_fn(N)
-                spec, rule = symmetric_setup(model, N, eps, inner_kind)
-                rep = estimate(SimulationConfig(model, spec, rule, N, trials,
-                                                seed, workers))
-                gamma = rep.gamma_hat_lse
-                made[N] = SweepRow(
-                    strategy=kind, N=N, epsilon=eps,
-                    theta=min(rule.thresholds.values()),
-                    psi_hat=min(rep.psi_hat.values()),
-                    psi_se=max(rep.psi_se.values()),
-                    log_inv_phi=-math.log(gamma) if gamma > 0 else math.inf,
-                    log_inv_phi_se=rep.gamma_lse_se / gamma if gamma > 0 else math.nan,
-                    gamma_hat=gamma,
-                    weak_bound=min(bounds_mod.weak_converse(inner.game, model, N, eps)
-                                   for inner in spec.inner),
-                    strong_bound=math.inf, seed=seed)
-        else:
-            cells = {}
-            for N in horizons:
-                if N not in cells:
-                    eps = epsilon_fn(N)
-                    cells[N] = (eps, build_strategy(model, kind, N, reference=reference,
-                                                    epsilon=eps))
-            left = sorted(cells)
-            size = max(1, _SHARED_BYTES // (24 * trials))
-            while left:
-                N = left.pop()
-                spec = cells[N][1]
-                group = [N]
-                while left and len(group) < size and _shares(
-                        spec, N, cells[left[-1]][1], left[-1]):
-                    group.insert(0, left.pop())
-                zw = spec.game.beta_star if strong == "empirical" else None
-                cal, _ = simulate_measure(
-                    model, spec, N, reference, trials, seed,
-                    PURPOSE_CALIBRATE, refs=(reference,), workers=workers,
-                    snapshots=group[:-1])
-                inc, z = simulate_measure(
-                    model, spec, N, reference, trials, seed,
-                    PURPOSE_ESTIMATE, refs=(reference,), zbar_weights=zw,
-                    workers=workers, snapshots=group[:-1])
-                for k, N in enumerate(group):
-                    made[N] = _sweep_row(model, kind, reference, N, *cells[N], cal[k],
-                                         inc[k], None if z is None else z[k],
-                                         seed, strong, nu)
+        while left:
+            N = left.pop()
+            spec = cells[N][1]
+            group = [N]
+            while left and len(group) < size and _shares(
+                    spec, N, cells[left[-1]][1], left[-1]):
+                group.insert(0, left.pop())
+            kw = dict(refs=refs, workers=workers, snapshots=group[:-1])
+            cal = None if symmetric else simulate_measure(
+                model, spec, N, reference, trials, seed, PURPOSE_CALIBRATE, **kw)[0]
+            zw = spec.game.beta_star if strong == "empirical" and not symmetric else None
+            est = [simulate_measure(model, spec, N, h, trials, seed, PURPOSE_ESTIMATE,
+                                    zbar_weights=zw, **kw) for h in refs]
+            for k, n in enumerate(group):
+                made[n] = _sweep_row(model, kind, n, *cells.pop(n),
+                                     None if cal is None else cal[k],
+                                     [(c[k], None if z is None else z[k]) for c, z in est],
+                                     seed, strong, nu)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 
 
-def _sweep_row(model, kind, reference, N, eps, spec, cal_inc, c_inc, zbar,
-               seed, strong, nu) -> SweepRow:
-    """One asymmetric sweep row from its calibration increments, its
-    estimation increments and (strong="empirical") its weighted LLRs."""
-    theta = best_threshold_search(model, N, eps, cal_inc)
-    rule = empirical_rule(reference, theta, eps)
-    dec = decisions_from_increments(c_inc, (reference,), rule)
-    psi, psi_se, est = _batch_estimates(c_inc, 0, dec, reference)
-    weak = bounds_mod.weak_converse(spec.game, model, N, eps)
-    if strong == "binary":
-        strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
-    elif strong == "empirical":
-        h1 = bounds_mod.cross_entropy_start(model, spec.game)
-        _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
-    else:
+def _sweep_row(model, kind, N, eps, spec, rule, cal_inc, runs, seed, strong,
+               nu) -> SweepRow:
+    """One sweep row from an estimation batch (c_inc, zbar) under each
+    hypothesis the rule thresholds, `runs` in ascending order: the
+    smallest psi_hat (_batch_estimates) and threshold, the largest SE
+    and the log-sum-exp gamma (_gamma_lse).  An asymmetric kind's rule,
+    None here, is calibrated on `cal_inc`; its row adds its ln(1/phi),
+    the weak rate bound and the strong channel ("binary" needs `nu`,
+    "empirical" reads zbar, the weighted LLRs, and "none" is infinite).
+    The symmetric composite's row adds ln(1/gamma), the smallest weak
+    bound of its inner games and an infinite strong bound, and it warns
+    (RuntimeWarning, the row unchanged) where some hypothesis's psi_hat
+    is below 1 - eps by more than 3 of its SE: a missed hit constraint."""
+    if rule is None:
+        rule = empirical_rule(spec.reference,
+                              best_threshold_search(model, N, eps, cal_inc), eps)
+    refs = tuple(sorted(rule.thresholds))
+    est = {i: _batch_estimates(c_inc, col, decisions_from_increments(c_inc, refs, rule), i)
+           for col, (i, (c_inc, _)) in enumerate(zip(refs, runs))}
+    gamma, gamma_se = _gamma_lse(model, {i: lse for i, (_, _, lse) in est.items()})
+    if kind == "symmetric":
+        short = [f"hypothesis {model.hypotheses[i]} at {psi:.4g} (SE {se:.2g})"
+                 for i, (psi, se, _) in est.items() if psi < 1 - eps - 3 * se]
+        if short:
+            warnings.warn(f"symmetric at N = {N}: psi_hat is below 1 - epsilon = "
+                          f"{1 - eps:.4g} by more than 3 SE for " + ", ".join(short),
+                          RuntimeWarning, stacklevel=3)
+        log_inv_phi = -math.log(gamma) if gamma > 0 else math.inf
+        log_inv_phi_se = gamma_se / gamma if gamma > 0 else math.nan
+        weak = min(bounds_mod.weak_converse(inner.game, model, N, eps)
+                   for inner in spec.inner)
         strong_abs = math.inf
+    else:
+        ((_, _, lse),) = est.values()
+        log_inv_phi, log_inv_phi_se = lse.log_inv_phi, lse.se
+        weak = bounds_mod.weak_converse(spec.game, model, N, eps)
+        if strong == "binary":
+            strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
+        elif strong == "empirical":
+            h1 = bounds_mod.cross_entropy_start(model, spec.game)
+            _, strong_abs = bounds_mod.strong_converse_sweep(runs[0][1], h1, eps)
+        else:
+            strong_abs = math.inf
     return SweepRow(
-        strategy=kind, N=N, epsilon=eps, theta=theta, psi_hat=psi,
-        psi_se=psi_se, log_inv_phi=est.log_inv_phi, log_inv_phi_se=est.se,
-        gamma_hat=_gamma_lse(model, {reference: est})[0],
+        strategy=kind, N=N, epsilon=eps, theta=min(rule.thresholds.values()),
+        psi_hat=min(psi for psi, _, _ in est.values()),
+        psi_se=max(se for _, se, _ in est.values()),
+        log_inv_phi=log_inv_phi, log_inv_phi_se=log_inv_phi_se, gamma_hat=gamma,
         weak_bound=weak, strong_bound=strong_abs, seed=seed)

@@ -139,18 +139,19 @@ class StrategySpec:
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the
         spec was built for: ``ors`` samples the game's mixture and
-        ``chernoff-det`` reads a table of the game, neither uses N or
-        epsilon, so specs of one kind built for any two horizons select
-        the same.  ``das`` and ``das-rs`` tilt by the horizon; a sweep
-        shares their runs only where a shorter horizon's spec picks as
-        the longer one's pick table, checked before running
-        (montecarlo._shares)."""
+        ``chernoff-det`` reads a table of the game, so specs of either,
+        or of a composite of them, select the same for any N or epsilon.
+        ``das`` and ``das-rs`` tilt by the horizon; a sweep shares their
+        runs, or their composite's, only where a shorter horizon's spec
+        picks as the longer one's pick table (montecarlo._shares)."""
+        if self.kind == "symmetric":
+            return all(inner.horizon_free() for inner in self.inner)
         return self.kind in ("ors", "chernoff-det")
 
 
 def build_strategy(model: HypothesisModel, kind: str, horizon: int,
                    reference: int | None = None, epsilon: float | None = None,
-                   sample_alpha=None, inner_kind: str = "das") -> StrategySpec:
+                   inner_kind: str = "das") -> StrategySpec:
     """Resolve a strategy: solve the game(s), fix the tilt schedule, and
     precompute per-run lookup tables.
 
@@ -198,9 +199,6 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     mask = sol.alpha_star > SUPPORT_EPS
     A = sol.payoff_matrix
     chern = np.array([int(np.argmax(A[:, k])) for k in range(A.shape[1])])
-    alpha = sol.alpha_star if sample_alpha is None else np.asarray(sample_alpha, dtype=float)
-    if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
-        raise ValueError("sample_alpha must be a distribution over experiments")
     # das, das-rs and chernoff-det read the alternates' log beliefs
     # through their differences, observed on the experiments they pick
     picks = {"das-rs": np.flatnonzero(mask),
@@ -209,7 +207,7 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
         model, model.alternates(reference), picks.get(kind))
     key, ratios = lattice or (None, None)
     return StrategySpec(kind=kind, model=model, reference=reference,
-                        s_value=s_val, game=sol, sample_alpha=alpha,
+                        s_value=s_val, game=sol, sample_alpha=sol.alpha_star,
                         mu=mu, kl=kl, support_mask=mask, chernoff_u=chern,
                         pick_key=key, pick_ratios=ratios)
 

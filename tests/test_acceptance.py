@@ -127,9 +127,8 @@ def _oracle_strategies(model, N):
         "das": build_strategy(model, "das", N, reference=0),
         "das-rs": build_strategy(model, "das-rs", N, reference=0),
         "chernoff-det": build_strategy(model, "chernoff-det", N, reference=0),
-        "ors-point": build_strategy(
-            model, "ors", N, reference=0,
-            sample_alpha=np.eye(model.num_experiments)[0]),
+        "ors-point": replace(build_strategy(model, "ors", N, reference=0),
+                             sample_alpha=np.eye(model.num_experiments)[0]),
     }
     return specs
 

@@ -422,19 +422,23 @@ class TestCrossPath:
         assert a.pop("gamma_hat") != b.pop("gamma_hat")
         assert a == b
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_symmetric_sweep_row_summarizes_simulate_rows(self, capsys):
+        """Also for a row taken from a shared run: 10 shares the run to 30."""
         common = ("--model", "table1", "--trials", "3000", "--seed", "11")
-        code, sim, _ = run(capsys, "simulate", *common, "--strategy",
-                           "symmetric", "--horizon", "30")
-        assert code == 0
-        code, swp, _ = run(capsys, "sweep", *common, "--strategies",
-                           "symmetric", "--horizons", "30")
-        assert code == 0
-        rows, (row,) = csv_rows(sim), csv_rows(swp)
-        assert len(rows) == 3
-        for col, pick in (("theta", min), ("psi_hat", min), ("psi_se", max)):
-            assert float(row[col]) == pick(float(r[col]) for r in rows)
-        assert {r["gamma_hat"] for r in rows} == {row["gamma_hat"]}
+        for horizon, horizons in (("30", "30"), ("10", "10,30")):
+            code, sim, _ = run(capsys, "simulate", *common, "--strategy",
+                               "symmetric", "--horizon", horizon)
+            assert code == 0
+            code, swp, _ = run(capsys, "sweep", *common, "--strategies",
+                               "symmetric", "--horizons", horizons)
+            assert code == 0
+            rows = csv_rows(sim)
+            (row,) = [r for r in csv_rows(swp) if r["N"] == horizon]
+            assert len(rows) == 3
+            for col, pick in (("theta", min), ("psi_hat", min), ("psi_se", max)):
+                assert float(row[col]) == pick(float(r[col]) for r in rows)
+            assert {r["gamma_hat"] for r in rows} == {row["gamma_hat"]}
 
 
 @pytest.mark.parametrize("argv", [

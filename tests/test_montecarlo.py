@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -940,8 +942,8 @@ class TestLsePhiEstimator:
 
 class TestEnumerate:
     def test_always_accept_single_step(self, t1):
-        spec = build_strategy(t1, "ors", horizon=1, reference=0,
-                              sample_alpha=[1.0, 0.0])
+        spec = replace(build_strategy(t1, "ors", horizon=1, reference=0),
+                       sample_alpha=np.array([1.0, 0.0]))
         rep = mc.enumerate_exact(t1, spec, empirical_rule(0, -1e9, 0.05), 1)
         np.testing.assert_allclose(rep.psi[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(rep.phi[0], 1.0, atol=1e-12)
@@ -949,8 +951,8 @@ class TestEnumerate:
     def test_declare_iff_zero_observation(self, t1):
         """One probe of sensor A, declare the null iff y = 0: hit rate
         0.6, mixture false-declare rate (0.4 + 0.6)/2 = 0.5."""
-        spec = build_strategy(t1, "ors", horizon=1, reference=0,
-                              sample_alpha=[1.0, 0.0])
+        spec = replace(build_strategy(t1, "ors", horizon=1, reference=0),
+                       sample_alpha=np.array([1.0, 0.0]))
         from fhat.belief import new_trajectory, step_trajectory, confidence_increment
         inc0 = confidence_increment(step_trajectory(new_trajectory(t1, 0), 0, 0))
         inc1 = confidence_increment(step_trajectory(new_trajectory(t1, 0), 0, 1))
@@ -1174,9 +1176,9 @@ class TestEnumerateOracle:
                     games = {i: spec.inner[i].game for i in range(M)}
                     rules = [symmetric_rule(m, games, N, 0.5)]
                 else:
-                    alpha = np.eye(m.num_experiments)[-1] if kind == "ors" else None
-                    spec = build_strategy(m, kind, N, reference=0,
-                                          sample_alpha=alpha)
+                    spec = build_strategy(m, kind, N, reference=0)
+                    if kind == "ors":
+                        spec = replace(spec, sample_alpha=np.eye(m.num_experiments)[-1])
                     rules = [empirical_rule(0, theta * N, 0.05)
                              for theta in (0.025, 0.25)]
                 for rule in rules:
@@ -1242,9 +1244,9 @@ class TestEnumerateOracle:
                     spec = build_strategy(m, kind, N)
                     tilts.update(inner.s_value < 1 for inner in spec.inner)
                 else:
-                    alpha = np.eye(U)[-1] if kind == "ors" else None
-                    spec = build_strategy(m, kind, N, reference=0,
-                                          sample_alpha=alpha)
+                    spec = build_strategy(m, kind, N, reference=0)
+                    if kind == "ors":
+                        spec = replace(spec, sample_alpha=np.eye(U)[-1])
                     tilts.add(spec.s_value < 1)
                 want = [reference_select_experiment(spec, Belief(row), ZeroRng())
                         for row in lp]
@@ -1338,6 +1340,7 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[0] == "ors" and first[1] == "5"
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_symmetric_row(self, t1):
         rows = mc.sweep(t1, ["symmetric"], 0, [20], 600, 4)
         (row,) = rows
@@ -1345,28 +1348,50 @@ class TestSweep:
         assert 0 <= row.psi_hat <= 1
         assert row.gamma_hat >= 0
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_repeated_symmetric_horizon_runs_once(self, t1, monkeypatch):
         """The symmetric composite, like the other kinds, simulates each
-        distinct horizon once, and every row equals the row of a sweep
+        distinct horizon once: 30 shares the run to 60, one estimation
+        run under each hypothesis.  Every row equals the row of a sweep
         of its horizon alone."""
         horizons = [60, 60, 30, 60]
         alone = {N: mc.sweep(t1, ["symmetric"], 0, [N], 2000, 5)[0]
                  for N in set(horizons)}
         calls = []
-        run = mc.estimate
+        run = mc.simulate_measure
 
-        def counted(config):
-            calls.append(config.horizon)
-            return run(config)
+        def counted(model, spec, N, true_hyp, trials, seed, purpose, **kw):
+            calls.append((N, tuple(kw["snapshots"]), true_hyp, purpose))
+            return run(model, spec, N, true_hyp, trials, seed, purpose, **kw)
 
-        monkeypatch.setattr(mc, "estimate", counted)
+        monkeypatch.setattr(mc, "simulate_measure", counted)
         rows = mc.sweep(t1, ["symmetric"], 0, horizons, 2000, 5)
-        assert sorted(calls) == sorted(set(horizons))
+        assert calls == [(60, (30,), h, mc.PURPOSE_ESTIMATE) for h in range(3)]
         assert [r.N for r in rows] == horizons
         for row in rows:
             for name, value in vars(row).items():
                 other = getattr(alone[row.N], name)
                 assert value == other or (value != value and other != other), name
+        # with inner ors every horizon shares: one run under each hypothesis
+        calls.clear()
+        mc.sweep(t1, ["symmetric"], 0, range(100, 501, 100), 300, 2, inner_kind="ors")
+        assert calls == [(500, (100, 200, 300, 400), h, mc.PURPOSE_ESTIMATE)
+                         for h in range(3)]
+
+    def test_symmetric_row_short_of_the_hit_constraint_warns(self, t1):
+        """On table1 the composite's psi_hat is below 1 - eps by more
+        than 3 SE at N = 100 and not at 200: a sweep of both warns once,
+        for 100, and its rows are those of the same sweep run with
+        warnings silenced."""
+        with pytest.warns(RuntimeWarning, match="symmetric at N") as record:
+            rows = mc.sweep(t1, ["symmetric"], 0, [100, 200], 9000, 7)
+        (warned,) = [str(w.message) for w in record
+                     if str(w.message).startswith("symmetric at N")]
+        assert warned.startswith("symmetric at N = 100:")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = mc.sweep(t1, ["symmetric"], 0, [100, 200], 9000, 7)
+        assert mc.rows_to_csv(rows) == mc.rows_to_csv(quiet)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_shared_horizons_match_single_cells(self, t1, t2, workers):
@@ -1389,6 +1414,7 @@ class TestSweep:
                     other = getattr(b, name)
                     assert value == other or (value != value and other != other), name
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     @pytest.mark.parametrize("workers", [0, 2])
     def test_lattice_keyed_horizons_match_single_cells(self, t1, t2, workers):
         """das and das-rs rows equal, field for field, the rows of sweeps
@@ -1396,13 +1422,18 @@ class TestSweep:
         sides of the s = 1 clamp, and table2 das-rs, keyed on C and D)
         and where their picks differ and the sweep falls back to a run
         per horizon or a shorter group (table2 das), also across the
-        horizon past which table2 das has no pick table."""
+        horizon past which table2 das has no pick table.  So do the rows
+        of the table1 symmetric composite, whose runs under every
+        hypothesis share where its picks agree (inner das) and at every
+        horizon (inner ors)."""
         T = mc.CHUNK + 1
         cases = [(t1, ["das", "das-rs"], [300, 10, 50, 100, 49, 10],
                   dict(strong="binary", nu=0.6)),
                  (t2, ["das-rs"], [500, 100, 300], dict(strong="empirical")),
                  (t2, ["das"], [5, 7, 12, 20, 30, 34], dict(strong="empirical")),
-                 (t2, ["das"], [5, 10, 60, 80], dict(strong="empirical"))]
+                 (t2, ["das"], [5, 10, 60, 80], dict(strong="empirical")),
+                 *((t1, ["symmetric"], [200, 10, 49, 100, 60, 10], dict(inner_kind=inner))
+                   for inner in ("das", "ors"))]
         for m, kinds, horizons, kw in cases:
             rows = mc.sweep(m, kinds, 0, horizons, T, 23, workers=workers, **kw)
             assert [(r.strategy, r.N) for r in rows] == \
@@ -1449,7 +1480,12 @@ class TestSweep:
         shares 100 and 300 with 500, table2 das at 5 to 30 picks apart
         from 34 at some point of each shorter box and 5 and 7 share with
         12.  ors and chernoff-det share with no table, and table2 das at
-        60, which has none, shares nothing."""
+        60, which has none, shares nothing.  The table1 symmetric
+        composite with inner das shares 10, 49 and 60 with 100 and 199
+        with 200, but 100 and 150 pick apart from 200, 200 from 350, and
+        350 and 499 from 500; with inner ors or chernoff-det it shares
+        every horizon.  table2 symmetric with inner das-rs shares 5 with
+        6, and has no table past 6."""
         cases = [(t1, "das", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t1, "das-rs", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t2, "das-rs", 500, (100, 300), True),
@@ -1457,13 +1493,31 @@ class TestSweep:
                  (t2, "das", 12, (5, 7), True),
                  (t2, "das", 60, (5, 10, 30, 50), False),
                  (t1, "ors", 500, (10, 100), True),
-                 (t2, "chernoff-det", 500, (10, 100), True)]
+                 (t2, "chernoff-det", 500, (10, 100), True),
+                 (t1, "symmetric-das", 100, (10, 49, 60), True),
+                 (t1, "symmetric-das", 200, (199,), True),
+                 (t1, "symmetric-das", 200, (100, 150), False),
+                 (t1, "symmetric-das", 350, (200,), False),
+                 (t1, "symmetric-das", 500, (350, 499), False),
+                 (t1, "symmetric-ors", 500, (10, 100, 499), True),
+                 (t1, "symmetric-chernoff-det", 500, (10, 100, 499), True),
+                 (t2, "symmetric-das-rs", 6, (5,), True),
+                 (t2, "symmetric-das-rs", 12, (5, 6), False)]
+        tableless = {("das", 60), ("symmetric-das-rs", 12)}
+
+        def build(m, kind, n):
+            if kind.startswith("symmetric-"):
+                return build_strategy(m, "symmetric", n,
+                                      inner_kind=kind[len("symmetric-"):])
+            return build_strategy(m, kind, n, reference=0)
+
         for m, kind, N, shorter, share in cases:
-            spec = build_strategy(m, kind, N, reference=0)
+            spec = build(m, kind, N)
             table = None if spec.horizon_free() else mc._pick_table(spec, N)
-            assert (table is None) == (spec.horizon_free() or N == 60), (kind, N)
+            assert (table is None) == (spec.horizon_free() or (kind, N) in tableless), \
+                (kind, N)
             for n in shorter:
-                other = build_strategy(m, kind, n, reference=0)
+                other = build(m, kind, n)
                 assert mc._shares(spec, N, other, n) is share, (kind, N, n)
                 assert mc._shares(other, n, other, n)
 
@@ -1502,10 +1556,13 @@ class TestSweep:
             for n in range(1, 12):
                 assert mc._shares(spec, 12, spec, n), (width, n)
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_horizon_groups_bound_memory(self, t2, monkeypatch):
         """A horizon list longer than the result budget runs in groups,
         each to its own longest horizon; a repeated horizon of any kind
-        runs once.  Rows still equal those of sweeps of one horizon."""
+        runs once.  Rows still equal those of sweeps of one horizon.
+        The M = 3 composite's results take 72 bytes per trial and
+        horizon, an asymmetric kind's 24."""
         T = 500
         calls = []
         run = mc.simulate_measure
@@ -1527,6 +1584,44 @@ class TestSweep:
             assert vars(row) == vars(alone[(row.strategy, row.N)])
         assert [(r.strategy, r.N) for r in rows] == \
             [(kind, N) for kind in ("ors", "das-rs") for N in horizons]
+        # the M = 3 composite holds 72 bytes per trial and horizon
+        calls.clear()
+        monkeypatch.setattr(mc, "_SHARED_BYTES", 72 * T * 2)
+        mc.sweep(t2, ["symmetric"], 0, horizons, T, 4, inner_kind="ors")
+        assert calls == [("symmetric", N, snapshots)
+                         for N, snapshots in ((30, (12,)), (7, (5,))) for _ in range(3)]
+        calls.clear()
+        monkeypatch.setattr(mc, "_SHARED_BYTES", 72 * T * 2 - 1)
+        mc.sweep(t2, ["symmetric"], 0, horizons, T, 4, inner_kind="ors")
+        assert calls == [("symmetric", N, ()) for N in (30, 12, 7, 5) for _ in range(3)]
+
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
+    def test_one_pick_table_alive_at_a_time(self, t1, t2, monkeypatch):
+        """A sweep drops each group's specs, and the leader's pick table
+        with them, once the group's rows are made: when a later leader
+        fills its table no earlier one is left, and none is left after
+        the sweep.  Both sweeps below run in several groups, each leader
+        with a table."""
+        filled = []
+        alive = []
+        fill = mc._pick_table
+
+        def counted(spec, N):
+            alive.append(sum(ref() is not None for ref in filled))
+            table = fill(spec, N)
+            if table is not None and all(ref() is not spec for ref in filled):
+                filled.append(weakref.ref(spec))
+            return table
+
+        monkeypatch.setattr(mc, "_pick_table", counted)
+        for model, kind, horizons in ((t1, "symmetric", [100, 200, 300, 400, 500]),
+                                      (t2, "das", [5, 7, 12, 20, 30, 34])):
+            filled.clear()
+            alive.clear()
+            mc.sweep(model, [kind], 0, horizons, 100, 3)
+            assert len(filled) >= 4
+            assert max(alive) == 1
+            assert all(ref() is None for ref in filled)
 
     def test_shared_horizons_reject_like_single_cells(self, t1):
         """A horizon the single-cell path rejects raises the same error
@@ -1538,7 +1633,7 @@ class TestSweep:
 
         for kw in ({}, {"epsilon_fn": lambda N: 0.05}):
             want = error("das", [5, 0], **kw)
-            for kind in ("ors", "chernoff-det"):
+            for kind in ("ors", "chernoff-det", "symmetric"):
                 assert error(kind, [5, 0], **kw) == want
                 assert error(kind, [0], **kw) == want
 

@@ -187,8 +187,8 @@ class TestSelectExperiment:
         assert abs(frac - 0.5) < 0.03
 
     def test_ors_point_mass_override(self, t1):
-        spec = build_strategy(t1, "ors", horizon=100, reference=0,
-                              sample_alpha=[0.0, 1.0])
+        spec = replace(build_strategy(t1, "ors", horizon=100, reference=0),
+                       sample_alpha=np.array([0.0, 1.0]))
         rng = np.random.default_rng(2)
         assert all(select_experiment(spec, Belief.uniform(3), rng) == 1
                    for _ in range(20))
@@ -293,19 +293,23 @@ class TestSelectBatchEdges:
 class TestHorizonFree:
     @pytest.mark.parametrize("kind", KINDS)
     def test_exactly_the_kinds_built_from_the_game_alone(self, t1, t2, kind):
-        """horizon_free() holds for ors and chernoff-det only, and their
-        selection tables are the same at every horizon under either
-        epsilon schedule (the N-dependent default and a fixed one)."""
-        for m in ((t1,) if kind == "symmetric" else (t1, t2)):
-            ref = None if kind == "symmetric" else 0
-            specs = [build_strategy(m, kind, N, reference=ref, epsilon=eps)
-                     for N in (5, 60, 500) for eps in (default_epsilon(N), 0.1)]
-            free = kind in ("ors", "chernoff-det")
-            assert all(s.horizon_free() == free for s in specs)
-            if free:
-                for s in specs[1:]:
-                    assert s.sample_alpha.tobytes() == specs[0].sample_alpha.tobytes()
-                    assert s.chernoff_u.tobytes() == specs[0].chernoff_u.tobytes()
+        """horizon_free() holds for ors and chernoff-det, and for
+        symmetric composites of them, only, and their selection tables
+        are the same at every horizon under either epsilon schedule (the
+        N-dependent default and a fixed one)."""
+        for m in (t1, t2):
+            for inner in INNER_KINDS if kind == "symmetric" else (None,):
+                ref = None if kind == "symmetric" else 0
+                specs = [build_strategy(m, kind, N, reference=ref, epsilon=eps,
+                                        inner_kind=inner or "das")
+                         for N in (5, 60, 500) for eps in (default_epsilon(N), 0.1)]
+                free = (inner or kind) in ("ors", "chernoff-det")
+                assert all(s.horizon_free() == free for s in specs)
+                if free:
+                    for s in specs[1:]:
+                        for a, b in zip(s.inner or (s,), specs[0].inner or (specs[0],)):
+                            assert a.sample_alpha.tobytes() == b.sample_alpha.tobytes()
+                            assert a.chernoff_u.tobytes() == b.chernoff_u.tobytes()
 
 
 class TestCriterion:
