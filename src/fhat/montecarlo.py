@@ -19,7 +19,8 @@ phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
 and the log-sum-exp estimator run under the reference measure, which
 targets phi exactly for deterministic threshold rules and stays accurate
-down to e^{-hundreds}.
+down to e^{-hundreds}.  One summary (_summarize) makes a cell's psi, its
+SE and the log-sum-exp phi and gamma for estimate() and sweep alike.
 
 Exact enumeration of any strategy merges the paths that reach the same
 point of the likelihood lattice (the prime exponents of their
@@ -457,11 +458,13 @@ class SimulationConfig:
 
 @dataclass
 class SimulationReport:
-    """Per-hypothesis estimates with standard errors.
-
-    phi_hat is the plain mixture-frequency channel; lse[i] the log-sum-
-    exp channel (primary for small phi).  gamma_hat combines the plain
-    channel, gamma_hat_lse the log-sum-exp channel.
+    """One (strategy, horizon) cell's estimates from `trials` trials at
+    `seed`, keyed by hypothesis i: psi_hat[i], the rate of declaring i
+    under X = i, and its binomial SE psi_se[i]; lse[i], the log-sum-exp
+    ln(1/phi(i)), primary for small phi; gamma_hat_lse, gamma from it,
+    and its SE gamma_lse_se.  _summarize fills these for estimate() and
+    sweep, whose rows _sweep_row reads from the report.  estimate() alone
+    fills the plain mixture channel phi_hat[i], phi_se[i] and gamma_hat.
     """
 
     horizon: int
@@ -477,28 +480,45 @@ class SimulationReport:
     gamma_lse_se: float = math.nan
 
 
-def _batch_estimates(c_inc: np.ndarray, col: int, dec: np.ndarray, i: int):
-    """psi_hat, its binomial SE and the log-sum-exp ln(1/phi) of one
-    estimation batch under X = i (increments for i in column `col`)."""
-    hit = dec == i
-    psi = float(np.mean(hit))
-    return (psi, math.sqrt(psi * (1 - psi) / hit.size),
-            estimate_phi_lse(c_inc[:, col], hit))
-
-
 def _gamma(model: HypothesisModel, phi: dict) -> float:
     """gamma = sum_i (1 - prior(i)) phi(i) over the hypotheses in `phi`."""
     return sum((1.0 - model.prior[i]) * p for i, p in phi.items())
 
 
-def _gamma_lse(model: HypothesisModel, lse: dict) -> tuple[float, float]:
-    """gamma from the log-sum-exp estimates `lse`, and its SE; a
-    lower-bound estimate counts as phi = 0."""
+def _summarize(model: HypothesisModel, rule: InferenceRule,
+               report: SimulationReport, runs) -> dict:
+    """Fill `report` from the estimation batches (h, c_inc) in `runs`,
+    increments under X = h, made one at a time if need be, and return
+    each batch's decisions by h: psi_hat, its binomial psi_se and the
+    log-sum-exp lse of each hypothesis the rule thresholds, from the
+    batch under it, then gamma_hat_lse and gamma_lse_se (a lower-bound
+    estimate counts as phi = 0).  A symmetric rule warns, naming the
+    caller of estimate or sweep, where some psi_hat is below
+    1 - epsilon by more than 3 of its SE: a missed hit constraint."""
+    refs = tuple(sorted(rule.thresholds))
+    decisions = {}
+    for h, c_inc in runs:
+        dec = decisions[h] = decisions_from_increments(c_inc, refs, rule)
+        if h in rule.thresholds:
+            hit = dec == h
+            psi = report.psi_hat[h] = float(np.mean(hit))
+            report.psi_se[h] = math.sqrt(psi * (1 - psi) / hit.size)
+            report.lse[h] = estimate_phi_lse(c_inc[:, refs.index(h)], hit)
     phi = {i: 0.0 if e.is_lower_bound else math.exp(-e.log_inv_phi)
-           for i, e in lse.items()}
-    var = sum(((1.0 - model.prior[i]) * phi[i] * e.se) ** 2 for i, e in lse.items()
-              if not e.is_lower_bound and np.isfinite(e.se))
-    return _gamma(model, phi), math.sqrt(var)
+           for i, e in report.lse.items()}
+    report.gamma_hat_lse = _gamma(model, phi)
+    report.gamma_lse_se = math.sqrt(sum(
+        ((1.0 - model.prior[i]) * phi[i] * e.se) ** 2 for i, e in report.lse.items()
+        if not e.is_lower_bound and np.isfinite(e.se)))
+    if rule.kind == "symmetric":
+        eps, se = rule.epsilon, report.psi_se
+        short = [f"hypothesis {model.hypotheses[i]} at {psi:.4g} (SE {se[i]:.2g})"
+                 for i, psi in report.psi_hat.items() if psi < 1 - eps - 3 * se[i]]
+        if short:
+            warnings.warn(f"symmetric at N = {report.horizon}: psi_hat is below 1 - "
+                          f"epsilon = {1 - eps:.4g} by more than 3 SE for "
+                          + ", ".join(short), RuntimeWarning, stacklevel=3)
+    return decisions
 
 
 def estimate(config: SimulationConfig) -> SimulationReport:
@@ -519,18 +539,12 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     report = SimulationReport(horizon=config.horizon, trials=T, seed=config.seed)
 
     def run(h, trials, purpose):
-        c_inc, _ = simulate_measure(model, config.spec, config.horizon, h,
-                                    trials, config.seed, purpose, refs=refs,
-                                    workers=config.workers)
-        return c_inc, decisions_from_increments(c_inc, refs, rule)
+        return simulate_measure(model, config.spec, config.horizon, h, trials, config.seed,
+                                purpose, refs=refs, workers=config.workers)[0]
 
-    dec_by_hyp = {}
-    for h in range(model.num_hypotheses) if symmetric else refs:
-        c_inc, dec_by_hyp[h] = run(h, T, PURPOSE_ESTIMATE)
-        if h in rule.thresholds:
-            report.psi_hat[h], report.psi_se[h], report.lse[h] = _batch_estimates(
-                c_inc, refs.index(h), dec_by_hyp[h], h)
-
+    dec_by_hyp = _summarize(model, rule, report, (
+        (h, run(h, T, PURPOSE_ESTIMATE))
+        for h in (range(model.num_hypotheses) if symmetric else refs)))
     for i in refs:
         alts = model.alternates(i)
         weights = [model.prior[j] / (1.0 - model.prior[i]) for j in alts]
@@ -543,12 +557,12 @@ def estimate(config: SimulationConfig) -> SimulationReport:
             hits = 0
             for j, t_j in zip(alts, largest_remainder_allocation(weights, T)):
                 if t_j:
-                    hits += int(np.sum(run(j, int(t_j), PURPOSE_MIXTURE)[1] == i))
+                    hits += int(np.sum(decisions_from_increments(
+                        run(j, int(t_j), PURPOSE_MIXTURE), refs, rule) == i))
             phi = hits / T
             report.phi_hat[i], report.phi_se[i] = phi, math.sqrt(phi * (1 - phi) / T)
 
     report.gamma_hat = _gamma(model, report.phi_hat)
-    report.gamma_hat_lse, report.gamma_lse_se = _gamma_lse(model, report.lse)
     return report
 
 
@@ -747,7 +761,8 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
           trials: int, seed: int, epsilon_fn=default_epsilon,
           strong: str = "none", nu: float | None = None,
           workers: int = 0, inner_kind: str = "das") -> list[SweepRow]:
-    """Evaluate each (strategy kind, horizon) cell, its row made by
+    """Evaluate each (strategy kind, horizon) cell, summarized by
+    _summarize as in estimate() and its row read from that report by
     _sweep_row.  An asymmetric kind calibrates its threshold on a batch
     of its own under `reference`; the symmetric composite keeps the
     thresholds of symmetric_setup.  "binary" raises ValueError off its
@@ -780,18 +795,18 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
         cells = {}
         for N in dict.fromkeys(horizons):
             eps = epsilon_fn(N)
-            cells[N] = (eps, *(symmetric_setup(model, N, eps, inner_kind) if symmetric
-                               else (build_strategy(model, kind, N, reference=reference,
-                                                    epsilon=eps), None)))
+            cells[N] = (*(symmetric_setup(model, N, eps, inner_kind) if symmetric
+                          else (build_strategy(model, kind, N, reference=reference,
+                                               epsilon=eps), None)), eps)
         left = sorted(cells)
         size = max(1, _SHARED_BYTES // (8 * max(3, len(refs) ** 2) * trials))
         made = {}
         while left:
             N = left.pop()
-            spec = cells[N][1]
+            spec = cells[N][0]
             group = [N]
             while left and len(group) < size and _shares(
-                    spec, N, cells[left[-1]][1], left[-1]):
+                    spec, N, cells[left[-1]][0], left[-1]):
                 group.insert(0, left.pop())
             kw = dict(refs=refs, workers=workers, snapshots=group[:-1])
             cal = None if symmetric else simulate_measure(
@@ -800,60 +815,44 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
             est = [simulate_measure(model, spec, N, h, trials, seed, PURPOSE_ESTIMATE,
                                     zbar_weights=zw, **kw) for h in refs]
             for k, n in enumerate(group):
-                made[n] = _sweep_row(model, kind, n, *cells.pop(n),
-                                     None if cal is None else cal[k],
-                                     [(c[k], None if z is None else z[k]) for c, z in est],
-                                     seed, strong, nu)
+                rule, eps = cells[n][1:]    # no name keeps a spec past its group
+                rule = rule or empirical_rule(reference, best_threshold_search(
+                    model, n, eps, cal[k]), eps)
+                report = SimulationReport(n, trials, seed)
+                _summarize(model, rule, report, ((h, c[k]) for h, (c, _) in zip(refs, est)))
+                made[n] = _sweep_row(cells.pop(n)[0], rule, report,
+                                     None if zw is None else est[0][1][k], strong, nu)
         rows.extend(replace(made[N]) for N in horizons)
     return rows
 
 
-def _sweep_row(model, kind, N, eps, spec, rule, cal_inc, runs, seed, strong,
-               nu) -> SweepRow:
-    """One sweep row from an estimation batch (c_inc, zbar) under each
-    hypothesis the rule thresholds, `runs` in ascending order: the
-    smallest psi_hat (_batch_estimates) and threshold, the largest SE
-    and the log-sum-exp gamma (_gamma_lse).  An asymmetric kind's rule,
-    None here, is calibrated on `cal_inc`; its row adds its ln(1/phi),
+def _sweep_row(spec, rule, report, zbar, strong, nu) -> SweepRow:
+    """The sweep row of `spec` under `rule`, read from the report that
+    _summarize filled at its horizon: the smallest psi_hat and threshold
+    and the largest psi_se.  An asymmetric kind's row adds its ln(1/phi),
     the weak rate bound and the strong channel ("binary" needs `nu`,
-    "empirical" reads zbar, the weighted LLRs, and "none" is infinite).
-    The symmetric composite's row adds ln(1/gamma), the smallest weak
-    bound of its inner games and an infinite strong bound, and it warns
-    (RuntimeWarning, the row unchanged) where some hypothesis's psi_hat
-    is below 1 - eps by more than 3 of its SE: a missed hit constraint."""
-    if rule is None:
-        rule = empirical_rule(spec.reference,
-                              best_threshold_search(model, N, eps, cal_inc), eps)
-    refs = tuple(sorted(rule.thresholds))
-    est = {i: _batch_estimates(c_inc, col, decisions_from_increments(c_inc, refs, rule), i)
-           for col, (i, (c_inc, _)) in enumerate(zip(refs, runs))}
-    gamma, gamma_se = _gamma_lse(model, {i: lse for i, (_, _, lse) in est.items()})
-    if kind == "symmetric":
-        short = [f"hypothesis {model.hypotheses[i]} at {psi:.4g} (SE {se:.2g})"
-                 for i, (psi, se, _) in est.items() if psi < 1 - eps - 3 * se]
-        if short:
-            warnings.warn(f"symmetric at N = {N}: psi_hat is below 1 - epsilon = "
-                          f"{1 - eps:.4g} by more than 3 SE for " + ", ".join(short),
-                          RuntimeWarning, stacklevel=3)
+    "empirical" reads zbar, the weighted LLRs under the reference, and
+    "none" is infinite).  The symmetric composite's row adds ln(1/gamma)
+    from the log-sum-exp gamma, the smallest weak bound of its inner
+    games and an infinite strong bound."""
+    model, N, eps = spec.model, report.horizon, rule.epsilon
+    gamma, strong_abs = report.gamma_hat_lse, math.inf
+    if spec.kind == "symmetric":
         log_inv_phi = -math.log(gamma) if gamma > 0 else math.inf
-        log_inv_phi_se = gamma_se / gamma if gamma > 0 else math.nan
+        log_inv_phi_se = report.gamma_lse_se / gamma if gamma > 0 else math.nan
         weak = min(bounds_mod.weak_converse(inner.game, model, N, eps)
                    for inner in spec.inner)
-        strong_abs = math.inf
     else:
-        ((_, _, lse),) = est.values()
+        (lse,) = report.lse.values()
         log_inv_phi, log_inv_phi_se = lse.log_inv_phi, lse.se
         weak = bounds_mod.weak_converse(spec.game, model, N, eps)
         if strong == "binary":
             strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
         elif strong == "empirical":
             h1 = bounds_mod.cross_entropy_start(model, spec.game)
-            _, strong_abs = bounds_mod.strong_converse_sweep(runs[0][1], h1, eps)
-        else:
-            strong_abs = math.inf
+            _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
     return SweepRow(
-        strategy=kind, N=N, epsilon=eps, theta=min(rule.thresholds.values()),
-        psi_hat=min(psi for psi, _, _ in est.values()),
-        psi_se=max(se for _, se, _ in est.values()),
+        strategy=spec.kind, N=N, epsilon=eps, theta=min(rule.thresholds.values()),
+        psi_hat=min(report.psi_hat.values()), psi_se=max(report.psi_se.values()),
         log_inv_phi=log_inv_phi, log_inv_phi_se=log_inv_phi_se, gamma_hat=gamma,
-        weak_bound=weak, strong_bound=strong_abs, seed=seed)
+        weak_bound=weak, strong_bound=strong_abs, seed=report.seed)

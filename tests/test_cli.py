@@ -3,6 +3,7 @@
 import json
 import math
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,7 @@ kernel:
         assert reused.read_text() == fresh.read_text()
         assert json.loads(manifest.read_text())["output"] == "reused.csv"
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_symmetric_rows_per_hypothesis(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", "table1",
                            "--strategy", "symmetric", "--horizon", "10",
@@ -235,6 +237,28 @@ kernel:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 4   # header + one row per hypothesis
+
+    def test_symmetric_short_of_the_hit_constraint_warns(self, capsys):
+        """On table1 the composite's psi_hat is below 1 - eps by more than
+        3 SE at N = 100 and not at 200: simulate warns at 100 alone, the
+        warning naming the CLI line that calls estimate(), and its CSV
+        equals the same run with warnings silenced."""
+        argv = ("simulate", "--model", "table1", "--strategy", "symmetric",
+                "--trials", "9000", "--seed", "7", "--horizon")
+        with pytest.warns(RuntimeWarning, match="symmetric at N") as record:
+            code, loud, _ = run(capsys, *argv, "100")
+        assert code == 0
+        (warned,) = [w for w in record if str(w.message).startswith("symmetric at N")]
+        assert str(warned.message).startswith("symmetric at N = 100:")
+        assert Path(warned.filename) == Path(fhat.cli.__file__)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(capsys, *argv, "200")[0] == 0
+        assert not [w for w in record if str(w.message).startswith("symmetric at N")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, quiet, _ = run(capsys, *argv, "100")
+        assert code == 0 and quiet == loud
 
 
 class TestSweep:

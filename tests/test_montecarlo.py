@@ -18,8 +18,8 @@ from fhat.belief import Belief, confidence, prior_belief
 from fhat.model import make_model, ratio_lattice
 from fhat.numerics import log_normalize
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
-                           build_strategy, empirical_rule, select_experiment,
-                           symmetric_rule, symmetric_setup)
+                           build_strategy, default_epsilon, empirical_rule,
+                           select_experiment, symmetric_rule, symmetric_setup)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
                      reference_key_rows, reference_pick_table,
@@ -276,6 +276,7 @@ class TestEstimate:
         assert rep.lse[0].is_lower_bound
         np.testing.assert_allclose(rep.lse[0].log_inv_phi, math.log(500))
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_gamma_combines_phi(self, t1):
         """gamma_hat = sum_i phi_hat(i) (1 - prior(i)) by construction."""
         spec = build_strategy(t1, "symmetric", horizon=30)
@@ -694,6 +695,7 @@ class TestSharedPickTable:
         yield mc.SimulationConfig(t2, spec, empirical_rule(0, 5.0, 0.05), 60,
                                   TestSharedPickTable.T, 4)
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_runs_match_reference_per_chunk(self, t1, t2, monkeypatch):
         """Every chunk of every run of estimate() gives bit for bit the
         increments of the reference step loop, which computes every
@@ -720,6 +722,7 @@ class TestSharedPickTable:
                     assert np.array_equal(c_inc[c:c + rows],
                                           mc._confidence_increments(m, lb, refs))
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_workers_do_not_change_reports(self, t1, t2):
         """Two workers, each running a block of chunks on the table its
         copy of the spec carries, report what one serial run reports."""
@@ -1083,6 +1086,7 @@ class TestEnumerate:
         assert rep.gamma <= sum(math.exp(-rule.thresholds[i]) * (1 - t1.prior[i])
                                 for i in range(3)) + 1e-12
 
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_past_the_old_cap_agrees_with_monte_carlo(self, t1, t2):
         """At N = 60, far past the 2^10 leaves a tree walk managed, the
         exact psi and phi agree with 30 000 simulated trials within 3 SE
@@ -1392,6 +1396,17 @@ class TestSweep:
             warnings.simplefilter("ignore")
             quiet = mc.sweep(t1, ["symmetric"], 0, [100, 200], 9000, 7)
         assert mc.rows_to_csv(rows) == mc.rows_to_csv(quiet)
+
+    @pytest.mark.filterwarnings("ignore:symmetric at N")
+    def test_symmetric_row_reads_the_estimate_report(self, t1):
+        """A symmetric row's ln(1/phi) and its SE are ln(1/gamma) and the
+        relative SE of gamma from the log-sum-exp channel of estimate()
+        on the same cell."""
+        (row,) = mc.sweep(t1, ["symmetric"], 0, [30], 3000, 11)
+        spec, rule = symmetric_setup(t1, 30, default_epsilon(30))
+        rep = mc.estimate(mc.SimulationConfig(t1, spec, rule, 30, 3000, 11))
+        assert row.log_inv_phi == -math.log(rep.gamma_hat_lse)
+        assert row.log_inv_phi_se == rep.gamma_lse_se / rep.gamma_hat_lse
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_shared_horizons_match_single_cells(self, t1, t2, workers):
