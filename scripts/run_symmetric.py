@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 from fhat import montecarlo as mc
+from fhat.game import solve
 from fhat.model import table1
-from fhat.strategy import build_strategy, default_epsilon, symmetric_setup
+from fhat.strategy import default_epsilon, symmetric_setup
 
 
 def main() -> int:
@@ -29,8 +30,7 @@ def main() -> int:
     model = table1()
     trials = args.trials or [int(2e5 * math.exp(0.0085 * (N - 200)))
                              for N in args.horizons]
-    d_min = min(build_strategy(model, "das", 100, reference=i).game.value
-                for i in range(3))
+    d_min = min(solve(model, i).value for i in range(3))
     points = []
     for N, T in zip(args.horizons, trials):
         eps = default_epsilon(N)

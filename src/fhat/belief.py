@@ -1,7 +1,8 @@
 """Log-space posterior beliefs and per-trajectory likelihood-ratio state.
 
 Everything here stays in log space; confidences routinely reach hundreds
-of nats at long horizons and must never be exponentiated raw.
+of nats at long horizons and must never be exponentiated raw.  The log
+odds C_i have one definition, log_odds, for a batch of beliefs.
 """
 
 from __future__ import annotations
@@ -56,15 +57,21 @@ def update_belief(b: Belief, model: HypothesisModel, u: int, y: int) -> Belief:
     return Belief(log_normalize(lp))
 
 
+def log_odds(lb: np.ndarray, i: int) -> np.ndarray:
+    """Log odds log(rho(i) / (1 - rho(i))) of each row of `lb`, an
+    (n, M) array of log beliefs, normalized or not (the shift cancels):
+    lb[:, i] - logsumexp(lb[:, j != i])."""
+    alts = [j for j in range(lb.shape[1]) if j != i]
+    return lb[:, i] - logsumexp(lb[:, alts], axis=1)
+
+
 def confidence(b: Belief, i: int) -> float:
-    """Log odds log(rho(i) / (1 - rho(i))), computed as
-    log_prob[i] - logsumexp(log_prob[j != i])."""
-    lp = b.log_prob
-    alts = np.concatenate([lp[:i], lp[i + 1:]])
-    denom = logsumexp(alts)
-    if not np.isfinite(lp[i]) or not np.isfinite(denom):
+    """log_odds of one belief, a batch of one."""
+    with np.errstate(invalid="ignore"):
+        c = float(log_odds(b.log_prob[None, :], i)[0])
+    if not np.isfinite(c):
         raise ValueError("confidence undefined for a degenerate belief")
-    return float(lp[i] - denom)
+    return c
 
 
 def tilde_log(b: Belief, i: int) -> np.ndarray:
@@ -104,9 +111,6 @@ class Trajectory:
     def step_count(self) -> int:
         return len(self.history)
 
-    def alternates(self) -> tuple[int, ...]:
-        return self.model.alternates(self.reference)
-
 
 def new_trajectory(model: HypothesisModel, reference: int) -> Trajectory:
     """Empty trajectory at the prior for `reference`: z is all zeros."""
@@ -118,16 +122,11 @@ def new_trajectory(model: HypothesisModel, reference: int) -> Trajectory:
 
 
 def step_trajectory(t: Trajectory, u: int, y: int) -> Trajectory:
-    """Append one (experiment, observation) pair: advance the belief
-    and the per-alternate total LLRs."""
-    model = t.model
-    if not model.support[u, y]:
-        raise ModelError(
-            f"observation {model.observations[y]} outside the support of "
-            f"experiment {model.experiments[u]}")
+    """Append one (experiment, observation) pair: advance the belief,
+    which update_belief checks first, and the per-alternate total LLRs."""
     return replace(
         t,
-        belief=update_belief(t.belief, model, u, y),
+        belief=update_belief(t.belief, t.model, u, y),
         z=t.z + t._llr[:, u, y],
         history=t.history + ((u, y),),
     )

@@ -28,8 +28,6 @@ from .model import BUILTIN_MODELS, ModelError, resolve_model
 from .strategy import (INNER_KINDS, KINDS, asymmetric_rule, build_strategy,
                        default_epsilon, empirical_rule, symmetric_setup)
 
-STRATEGY_CHOICES = tuple(KINDS)
-
 
 def _workers_default() -> int:
     text = os.environ.get("FHAT_WORKERS", "0")
@@ -212,7 +210,7 @@ def cmd_sweep(args) -> int:
     if not kinds:
         raise ModelError("--strategies must name at least one strategy")
     for k in kinds:
-        if k not in STRATEGY_CHOICES:
+        if k not in KINDS:
             raise ModelError(f"unknown strategy {k!r}")
     if args.trials < 1:
         raise ModelError("--trials must be at least 1")
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo evaluation of one strategy")
     add_common(sp)
-    sp.add_argument("--strategy", required=True, choices=STRATEGY_CHOICES)
+    sp.add_argument("--strategy", required=True, choices=KINDS)
     sp.add_argument("--reference", type=int, default=None)
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--trials", type=int, default=100000)
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "its likelihood-lattice states (a sampling rule's leaves "
                         "are its paths weighed by their draws)")
     add_common(sp)
-    sp.add_argument("--strategy", required=True, choices=STRATEGY_CHOICES)
+    sp.add_argument("--strategy", required=True, choices=KINDS)
     sp.add_argument("--reference", type=int, default=None)
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--theta", type=float, default=None)

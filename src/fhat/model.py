@@ -253,16 +253,23 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p * (np.log(p) - np.log(q))))
 
 
-def kl_matrix(model: HypothesisModel, i: int) -> np.ndarray:
-    """Matrix A[u, k] = D(p_i^u || p_j^u) over alternates j != i (column
-    order: ascending j)."""
+def pair_table(model: HypothesisModel, i: int, f) -> np.ndarray:
+    """T[u, k] = f(u, j, support indices of u) over experiments u and
+    alternates j != i, k indexing ascending j: the one per-pair table loop."""
     alts = model.alternates(i)
-    A = np.zeros((model.num_experiments, len(alts)))
+    T = np.zeros((model.num_experiments, len(alts)))
     for u in range(model.num_experiments):
         idx = model.support_indices(u)
         for k, j in enumerate(alts):
-            A[u, k] = kl_divergence(model.kernel[i, u, idx], model.kernel[j, u, idx])
-    return A
+            T[u, k] = f(u, j, idx)
+    return T
+
+
+def kl_matrix(model: HypothesisModel, i: int) -> np.ndarray:
+    """Matrix A[u, k] = D(p_i^u || p_j^u) over alternates j != i (column
+    order: ascending j)."""
+    p = model.kernel
+    return pair_table(model, i, lambda u, j, idx: kl_divergence(p[i, u, idx], p[j, u, idx]))
 
 
 def llr_table(model: HypothesisModel, i: int) -> np.ndarray:
@@ -386,6 +393,14 @@ def serialize_model(model: HypothesisModel) -> str:
 # Built-in models for the anomaly-detection experiments
 # ---------------------------------------------------------------------------
 
+def _two_sensor(p1: dict) -> HypothesisModel:
+    """Hypotheses 0, 1 and 2 at a uniform prior, probed by the experiments
+    of `p1`, each mapped to its P(Y=1 | X = i, U) by hypothesis i."""
+    p = np.array(list(p1.values())).T[:, :, None]
+    kernel = np.concatenate([1.0 - p, p], axis=2)
+    return make_model(["0", "1", "2"], list(p1), ["0", "1"], kernel, np.full(3, 1.0 / 3.0))
+
+
 def table1() -> HypothesisModel:
     """Two noisy sensors A and B watching for an anomaly.
 
@@ -394,30 +409,16 @@ def table1() -> HypothesisModel:
     to the anomaly and 1-nu otherwise.  Uniform prior.
     """
     nu = 0.6
-    p1 = {"A": [1 - nu, nu, 1 - nu], "B": [1 - nu, 1 - nu, nu]}
-    kernel = np.zeros((3, 2, 2))
-    for u, uname in enumerate(("A", "B")):
-        for i in range(3):
-            kernel[i, u, 1] = p1[uname][i]
-            kernel[i, u, 0] = 1.0 - p1[uname][i]
-    return make_model(["0", "1", "2"], ["A", "B"], ["0", "1"],
-                      kernel, np.full(3, 1.0 / 3.0))
+    return _two_sensor({"A": [1 - nu, nu, 1 - nu], "B": [1 - nu, 1 - nu, nu]})
 
 
 def table2() -> HypothesisModel:
     """The two-sensor setup extended with experiments C and D, on which
     a naive most-likely-alternate heuristic picks the wrong sensor."""
-    p1 = {"A": [0.400, 0.600, 0.400],
-          "B": [0.400, 0.400, 0.600],
-          "C": [0.402, 0.598, 0.280],
-          "D": [0.402, 0.280, 0.598]}
-    kernel = np.zeros((3, 4, 2))
-    for u, uname in enumerate(("A", "B", "C", "D")):
-        for i in range(3):
-            kernel[i, u, 1] = p1[uname][i]
-            kernel[i, u, 0] = 1.0 - p1[uname][i]
-    return make_model(["0", "1", "2"], ["A", "B", "C", "D"], ["0", "1"],
-                      kernel, np.full(3, 1.0 / 3.0))
+    return _two_sensor({"A": [0.400, 0.600, 0.400],
+                        "B": [0.400, 0.400, 0.600],
+                        "C": [0.402, 0.598, 0.280],
+                        "D": [0.402, 0.280, 0.598]})
 
 
 BUILTIN_MODELS = {"table1": table1, "table2": table2}

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .belief import confidence, new_trajectory, prior_belief, step_trajectory
+from .belief import confidence, log_odds, new_trajectory, prior_belief, step_trajectory
 from .model import HypothesisModel, llr_table, ratio_lattice
-from .numerics import largest_remainder_allocation, logsumexp, nats_to_db
+from .numerics import largest_remainder_allocation, nats_to_db
 # select_experiment is not called here; perfbench's tracer wraps it
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
@@ -192,13 +192,12 @@ def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
 
 def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
                            refs) -> np.ndarray:
-    """C_i(final) - C_i(prior) for each reference, from unnormalized
-    final log beliefs (the normalization shift cancels)."""
+    """C_i(final) - C_i(prior), both by belief.log_odds, for each reference
+    i, from unnormalized final log beliefs (the normalization shift cancels)."""
     prior = prior_belief(model)
     out = np.empty((lb.shape[0], len(refs)))
     for col, i in enumerate(refs):
-        alts = list(model.alternates(i))
-        out[:, col] = (lb[:, i] - logsumexp(lb[:, alts], axis=1)) - confidence(prior, i)
+        out[:, col] = log_odds(lb, i) - confidence(prior, i)
     return out
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import game as game_mod
 from .belief import Belief, confidence, prior_belief
 from .game import GameSolution
-from .model import HypothesisModel, kl_divergence, ratio_lattice
+from .model import HypothesisModel, kl_divergence, pair_table, ratio_lattice
 
 KINDS = ("ors", "das", "das-rs", "chernoff-det", "symmetric")
 # the kinds the symmetric composite can delegate to
@@ -85,25 +85,15 @@ def mgf(model: HypothesisModel, i: int, j: int, u: int, s: float) -> float:
 
 def mgf_matrix(model: HypothesisModel, i: int, s: float) -> np.ndarray:
     """mu[u, k] for alternates j != i (k indexes ascending j)."""
-    alts = model.alternates(i)
-    out = np.zeros((model.num_experiments, len(alts)))
-    for u in range(model.num_experiments):
-        for k, j in enumerate(alts):
-            out[u, k] = mgf(model, i, j, u, s)
-    return out
+    return pair_table(model, i, lambda u, j, idx: mgf(model, i, j, u, s))
 
 
 def reverse_kl_matrix(model: HypothesisModel, i: int) -> np.ndarray:
     """kl[u, k] = D(p_j^u || p_i^u) for alternates j != i (k indexes
     ascending j): the slope of mgf(model, i, j, u, s) at s = 1, so
     mu = 1 - (1 - s) * kl + O((1 - s)^2) near tilt 1."""
-    alts = model.alternates(i)
-    out = np.zeros((model.num_experiments, len(alts)))
-    for u in range(model.num_experiments):
-        idx = model.support_indices(u)
-        for k, j in enumerate(alts):
-            out[u, k] = kl_divergence(model.kernel[j, u, idx], model.kernel[i, u, idx])
-    return out
+    p = model.kernel
+    return pair_table(model, i, lambda u, j, idx: kl_divergence(p[j, u, idx], p[i, u, idx]))
 
 
 @dataclass(frozen=True)
@@ -391,10 +381,10 @@ def default_n_prime(N: int) -> int:
     return max(1, math.ceil(math.sqrt(N)))
 
 
-def threshold_symmetric(N: int, i: int, game: GameSolution, epsilon: float,
+def threshold_symmetric(N: int, game: GameSolution, epsilon: float,
                         M: int, B: float, n_prime: int, zeta: float,
                         prior_confidence: float) -> float:
-    """Per-hypothesis threshold for the symmetric rule:
+    """Threshold of the symmetric rule for hypothesis i = game.reference:
 
         max{ zeta - C_i(prior),
              N'' D*(i) - s N'' B^2/2 - ln(2M/eps)/s },   N'' = N - n_prime + 1
@@ -454,7 +444,7 @@ def symmetric_rule(model: HypothesisModel, games: dict[int, GameSolution],
     for i in range(model.num_hypotheses):
         c1 = confidence(prior, i)
         thresholds[i] = threshold_symmetric(
-            N, i, games[i], epsilon, model.num_hypotheses, model.llr_bound,
+            N, games[i], epsilon, model.num_hypotheses, model.llr_bound,
             n_prime, SYMMETRIC_ZETA, c1)
     return InferenceRule("symmetric", thresholds, epsilon)
 

@@ -68,6 +68,24 @@ def sample_observation(model, rng, truth, u):
     return int(min(int((cum <= rng.random()).sum()), model.num_observations - 1))
 
 
+def kernel_models():
+    """Random models with Y = 2, 3 and 4 observations (the last two with
+    a dropped symbol) on which every strategy kind builds."""
+    rng = np.random.default_rng(31)
+    found = {}
+    while len(found) < 3:
+        m = random_model(rng, max_hyp=3)
+        Y = m.num_observations
+        if Y in found or (Y > 2 and m.support.all()):
+            continue
+        try:
+            build_strategy(m, "symmetric", 60)
+        except ValueError:
+            continue
+        found[Y] = m
+    return [found[Y] for Y in sorted(found)]
+
+
 def four_hypothesis_model():
     """A random binary-observation model with three alternates per
     reference, on which every strategy kind builds."""

@@ -17,8 +17,8 @@ The reference definitions below restate single quantities of the paper
 the plain way, one value at a time: the tilted score on a normalized
 belief, the log-likelihood ratio, the decode of a pick key solved in
 fractions, a pick table filled point by point, the bilinear payoff,
-the strong bound at one cut point, and a belief replayed from its
-history.
+the strong bound at one cut point, a belief replayed from its history,
+and the log odds of one belief.
 """
 
 import math
@@ -59,6 +59,17 @@ def score_all(model, i, belief, s, mu=None):
 def score_M(model, i, u, belief, s):
     """Score of a single experiment (lower is better for the tester)."""
     return float(score_all(model, i, belief, s)[u])
+
+
+def reference_confidence(b, i):
+    """Log odds log(rho(i) / (1 - rho(i))) of one belief, on its 1-D log
+    masses: log_prob[i] - logsumexp(log_prob[j != i])."""
+    lp = b.log_prob
+    alts = np.concatenate([lp[:i], lp[i + 1:]])
+    denom = logsumexp(alts)
+    if not np.isfinite(lp[i]) or not np.isfinite(denom):
+        raise ValueError("confidence undefined for a degenerate belief")
+    return float(lp[i] - denom)
 
 
 def uniform_prior_log_posterior(b, model):

@@ -10,11 +10,11 @@ from fhat.belief import (Belief, confidence, confidence_increment,
                          decomposition_terms, new_trajectory, prior_belief,
                          step_trajectory, tilde_belief, tilde_log,
                          update_belief)
-from fhat.model import ModelError, make_model
+from fhat.model import ModelError, make_model, table1, table2
 from fhat.numerics import logsumexp
 from fhat.strategy import build_strategy
-from oracles import (recompute_belief, reference_enumerate_paths,
-                     uniform_prior_log_posterior)
+from oracles import (recompute_belief, reference_confidence,
+                     reference_enumerate_paths, uniform_prior_log_posterior)
 
 LN15 = math.log(1.5)
 
@@ -46,6 +46,12 @@ class TestUpdateBelief:
         m = make_model(["a", "b"], ["u"], ["0", "1"], kernel, [0.5, 0.5])
         with pytest.raises(ModelError, match="support"):
             update_belief(prior_belief(m), m, 0, 1)
+        # a trajectory step meets the same check, before it changes anything
+        t = new_trajectory(m, 0)
+        with pytest.raises(ModelError, match="observation 1 outside the support "
+                                             "of experiment u"):
+            step_trajectory(t, 0, 1)
+        assert t.history == () and t.z.tolist() == [0.0]
 
     def test_stays_normalized_on_long_runs(self, t1):
         rng = np.random.default_rng(0)
@@ -69,6 +75,15 @@ class TestConfidence:
     def test_posterior_example(self):
         b = Belief.from_probs([2 / 7, 3 / 7, 2 / 7])
         np.testing.assert_allclose(confidence(b, 1), math.log(3 / 4), atol=1e-12)
+        # the batch of one has the bits of the 1-D formula, also on the
+        # built-in priors that the symmetric thresholds read
+        rng = np.random.default_rng(12)
+        beliefs = [prior_belief(table1()), prior_belief(table2())]
+        for M in range(2, 8):
+            beliefs += [Belief.from_probs(p) for p in rng.dirichlet(np.ones(M), 300)]
+        for b in beliefs:
+            for i in range(b.log_prob.size):
+                assert confidence(b, i) == reference_confidence(b, i)
 
     def test_degenerate_rejected(self):
         b = Belief.from_probs([1.0, 0.0])

@@ -316,19 +316,22 @@ class TestSweep:
 
     def test_manifest_rerun_reproduces_csv(self, capsys, tmp_path):
         """Byte-for-byte reproduction from the manifest at a different
-        worker count."""
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        code, _, _ = run(capsys, "sweep", "--model", "table1",
-                         "--strategies", "das", "--reference", "0",
-                         "--horizons", "6,12", "--trials", "2000",
-                         "--seed", "17", "--workers", "1",
-                         "--output", str(a))
-        assert code == 0
-        code, _, _ = run(capsys, "sweep",
-                         "--manifest", str(a) + ".manifest.json",
-                         "--workers", "8", "--output", str(b))
-        assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+        worker count, also of a symmetric sweep with a non-default inner
+        rule and epsilon."""
+        cases = [(["--strategies", "das", "--reference", "0", "--horizons", "6,12",
+                   "--seed", "17", "--workers", "1"], "8"),
+                 (["--strategies", "symmetric", "--inner", "ors",
+                   "--horizons", "120,200", "--epsilon", "0.1"], "2")]
+        for n, (flags, workers) in enumerate(cases):
+            a, b = tmp_path / f"a{n}.csv", tmp_path / f"b{n}.csv"
+            code, _, err = run(capsys, "sweep", "--model", "table1", *flags,
+                               "--trials", "2000", "--output", str(a))
+            assert code == 0 and err == ""
+            code, _, _ = run(capsys, "sweep",
+                             "--manifest", str(a) + ".manifest.json",
+                             "--workers", workers, "--output", str(b))
+            assert code == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_manifest_from_other_version_warns(self, capsys, tmp_path):
         """A manifest written by another version still replays, with a

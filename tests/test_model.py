@@ -280,12 +280,22 @@ class TestBuiltins:
         np.testing.assert_allclose(t1.kernel[0, 0, 1], 0.4)
         np.testing.assert_allclose(t1.prior, np.full(3, 1 / 3))
         np.testing.assert_allclose(t1.llr_bound, LN15, atol=1e-12)
+        kernel = np.array([[[0.6, 0.4], [0.6, 0.4]],
+                           [[0.4, 0.6], [0.6, 0.4]],
+                           [[0.6, 0.4], [0.4, 0.6]]])
+        assert t1.kernel.tobytes() == kernel.tobytes()
+        assert t1.prior.tobytes() == np.full(3, 0.3333333333333333).tobytes()
 
     def test_table2_values(self, t2):
         assert t2.experiments == ("A", "B", "C", "D")
         np.testing.assert_allclose(t2.kernel[2, 2, 1], 0.280)  # P(Y=1|X=2,U=C)
         np.testing.assert_allclose(t2.kernel[1, 3, 1], 0.280)
         np.testing.assert_allclose(t2.kernel[0, 2, 1], 0.402)
+        kernel = np.array([[[0.6, 0.4], [0.6, 0.4], [0.598, 0.402], [0.598, 0.402]],
+                           [[0.4, 0.6], [0.6, 0.4], [0.402, 0.598], [0.72, 0.28]],
+                           [[0.6, 0.4], [0.4, 0.6], [0.72, 0.28], [0.402, 0.598]]])
+        assert t2.kernel.tobytes() == kernel.tobytes()
+        assert t2.prior.tobytes() == np.full(3, 0.3333333333333333).tobytes()
 
     def test_table1_does_not_warn_and_is_not_pairwise_informative(self):
         """Experiment A does not separate hypotheses 0 and 2; that is a

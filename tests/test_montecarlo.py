@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import decimal_model, four_hypothesis_model, random_model
+from conftest import decimal_model, four_hypothesis_model, kernel_models, random_model
 from fhat import cli
 from fhat import montecarlo as mc
 from fhat.belief import Belief, confidence, prior_belief
@@ -29,24 +29,6 @@ from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
 def identical_rows_model():
     kernel = [[[0.5, 0.5]], [[0.5, 0.5]]]
     return make_model(["a", "b"], ["u"], ["0", "1"], kernel, [0.5, 0.5])
-
-
-def kernel_models():
-    """Random models with Y = 2, 3 and 4 observations (the last two with
-    a dropped symbol) on which every strategy kind builds."""
-    rng = np.random.default_rng(31)
-    found = {}
-    while len(found) < 3:
-        m = random_model(rng, max_hyp=3)
-        Y = m.num_observations
-        if Y in found or (Y > 2 and m.support.all()):
-            continue
-        try:
-            build_strategy(m, "symmetric", 60)
-        except ValueError:
-            continue
-        found[Y] = m
-    return [found[Y] for Y in sorted(found)]
 
 
 def wide_models():

@@ -7,16 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import four_hypothesis_model, random_model
+from conftest import four_hypothesis_model, kernel_models, random_model
 from fhat.belief import Belief, confidence, prior_belief
 from fhat.game import solve
-from fhat.model import kl_divergence, make_model
+from fhat.model import kl_divergence, kl_matrix, make_model
 from fhat.montecarlo import _select_batch
 from fhat.numerics import log_normalize, logsumexp
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, criterion_holds, default_epsilon,
                            default_n_prime, empirical_rule, infer, mgf, mgf_matrix,
-                           reads_draws, s_schedule, select_batch,
+                           reads_draws, reverse_kl_matrix, s_schedule, select_batch,
                            select_experiment, symmetric_rule, threshold_asymmetric,
                            threshold_symmetric)
 from oracles import log_likelihood_ratio, reference_select, score_all, score_M
@@ -83,7 +83,10 @@ class TestMgf:
                 for s in (0.1, 0.5, 0.9):
                     assert mgf(m, i, j, u, s) <= 1.0 + 1e-12
 
-    def test_two_evaluation_forms_agree(self, t2):
+    def test_two_evaluation_forms_agree(self, t1, t2):
+        """mgf by its two formulas, and every per-(experiment, alternate)
+        table entry by entry, bit for bit, on the built-in models, the
+        random kernels and a 4 x 5 x 4 model."""
         for u in range(4):
             for s in (0.3, 0.7):
                 via_power = sum(t2.kernel[0, u, y] ** (1 - s) * t2.kernel[1, u, y] ** s
@@ -93,6 +96,22 @@ class TestMgf:
                               for y in range(2))
                 np.testing.assert_allclose(mgf(t2, 0, 1, u, s), via_power, atol=1e-12)
                 np.testing.assert_allclose(mgf(t2, 0, 1, u, s), via_llr, atol=1e-12)
+        rng = np.random.default_rng(5)
+        w = 0.5 * rng.dirichlet(np.ones(4), size=(4, 5)) + 0.125
+        wide = make_model(range(4), range(5), range(4),
+                          w / w.sum(axis=2, keepdims=True), np.full(4, 0.25))
+        for m in (t1, t2, *kernel_models(), wide):
+            for i in range(m.num_hypotheses):
+                tables = [(kl_matrix(m, i), lambda u, j, p: kl_divergence(p[i], p[j])),
+                          (reverse_kl_matrix(m, i), lambda u, j, p: kl_divergence(p[j], p[i]))]
+                tables += [(mgf_matrix(m, i, s), lambda u, j, p, s=s: mgf(m, i, j, u, s))
+                           for s in (0.3, 1.0)]
+                for table, entry in tables:
+                    assert table.shape == (m.num_experiments, m.num_hypotheses - 1)
+                    for u in range(m.num_experiments):
+                        p = m.kernel[:, u, m.support_indices(u)]
+                        for k, j in enumerate(m.alternates(i)):
+                            assert table[u, k] == entry(u, j, p)
 
 
 class TestScore:
@@ -404,7 +423,7 @@ class TestThresholds:
     def test_symmetric_clamp_value(self, t1):
         sol = solve(t1, 0)
         c1 = confidence(prior_belief(t1), 0)
-        theta = threshold_symmetric(50, 0, sol, 0.05, 3, LN15,
+        theta = threshold_symmetric(50, sol, 0.05, 3, LN15,
                                     n_prime=8, zeta=0.01, prior_confidence=c1)
         np.testing.assert_allclose(theta, 0.01 + math.log(2), atol=1e-12)
 
@@ -414,7 +433,7 @@ class TestThresholds:
         sol = solve(t1, 0)
         N, eps = 5000, 0.02
         c1 = confidence(prior_belief(t1), 0)
-        got = threshold_symmetric(N, 0, sol, eps, 3, LN15,
+        got = threshold_symmetric(N, sol, eps, 3, LN15,
                                   n_prime=1, zeta=0.01, prior_confidence=c1)
         expect = threshold_asymmetric(N, sol, eps / 2, 3, LN15)
         assert got > 0.01 - c1     # second branch dominates
@@ -423,7 +442,7 @@ class TestThresholds:
     def test_symmetric_rejects_bad_n_prime(self, t1):
         sol = solve(t1, 0)
         with pytest.raises(ValueError, match="n_prime"):
-            threshold_symmetric(10, 0, sol, 0.05, 3, LN15, n_prime=11,
+            threshold_symmetric(10, sol, 0.05, 3, LN15, n_prime=11,
                                 zeta=0.01, prior_confidence=-math.log(2))
 
     def test_default_n_prime(self):
