@@ -90,6 +90,12 @@ def tilde_belief(b: Belief, i: int) -> np.ndarray:
     return np.exp(tilde_log(b, i))
 
 
+def cross_entropy(beta, b: Belief, i: int) -> float:
+    """H(beta, tilde_rho) over the alternates of i (ascending j); at the
+    prior and beta* it is the prior's share of both converse bounds."""
+    return float(-np.dot(beta, tilde_log(b, i)))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One run's history plus derived state for a fixed reference
@@ -138,9 +144,7 @@ def confidence_increment(t: Trajectory) -> float:
 
     Equals confidence(t.belief, i) - confidence(prior, i) exactly (an
     algebraic identity, enforced by tests)."""
-    prior = prior_belief(t.model)
-    lt1 = tilde_log(prior, t.reference)
-    return float(-logsumexp(lt1 - t.z))
+    return float(-logsumexp(tilde_log(prior_belief(t.model), t.reference) - t.z))
 
 
 def decomposition_terms(t: Trajectory, beta_star) -> tuple[float, float, float]:
@@ -155,9 +159,8 @@ def decomposition_terms(t: Trajectory, beta_star) -> tuple[float, float, float]:
     beta = np.asarray(beta_star, dtype=float)
     if beta.shape != t.z.shape or np.any(beta < 0) or abs(beta.sum() - 1.0) > 1e-9:
         raise ValueError("beta_star must be a distribution over the alternates")
-    prior = prior_belief(t.model)
-    h_start = float(-np.dot(beta, tilde_log(prior, t.reference)))
-    h_end = float(-np.dot(beta, tilde_log(t.belief, t.reference)))
+    h_start = cross_entropy(beta, prior_belief(t.model), t.reference)
+    h_end = cross_entropy(beta, t.belief, t.reference)
     z_bar = float(np.dot(beta, t.z))
     return h_end, z_bar, h_start
 

@@ -11,25 +11,19 @@ Three channels:
 * the asymptotic rate D*(i) itself.
 
 Everything is in nats; dB conversion (10 log10) happens at reporting.
+Only the formulas are here: `fhat bounds` (cli.cmd_bounds) writes its table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import prior_belief, tilde_log
+from .belief import cross_entropy, prior_belief
 from .game import GameSolution
 from .model import ROW_SUM_TOL, HypothesisModel
-from .numerics import LN2, nats_to_db
-
-
-def cross_entropy_start(model: HypothesisModel, game: GameSolution) -> float:
-    """H(beta*, tilde_rho_1): the prior's contribution to the bounds."""
-    lt1 = tilde_log(prior_belief(model), game.reference)
-    return float(-np.dot(game.beta_star, lt1))
+from .numerics import LN2
 
 
 def weak_converse(game: GameSolution, model: HypothesisModel, N: int,
@@ -42,7 +36,7 @@ def weak_converse(game: GameSolution, model: HypothesisModel, N: int,
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     if N < 1:
         raise ValueError(f"horizon must be at least 1, got {N}")
-    h1 = cross_entropy_start(model, game)
+    h1 = cross_entropy(game.beta_star, prior_belief(model), game.reference)
     return (game.value + h1 / N + LN2 / N) / (1.0 - epsilon)
 
 
@@ -121,35 +115,3 @@ def check_binary_family(model: HypothesisModel, reference: int, nu: float) -> No
             f"the binary closed-form strong bound with nu = {nu} holds only for "
             "reference 0 of the two-sensor model with that nu; `fhat sweep "
             "--strong empirical` estimates a strong bound for any model")
-
-
-@dataclass(frozen=True)
-class BoundsRow:
-    """Per-horizon bound values (rates in nats/step, absolutes in nats)."""
-
-    N: int
-    epsilon: float
-    weak_rate: float
-    strong_abs: float      # +inf when no strong channel applies
-    strong_db: float
-    asymptotic_rate: float
-
-
-def bounds_table(model: HypothesisModel, game: GameSolution, horizons,
-                 epsilon_of_n, nu: float | None = None) -> list[BoundsRow]:
-    """Evaluate the bound overlays on a horizon grid.  `nu` enables the
-    closed-form strong bound for the binary two-sensor family
-    (check_binary_family)."""
-    if nu is not None:
-        check_binary_family(model, game.reference, nu)
-    rows = []
-    for N in horizons:
-        eps = epsilon_of_n(N)
-        weak = weak_converse(game, model, N, eps)
-        strong = (strong_bound_binary_example(N, nu, eps)
-                  if nu is not None else math.inf)
-        rows.append(BoundsRow(N=N, epsilon=eps, weak_rate=weak,
-                              strong_abs=strong,
-                              strong_db=float(nats_to_db(strong)),
-                              asymptotic_rate=game.value))
-    return rows

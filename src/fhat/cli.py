@@ -25,6 +25,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import montecarlo as mc
 from .model import BUILTIN_MODELS, ModelError, resolve_model
+from .numerics import nats_to_db
 from .strategy import (INNER_KINDS, KINDS, asymmetric_rule, build_strategy,
                        default_epsilon, empirical_rule, symmetric_setup)
 
@@ -212,8 +213,6 @@ def cmd_sweep(args) -> int:
     for k in kinds:
         if k not in KINDS:
             raise ModelError(f"unknown strategy {k!r}")
-    if args.trials < 1:
-        raise ModelError("--trials must be at least 1")
     model = resolve_model(args.model)
     horizons = _parse_horizons(args.horizons)
     rows = mc.sweep(model, kinds, args.reference, horizons, args.trials,
@@ -229,13 +228,16 @@ def cmd_bounds(args) -> int:
     from .game import solve
     sol = solve(model, args.reference)
     horizons = _parse_horizons(args.horizons)
-    rows = bounds_mod.bounds_table(model, sol, horizons, _epsilon_fn(args),
-                                   nu=args.nu)
+    if args.nu is not None:
+        bounds_mod.check_binary_family(model, args.reference, args.nu)
     lines = ["N,epsilon,weak_rate,strong_abs,strong_db,asymptotic_rate"]
-    for r in rows:
-        lines.append(",".join(mc.fmt9(v) for v in
-                              (r.N, r.epsilon, r.weak_rate, r.strong_abs,
-                               r.strong_db, r.asymptotic_rate)))
+    for N in horizons:
+        eps = _epsilon_fn(args)(N)
+        weak = bounds_mod.weak_converse(sol, model, N, eps)
+        strong = (math.inf if args.nu is None
+                  else bounds_mod.strong_bound_binary_example(N, args.nu, eps))
+        lines.append(",".join(mc.fmt9(v) for v in (
+            N, eps, weak, strong, float(nats_to_db(strong)), sol.value)))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

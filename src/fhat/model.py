@@ -9,6 +9,7 @@ share the same support, which keeps every log-likelihood ratio finite.
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,7 @@ class HypothesisModel:
     llr_bound: float            # B, in nats
     log_kernel: np.ndarray = field(repr=False, default=None)
     log_prior: np.ndarray = field(repr=False, default=None)
+    _support_idx: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # make_model passes the log kernel it took the LLR bound from
@@ -47,7 +49,9 @@ class HypothesisModel:
             object.__setattr__(self, "log_kernel", _log_kernel(self.kernel))
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "log_prior", np.log(self.prior))
-        for arr in (self.kernel, self.prior, self.support, self.log_kernel, self.log_prior):
+        object.__setattr__(self, "_support_idx", tuple(map(np.flatnonzero, self.support)))
+        for arr in (self.kernel, self.prior, self.support, self.log_kernel, self.log_prior,
+                    *self._support_idx):
             arr.setflags(write=False)
 
     @property
@@ -63,7 +67,7 @@ class HypothesisModel:
         return len(self.observations)
 
     def support_indices(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.support[u])
+        return self._support_idx[u]
 
     def alternates(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.num_hypotheses) if j != i)
@@ -114,7 +118,7 @@ def make_model(hypotheses, experiments, observations, kernel,
         i, u = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         raise ModelError(
             f"kernel row (hypothesis={hypotheses[i]}, experiment={experiments[u]}) "
-            f"sums to {sums[i, u]!r}, not 1 within {ROW_SUM_TOL}")
+            f"sums to {float(sums[i, u])!r}, not 1 within {ROW_SUM_TOL}")
 
     # Common support: strictly positive entries must agree across hypotheses.
     pos = kernel > 0
@@ -131,9 +135,10 @@ def make_model(hypotheses, experiments, observations, kernel,
 
     if np.any(prior <= 0):
         i = int(np.argwhere(prior <= 0)[0][0])
-        raise ModelError(f"prior lacks full support: prior[{hypotheses[i]}] = {prior[i]!r}")
+        raise ModelError(f"prior lacks full support: "
+                         f"prior[{hypotheses[i]}] = {float(prior[i])!r}")
     if abs(prior.sum() - 1.0) > ROW_SUM_TOL:
-        raise ModelError(f"prior sums to {prior.sum()!r}, not 1 within {ROW_SUM_TOL}")
+        raise ModelError(f"prior sums to {float(prior.sum())!r}, not 1 within {ROW_SUM_TOL}")
 
     logk = _log_kernel(kernel)
     # the largest |log p_i - log p_j| on a symbol is max - min over the
@@ -370,22 +375,23 @@ def serialize_model(model: HypothesisModel) -> str:
 
     Probabilities are written with repr (shortest digits that reload to
     the same float64), so load_model(serialize_model(m)) reproduces the
-    kernel and prior exactly.
+    kernel and prior exactly.  Names, the kernel's keys too, are YAML
+    double-quoted scalars with JSON's escapes and \\U past ASCII (YAML
+    reads no surrogate pair), so every name reloads as written.
     """
     out = io.StringIO()
     def fmt_list(vals):
         return "[" + ", ".join(repr(float(v)) for v in vals) + "]"
-    def fmt_names(names):
-        return "[" + ", ".join(repr(n) for n in names) + "]"
-    out.write("hypotheses: " + fmt_names(model.hypotheses) + "\n")
-    out.write("experiments: " + fmt_names(model.experiments) + "\n")
-    out.write("observations: " + fmt_names(model.observations) + "\n")
-    out.write("prior: " + fmt_list(model.prior) + "\n")
-    out.write("kernel:\n")
+    def quoted(name):
+        return "".join(c if c < "\x7f" else f"\\U{ord(c):08x}"
+                       for c in json.dumps(name, ensure_ascii=False))
+    for key in ("hypotheses", "experiments", "observations"):
+        out.write(f"{key}: [" + ", ".join(map(quoted, getattr(model, key))) + "]\n")
+    out.write("prior: " + fmt_list(model.prior) + "\nkernel:\n")
     for u, uname in enumerate(model.experiments):
-        out.write(f"  {uname!r}:\n")
+        out.write(f"  {quoted(uname)}:\n")
         for i, hname in enumerate(model.hypotheses):
-            out.write(f"    {hname!r}: " + fmt_list(model.kernel[i, u]) + "\n")
+            out.write(f"    {quoted(hname)}: " + fmt_list(model.kernel[i, u]) + "\n")
     return out.getvalue()
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .belief import confidence, log_odds, new_trajectory, prior_belief, step_trajectory
+from .belief import (confidence, cross_entropy, log_odds, new_trajectory,
+                     prior_belief, step_trajectory)
 from .model import HypothesisModel, llr_table, ratio_lattice
 from .numerics import largest_remainder_allocation, nats_to_db
 # select_experiment is not called here; perfbench's tracer wraps it
@@ -780,6 +781,8 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     for the M = 3 composite.  A group's specs, and with them the
     leader's pick table, go once its rows are made, so memory does not
     grow with the horizon list."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if strong not in ("none", "binary", "empirical"):
         raise ValueError(f"unknown strong-bound channel {strong!r}")
     if strong == "binary":
@@ -848,8 +851,8 @@ def _sweep_row(spec, rule, report, zbar, strong, nu) -> SweepRow:
         if strong == "binary":
             strong_abs = bounds_mod.strong_bound_binary_example(N, nu, eps)
         elif strong == "empirical":
-            h1 = bounds_mod.cross_entropy_start(model, spec.game)
-            _, strong_abs = bounds_mod.strong_converse_sweep(zbar, h1, eps)
+            _, strong_abs = bounds_mod.strong_converse_sweep(zbar, cross_entropy(
+                spec.game.beta_star, prior_belief(model), spec.game.reference), eps)
     return SweepRow(
         strategy=spec.kind, N=N, epsilon=eps, theta=min(rule.thresholds.values()),
         psi_hat=min(report.psi_hat.values()), psi_se=max(report.psi_se.values()),

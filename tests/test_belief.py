@@ -89,6 +89,8 @@ class TestConfidence:
         b = Belief.from_probs([1.0, 0.0])
         with pytest.raises(ValueError, match="degenerate"):
             confidence(b, 0)
+        with pytest.raises(ValueError, match="negative probability"):
+            Belief.from_probs([1.5, -0.5])
 
 
 class TestTildeBelief:
@@ -110,6 +112,11 @@ class TestTildeBelief:
             b = Belief.from_probs(p / p.sum())
             i = int(rng.integers(4))
             np.testing.assert_allclose(tilde_belief(b, i).sum(), 1.0, atol=1e-12)
+
+    def test_undefined_at_certainty(self):
+        """With rho(i) = 1 the alternates hold no mass to renormalize."""
+        with pytest.raises(ValueError, match=r"rho\(i\) = 1"):
+            tilde_log(Belief.from_probs([0.0, 1.0, 0.0]), 1)
 
 
 class TestTrajectory:
@@ -135,6 +142,11 @@ class TestTrajectory:
         t = random_trajectory(t1, rng, max_steps=30)
         np.testing.assert_allclose(recompute_belief(t).log_prob,
                                    t.belief.log_prob, atol=1e-10)
+
+    @pytest.mark.parametrize("reference", [-1, 3])
+    def test_reference_out_of_range(self, t1, reference):
+        with pytest.raises(ValueError, match=f"reference hypothesis {reference} out of range"):
+            new_trajectory(t1, reference)
 
 
 class TestConfidenceIncrement:

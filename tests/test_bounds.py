@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhat import bounds
+from fhat.belief import cross_entropy, prior_belief
+from fhat.cli import main
 from fhat.game import solve
 from fhat.strategy import build_strategy
 
@@ -47,8 +50,8 @@ class TestWeakConverse:
 
     def test_cross_entropy_start_uniform(self, t1):
         sol = solve(t1, 0)
-        np.testing.assert_allclose(bounds.cross_entropy_start(t1, sol), LN2,
-                                   atol=1e-12)
+        np.testing.assert_allclose(cross_entropy(sol.beta_star, prior_belief(t1), 0),
+                                   LN2, atol=1e-12)
 
 
 class TestStrongConverseEmpirical:
@@ -137,6 +140,12 @@ class TestBinomialQuantile:
     def test_q_near_one(self):
         assert bounds.binomial_quantile(10, 0.3, 1 - 1e-12) == 10
 
+    @pytest.mark.parametrize("p,q", [(0.0, 0.5), (1.0, 0.5), (-0.1, 0.5),
+                                     (0.5, 0.0), (0.5, 1.0), (0.5, 1.2)])
+    def test_p_and_q_inside_the_unit_interval(self, p, q):
+        with pytest.raises(ValueError, match="need 0 < p < 1 and 0 < q < 1"):
+            bounds.binomial_quantile(10, p, q)
+
     def test_matches_exact_rational_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
@@ -209,10 +218,14 @@ class TestWeightedLlrLattice:
                     expect = (K - N / 2) * LN15
                     assert abs(zbar - expect) <= 1e-12
 
-    def test_bounds_table_rows(self, t1):
+    def test_bounds_table_rows(self, t1, capsys):
+        """The rows of `fhat bounds --nu 0.6`, read from its CSV."""
         sol = solve(t1, 0)
-        rows = bounds.bounds_table(t1, sol, [100, 200],
-                                   lambda N: min(0.05, 10 / N), nu=0.6)
+        assert main(["bounds", "--model", "table1", "--reference", "0",
+                     "--horizons", "100,200", "--nu", "0.6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [SimpleNamespace(**dict(zip(lines[0].split(","), map(float, line.split(",")))))
+                for line in lines[1:]]
         assert [r.N for r in rows] == [100, 200]
         assert rows[0].epsilon == 0.05
         np.testing.assert_allclose(rows[0].asymptotic_rate, sol.value)

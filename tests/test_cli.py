@@ -112,6 +112,28 @@ SOLVE_GAME_TEXT = [
         id="table2-2"),
 ]
 
+# (arguments after --model, printed text) of `fhat bounds`: the binary
+# closed-form strong bound, and no strong channel at a fixed epsilon
+BOUNDS_TEXT = [
+    pytest.param(
+        "table1 --reference 0 --horizons 100:500:100 --nu 0.6",
+        "N,epsilon,weak_rate,strong_abs,strong_db,asymptotic_rate\n"
+        "100,0.05,0.0572731099,5.31073989,23.0642503,0.0405465108\n"
+        "200,0.05,0.0499768238,8.14899564,35.3906384,0.0405465108\n"
+        "300,0.0333333333,0.0467249917,10.9872514,47.7170265,0.0405465108\n"
+        "400,0.025,0.0451407659,14.1131892,61.292802,0.0405465108\n"
+        "500,0.02,0.0442031628,17.1745885,74.5882903,0.0405465108\n",
+        id="table1-nu"),
+    pytest.param(
+        "table2 --reference 0 --horizons 10,100:500:200 --epsilon 0.1",
+        "N,epsilon,weak_rate,strong_abs,strong_db,asymptotic_rate\n"
+        "10,0.1,0.216367453,inf,inf,0.0561012718\n"
+        "100,0.1,0.0777380171,inf,inf,0.0561012718\n"
+        "300,0.1,0.06746917,inf,inf,0.0561012718\n"
+        "500,0.1,0.0654154006,inf,inf,0.0561012718\n",
+        id="table2-epsilon"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -273,6 +295,16 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--model", "table1",
                              "--strategies", ",", "--horizons", "5")
         assert code == 2 and out == "" and "strategies" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--trials", "0"), "trials must be >= 1"),
+        (("--trials", "100", "--strong", "binary"),
+         "the binary closed-form strong bound needs nu"),
+    ], ids=["zero-trials", "binary-without-nu"])
+    def test_refused_sweep_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "sweep", "--model", "table1", "--strategies",
+                             "das", "--horizons", "10", *argv)
+        assert code == 2 and out == "" and message in err
 
     def test_unknown_strategy_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--model", "table1",
@@ -547,6 +579,12 @@ class TestBoundsAndEnumerate:
         assert len(lines) == 3
         asym = float(lines[1].split(",")[-1])
         np.testing.assert_allclose(asym, 0.1 * math.log(1.5), atol=1e-9)
+
+    @pytest.mark.parametrize("argv,text", BOUNDS_TEXT)
+    def test_bounds_prints_the_recorded_text(self, capsys, argv, text):
+        """The whole bounds table is the same text as recorded."""
+        code, out, _ = run(capsys, "bounds", "--model", *argv.split())
+        assert code == 0 and out == text
 
     def test_horizons_mix_values_and_ranges(self, capsys):
         """Each comma item is a horizon or an inclusive range; a bad

@@ -56,12 +56,12 @@ class TestLoadModel:
     def test_prior_without_full_support(self):
         doc = TABLE1_DOC.replace("prior: [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]",
                                  "prior: [0.5, 0.5, 0.0]")
-        with pytest.raises(ModelError, match="full support"):
+        with pytest.raises(ModelError, match=r"full support: prior\[near-b\] = 0\.0$"):
             load_model(doc)
 
     def test_row_sum_enforced(self):
         doc = TABLE1_DOC.replace("safe:   [0.6, 0.4]", "safe:   [0.6, 0.41]", 1)
-        with pytest.raises(ModelError, match="sums to"):
+        with pytest.raises(ModelError, match=r"sums to 1\.01, not 1"):
             load_model(doc)
 
     def test_non_finite_entries(self):
@@ -80,6 +80,8 @@ class TestLoadModel:
     def test_parse_failure(self):
         with pytest.raises(ModelError, match="parse|key-value"):
             load_model("[:::")
+        with pytest.raises(ModelError, match="key-value"):
+            load_model("[1, 2]")
 
     def test_unclosed_flow_sequence_is_a_parse_error(self):
         with pytest.raises(ModelError, match="cannot parse"):
@@ -112,10 +114,19 @@ class TestLoadModel:
         pytest.param(TABLE1_DOC.replace("hypotheses: [safe, near-a, near-b]",
                                         "hypotheses: 5"),
                      "'hypotheses' must be a list", id="hypotheses-scalar"),
+        pytest.param(TABLE1_DOC.replace("safe:   [0.6, 0.4]", "safe:   [0.6, null]", 1),
+                     r"kernel\['A'\]\['safe'\] must be a list of reals", id="row-not-reals"),
+        pytest.param(TABLE1_DOC.replace("safe:   [0.6, 0.4]", "safe:   [0.6, 0.3, 0.1]", 1),
+                     r"kernel\['A'\]\['safe'\] has 3 entries, expected 2", id="row-length"),
+        pytest.param(TABLE1_DOC[:TABLE1_DOC.index("  B:")],
+                     "kernel missing experiment 'B'", id="missing-experiment"),
+        pytest.param(TABLE1_DOC.replace("    near-b: [0.4, 0.6]\n", ""),
+                     r"kernel\['B'\] missing hypothesis 'near-b'", id="missing-hypothesis"),
     ])
     def test_malformed_node_is_a_model_error(self, capsys, tmp_path, doc, message):
-        """A node of the wrong type is named, and `fhat solve-game` on
-        the file exits 2 rather than with a traceback."""
+        """A node of the wrong type or length, or a missing kernel entry,
+        is named, and `fhat solve-game` on the file exits 2 rather than
+        with a traceback."""
         with pytest.raises(ModelError, match=message):
             load_model(doc)
         path = tmp_path / "bad.yaml"
@@ -158,14 +169,41 @@ class TestLoadModel:
         with pytest.raises(ModelError, match=what + " repeats"):
             make_model(*names, kernel, [0.5, 0.5])
 
+    @pytest.mark.parametrize("names,kernel,prior,message", [
+        ((["a"], ["u"], ["0", "1"]), [[[0.5, 0.5]]], [1.0], "at least 2 hypotheses"),
+        ((["a", "b"], [], ["0", "1"]), np.zeros((2, 0, 2)), [0.5, 0.5],
+         "at least one experiment and one observation"),
+        ((["a", "b"], ["u"], []), np.zeros((2, 1, 0)), [0.5, 0.5],
+         "at least one experiment and one observation"),
+        ((["a", "b"], ["u"], ["0", "1"]), np.full((2, 1, 3), 1 / 3), [0.5, 0.5],
+         r"kernel shape \(2, 1, 3\) does not match"),
+        ((["a", "b"], ["u"], ["0", "1"]), np.full((2, 1, 2), 0.5), [1.0],
+         r"prior shape \(1,\) does not match M=2"),
+        ((["a", "b"], ["u"], ["0", "1"]), [[[0.5, 0.5]], [[1.5, -0.5]]], [0.5, 0.5],
+         r"negative probability at kernel\[1,0,1\]"),
+        ((["a", "b"], ["u"], ["0", "1"]), np.full((2, 1, 2), 0.5), [0.5, 0.6],
+         r"prior sums to 1\.1, not 1 within"),
+    ], ids=["one-hypothesis", "no-experiment", "no-observation", "kernel-shape",
+            "prior-shape", "negative-entry", "prior-sum"])
+    def test_invalid_arrays(self, names, kernel, prior, message):
+        with pytest.raises(ModelError, match=message):
+            make_model(*names, kernel, prior)
+
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = random_model(rng)
+        models = [random_model(rng) for _ in range(20)]
+        # names YAML reads otherwise unquoted, or as escapes in Python's repr
+        for name in ("a\\b", "line\nbreak", "tab\t", "nul\x00", "bell\x07",
+                     "it's \"x\"", "", "null", "1", "#c", "x: y", "caf\u00e9",
+                     "\U0001f600", "\x85\u2028\x7f"):
+            models.append(make_model([name, "h"], [name], [name, "y"],
+                                     [[[0.25, 0.75]], [[0.5, 0.5]]], [0.5, 0.5]))
+        for m in models:
             m2 = load_model(serialize_model(m))
             assert np.array_equal(m.kernel, m2.kernel)
             assert np.array_equal(m.prior, m2.prior)
             assert m.hypotheses == m2.hypotheses
+            assert (m.experiments, m.observations) == (m2.experiments, m2.observations)
             assert m.llr_bound == m2.llr_bound
 
 
@@ -186,6 +224,8 @@ class TestKlDivergence:
     def test_mismatched_support(self):
         with pytest.raises(ModelError, match="mismatched"):
             kl_divergence([1.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ModelError, match="mismatched"):
+            kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(0)

@@ -904,6 +904,15 @@ class TestLsePhiEstimator:
         est = mc.estimate_phi_lse(np.ones(250), np.zeros(250, dtype=bool))
         assert est.is_lower_bound and est.log_inv_phi == math.log(250)
 
+    def test_jackknife_skips_batches_that_leave_nothing(self):
+        """One trial leaves no batch to drop, so the SE is NaN.  A batch
+        holding all the accepted mass leaves none when dropped and is
+        skipped; the three batches left agree, so the SE is 0."""
+        est = mc.estimate_phi_lse(np.array([0.5]), np.array([True]))
+        assert est.log_inv_phi == 0.5 and math.isnan(est.se)
+        est = mc.estimate_phi_lse(np.full(4, 0.5), np.array([True, False, False, False]))
+        assert est.log_inv_phi == math.log(4) + 0.5 and est.se == 0.0
+
     def test_matches_direct_average(self):
         rng = np.random.default_rng(0)
         c = rng.normal(3.0, 1.0, 10_000)
@@ -1637,3 +1646,14 @@ class TestSweep:
     def test_unknown_strong_channel(self, t1):
         with pytest.raises(ValueError, match="strong"):
             mc.sweep(t1, ["das"], 0, [5], 100, 0, strong="bogus")
+
+    @pytest.mark.parametrize("kind", ["das", "symmetric"])
+    def test_zero_trials_raise_before_any_run(self, t1, monkeypatch, kind):
+        """trials = 0 is refused before a strategy is built or a run made."""
+        def fail(*args, **kw):
+            raise AssertionError("called")
+
+        for name in ("simulate_measure", "build_strategy", "symmetric_setup"):
+            monkeypatch.setattr(mc, name, fail)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc.sweep(t1, [kind], 0, [5, 10], 0, 0)

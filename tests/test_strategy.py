@@ -308,6 +308,16 @@ class TestSelectBatchEdges:
                     assert got.tolist() == [int(u[0]) for u in one], name
                     assert got.tolist() == want.tolist(), name
 
+    @pytest.mark.parametrize("kind", ["das", "das-rs"])
+    @pytest.mark.parametrize("N", [8, 300])
+    def test_no_alternate_mass_is_refused(self, t2, kind, N):
+        """A row with every alternate at -inf has no tilted score: the
+        batch raises rather than pick on NaN weights."""
+        spec = build_strategy(t2, kind, N, reference=0)
+        lb = np.array([[0.0, -1.0, -2.0], [0.0, -np.inf, -np.inf]])
+        with pytest.raises(ValueError, match="all alternate mass is zero"):
+            select_batch(spec, lb, None)
+
 
 class TestHorizonFree:
     @pytest.mark.parametrize("kind", KINDS)
@@ -445,6 +455,13 @@ class TestThresholds:
             threshold_symmetric(10, sol, 0.05, 3, LN15, n_prime=11,
                                 zeta=0.01, prior_confidence=-math.log(2))
 
+    @pytest.mark.parametrize("zeta", [0.0, -0.01])
+    def test_symmetric_rejects_nonpositive_zeta(self, t1, zeta):
+        sol = solve(t1, 0)
+        with pytest.raises(ValueError, match="zeta must be positive"):
+            threshold_symmetric(10, sol, 0.05, 3, LN15, n_prime=4,
+                                zeta=zeta, prior_confidence=-math.log(2))
+
     def test_default_n_prime(self):
         assert default_n_prime(100) == 10
         assert default_n_prime(101) == 11
@@ -488,6 +505,10 @@ class TestInfer:
     def test_nan_threshold_is_refused_and_infinities_are_legal(self, t1):
         with pytest.raises(ValueError, match="NaN"):
             empirical_rule(0, math.nan, 0.05)
+        with pytest.raises(ValueError, match="unknown inference kind 'bogus'"):
+            InferenceRule("bogus", {0: 1.0}, 0.05)
+        with pytest.raises(ValueError, match="at least one hypothesis"):
+            InferenceRule("empirical", {}, 0.05)
         prior = prior_belief(t1)
         assert infer(prior, prior, empirical_rule(0, -math.inf, 0.05)) == 0
         assert infer(prior, prior, empirical_rule(0, math.inf, 0.05)) is None
@@ -503,6 +524,8 @@ class TestBuildStrategy:
     def test_unknown_kind(self, t1):
         with pytest.raises(ValueError, match="unknown"):
             build_strategy(t1, "bogus", 100, reference=0)
+        with pytest.raises(ValueError, match="invalid inner kind 'symmetric'"):
+            build_strategy(t1, "symmetric", 100, inner_kind="symmetric")
 
     def test_reference_required(self, t1):
         with pytest.raises(ValueError, match="reference"):
