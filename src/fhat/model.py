@@ -377,7 +377,10 @@ def serialize_model(model: HypothesisModel) -> str:
     the same float64), so load_model(serialize_model(m)) reproduces the
     kernel and prior exactly.  Names, the kernel's keys too, are YAML
     double-quoted scalars with JSON's escapes and \\U past ASCII (YAML
-    reads no surrogate pair), so every name reloads as written.
+    reads no surrogate pair), so every name reloads as written.  A
+    kernel key whose scalar is longer than the 1024 characters YAML
+    allows an implicit key is written in explicit form, ``? "name"``
+    with the value after ``:`` on the next line.
     """
     out = io.StringIO()
     def fmt_list(vals):
@@ -385,13 +388,16 @@ def serialize_model(model: HypothesisModel) -> str:
     def quoted(name):
         return "".join(c if c < "\x7f" else f"\\U{ord(c):08x}"
                        for c in json.dumps(name, ensure_ascii=False))
+    def kernel_key(name, indent):
+        q = quoted(name)
+        return f"{indent}{q}:" if len(q) <= 1024 else f"{indent}? {q}\n{indent}:"
     for key in ("hypotheses", "experiments", "observations"):
         out.write(f"{key}: [" + ", ".join(map(quoted, getattr(model, key))) + "]\n")
     out.write("prior: " + fmt_list(model.prior) + "\nkernel:\n")
     for u, uname in enumerate(model.experiments):
-        out.write(f"  {quoted(uname)}:\n")
+        out.write(kernel_key(uname, "  ") + "\n")
         for i, hname in enumerate(model.hypotheses):
-            out.write(f"    {quoted(hname)}: " + fmt_list(model.kernel[i, u]) + "\n")
+            out.write(kernel_key(hname, "    ") + " " + fmt_list(model.kernel[i, u]) + "\n")
     return out.getvalue()
 
 

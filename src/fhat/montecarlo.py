@@ -15,6 +15,16 @@ made once and kept in the spec, serves all of its chunks and runs, and
 comparing two specs' picks over a box decides before running whether a
 shorter horizon shares a sweep run (_shares).
 
+Where selection reads no belief, on a pick table or under ``ors``, a
+trial's whole state is its point of the statistic lattice, the
+likelihood ratios among all hypotheses over the experiments the rule
+can pick (_stat_box): a step adds int64 key steps, no float row, and
+the confidence increments and weighted LLRs are decoded from the final
+points, each distinct point once (_key_statistics).  They are a
+function of the point, so trials at one point get the same bits, and
+exact enumeration decodes its states the same way.  Other runs carry
+float log beliefs, and LLRs where asked, as path sums.
+
 phi is reported through two channels: the plain declaration frequency
 under the alternate mixture (sanity channel, useless once phi is tiny)
 and the log-sum-exp estimator run under the reference measure, which
@@ -48,8 +58,8 @@ from .numerics import largest_remainder_allocation, nats_to_db
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
                        decisions_from_increments, default_epsilon,
-                       empirical_rule, reads_draws, select_experiment,
-                       symmetric_setup)
+                       empirical_rule, pickable_experiments, reads_draws,
+                       select_experiment, symmetric_setup)
 from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
@@ -109,42 +119,68 @@ def _lattice_box(K: np.ndarray, N: int, cap: int):
     return K @ stride, -int(np.dot(lo, stride)), lo, width
 
 
+def _key_coords(keys: np.ndarray, lo, width):
+    """The coordinates of the points with keys `keys` in the box of
+    corner lo and widths `width` that _lattice_box packs: one int64
+    array per key column, made as it is asked for."""
+    for a, w in zip(lo, width):
+        keys, c = np.divmod(keys, w)
+        yield c + a
+
+
+def _lattice_rows(base: np.ndarray, G: np.ndarray, coords) -> np.ndarray:
+    """base + P @ G at the points P whose coordinates along the key
+    columns are the int arrays `coords`, summed in column order,
+    ((base + c0 G[0]) + c1 G[1]) + ..., with no matrix product (BLAS
+    rounds by the row count): a point gets the same bits whatever the
+    other points.  Row G[k] lies along the first axis, broadcast against
+    base and coords[k]."""
+    rows = base
+    for g, c in zip(G, coords):
+        term = g.reshape(-1, *(1,) * c.ndim) * c
+        # in place once rows is a new array of the full shape: the same
+        # bits, with one array fewer alive
+        if rows is not base and np.broadcast_shapes(rows.shape, term.shape) == rows.shape:
+            rows += term
+        else:
+            rows = rows + term
+    return rows
+
+
 def _box_rows(spec: StrategySpec, N: int):
     """Blocks (a, rows) of the representative rows of spec's key box at
     N, in key order: rows[k] is log prior + P @ G at the point P of key
-    a + k (G is spec.pick_ratios).
+    a + k (G is spec.pick_ratios), by _lattice_rows.
 
-    A line of the box, its keys along key column 0 with the others
-    fixed, has the rows ((log prior + c0 G[0]) + c1 G[1]) + ..., summed
-    in column order: a block computes the column-0 terms once and each
-    other column's term once per line, decoded from the line index
-    alone.  A block holds whole lines, at most CHUNK rows, or a
-    CHUNK-point piece of a longer line.  Its rows are the transpose of
-    an (M, rows) array, so the selector reads each column contiguous."""
+    A block holds whole lines of the box, keys along key column 0 with
+    the others fixed, at most CHUNK rows, or a CHUNK-point piece of a
+    longer line; each other column's coordinate is decoded once per
+    line from the line index alone.  Its rows are the transpose of an
+    (M, rows) array, so the selector reads each column contiguous."""
     _, _, lo, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
-    lp, G = spec.model.log_prior, spec.pick_ratios
+    lp = spec.model.log_prior[:, None, None]    # (M, lines, points)
     w0 = width[0] if width else 1     # a rank-0 key is one row
     piece = min(w0, CHUNK)
     lines, per_block = math.prod(width[1:]), CHUNK // piece
     for start in range(0, lines, per_block):
-        rest = np.arange(start, min(start + per_block, lines))
-        terms = []
-        for first, w, g in zip(lo[1:], width[1:], G[1:]):
-            rest, c = np.divmod(rest, w)
-            terms.append(g[:, None, None] * (c + first)[:, None])
+        rest = [c[:, None] for c in _key_coords(
+            np.arange(start, min(start + per_block, lines)), lo[1:], width[1:])]
         for p in range(0, w0, piece):
-            rows = lp[:, None, None]    # (M, lines, points)
-            if width:
-                c0 = np.arange(lo[0] + p, lo[0] + min(p + piece, w0))
-                rows = rows + G[0][:, None, None] * c0
-            for t in terms:
-                rows = rows + t
+            c0 = [np.arange(lo[0] + p, lo[0] + min(p + piece, w0))[None, :]] if width else []
+            rows = _lattice_rows(lp, spec.pick_ratios, c0 + rest)
             yield start * w0 + p, rows.reshape(lp.size, -1).T
 
 
+def _has_table(spec: StrategySpec, N: int) -> bool:
+    """True when runs of `spec` to N read their picks from a _pick_table:
+    spec has a pick key, and its box at N fits PICK_TABLE_CAP."""
+    return (spec.pick_key is not None
+            and _lattice_box(spec.pick_key, N, PICK_TABLE_CAP) is not None)
+
+
 def _pick_table(spec: StrategySpec, N: int):
-    """(table, dk, key0) for runs of `spec` to horizon N, or None when
-    it has no lattice key or its key box exceeds PICK_TABLE_CAP.  A
+    """(table, dk, key0) for runs of `spec` to horizon N where it has
+    one (_has_table), else None.  A
     trial's key is its point of the lattice K.T @ n (spec.pick_key,
     n its observation counts) packed by _lattice_box.  Equal keys mean
     equal likelihood ratios among the hypotheses selection reads (the
@@ -153,29 +189,29 @@ def _pick_table(spec: StrategySpec, N: int):
     holds the pick at every point of the box, made block by block from
     the representative rows of _box_rows, before any trial runs, so it
     serves every chunk, stream purpose and true hypothesis of `spec` at
-    N without a selector call.  The result, table or None, is made once
-    per (spec, N) and kept in the spec, which a pickle carries along."""
+    N without a selector call.  The table is made once per (spec, N)
+    and kept in the spec, which a pickle carries along."""
     tables = spec._pick_tables
-    if N in tables or spec.pick_key is None:
-        return tables.get(N)
-    box = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
-    if box is not None:
-        dk, key0, _, width = box
+    if N not in tables and _has_table(spec, N):
+        dk, key0, _, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
         table = np.empty(math.prod(width),
                          dtype=np.min_scalar_type(spec.model.num_experiments - 1))
         for a, rows in _box_rows(spec, N):
             table[a:a + len(rows)] = _select_batch(spec, rows, None)
-        box = table, dk, key0
-    return tables.setdefault(N, box)
+        tables[N] = table, dk, key0
+    return tables.get(N)
 
 
 def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
     """True when runs of `other`, built for horizon n < N, are the first
-    n steps of runs of `spec` to N, bit for bit: when spec is
-    horizon_free(), or when other has spec's pick key and picks as
+    n steps of runs of `spec` to N, bit for bit: when both carry their
+    state alike, on the statistic lattice or in floats (_stat_box), and
+    spec is horizon_free(), or other has spec's pick key and picks as
     spec's _pick_table at N at every point of its own (n - 1)-step box,
     every key a trial reads in its first n steps.  The comparison runs
     block by block (_box_rows) and stops at the first that differs."""
+    if (_stat_box(spec, N) is None) != (_stat_box(other, n) is None):
+        return False
     if spec.horizon_free():
         return True
     table = _pick_table(spec, N)
@@ -200,6 +236,56 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
     for col, i in enumerate(refs):
         out[:, col] = log_odds(lb, i) - confidence(prior, i)
     return out
+
+
+def _stat_box(spec: StrategySpec, N: int):
+    """(K, G, box) where runs of `spec` to N carry their point of the
+    statistic lattice, else None.  (K, G) is the ratio_lattice of every
+    hypothesis over the experiments the rule can pick
+    (pickable_experiments; the symmetric composite's pick lattice is
+    that already, and is used as it is), box its _lattice_box at N.
+    Runs carry the point where selection reads no belief, under ``ors``
+    or on a pick table (_has_table), and the box fits int64.  The
+    answer is made once per (spec, N), the lattice only for such runs,
+    and kept in the spec like the pick tables: a spec made by
+    dataclasses.replace makes its own."""
+    boxes = spec._stat_boxes
+    if N not in boxes:
+        stat = None
+        if spec.kind == "ors" or _has_table(spec, N):
+            lattice = ((spec.pick_key, spec.pick_ratios) if spec.kind == "symmetric"
+                       else ratio_lattice(spec.model, range(spec.model.num_hypotheses),
+                                          pickable_experiments(spec)))
+            box = None if lattice is None else _lattice_box(lattice[0], N, 1 << 63)
+            if box is not None:
+                stat = (*lattice, box)
+        boxes[N] = stat
+    return boxes[N]
+
+
+def _key_statistics(model: HypothesisModel, stat, keys: np.ndarray, refs: tuple,
+                    zbar_weights) -> tuple:
+    """(c_inc, zbar) of trials at the points with keys `keys` of the
+    statistic lattice (K, G, box) = stat (_stat_box), as _simulate_chunk
+    returns them for one horizon; zbar is None without `zbar_weights`.
+    Each distinct key is decoded once, column by column (_key_coords,
+    _lattice_rows), into its log beliefs lb = log prior + P @ G.  They
+    give the increments, and the LLRs of i = refs[0] against each
+    alternate j, z_j = (lb_i - lb_j) - (log prior_i - log prior_j),
+    weighted in ascending order.  A point's results do not depend on
+    the other keys, so enumerate_exact gives a state the bits a trial
+    at its point gets."""
+    _, G, (_, _, lo, width) = stat
+    points, at = np.unique(keys, return_inverse=True)
+    lb = _lattice_rows(model.log_prior[:, None], G, _key_coords(points, lo, width))
+    c_inc = _confidence_increments(model, lb.T, refs).take(at, axis=0)
+    if zbar_weights is None:
+        return c_inc, None
+    i, lp = refs[0], model.log_prior
+    zbar = 0.0
+    for w, j in zip(zbar_weights, model.alternates(i)):
+        zbar = zbar + ((lb[i] - lb[j]) - (lp[i] - lp[j])) * w
+    return c_inc, zbar.take(at)
 
 
 def _padded(a: np.ndarray) -> np.ndarray:
@@ -227,18 +313,26 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     state at each horizon is recorded on the way to the last; a run of
     one horizon is the tuple (N,).
 
-    The state is a row per trial: lattice key, LLRs z and log beliefs
-    (lb views the first M columns).  Rows of 3 floats, and the increment
-    rows a step gathers for them, are _padded to 4: ndarray.take copies
-    32-byte items on a fast path, 24-byte ones not.  Pads stay 0, unread.
-
     spec's _pick_table at the last horizon, where it has one (a sweep
     runs shorter horizons on it only where they pick alike, _shares),
-    has each trial carry its lattice key and a step read every pick from
-    it with one take; the pick there is the one the selector gives the
-    trial's row.  Without it every step runs the selector on the padded
-    rows, whose pad it does not read, so the symmetric composite's row
-    gather takes the fast path too."""
+    has each trial carry its pick key and a step read every pick from it
+    with one take; the pick there is the one the selector gives the
+    trial's beliefs.  Where selection reads no belief, on that table or
+    under ``ors``, and the box of spec's statistic lattice fits int64
+    at the last horizon (_stat_box), a trial's whole state is its point
+    of that lattice: it carries the point's int64 key, the pick key too where
+    the two lattices differ (the symmetric composite's are one), a step
+    adds to each the key step of its observation, and at each horizon
+    _key_statistics decodes c_inc and zbar from the points.
+
+    Otherwise the state is a row of floats per trial: log beliefs lb,
+    and the LLRs z when zbar is asked for, each step adding its
+    observation's row, and every step without a table runs the selector
+    on lb.  Rows of 3 floats, and the increment rows a step gathers for
+    them, are _padded to 4: ndarray.take copies 32-byte items on a fast
+    path, 24-byte ones not.  Pads stay 0, unread, also by the
+    selector, so the symmetric composite's row gather takes the fast
+    path too."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -247,24 +341,35 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     if chunk_idx < 0:
         raise ValueError(f"trial index must be >= 0, got {chunk_idx * CHUNK + lo}")
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
-    lbw = _padded(np.tile(model.log_prior, (hi - lo, 1)))
-    lb = lbw[:, :M]
     # inverse-CDF sampling as #{cum <= r} over all but the last column,
     # which is the clip to the last symbol (cum never decreases)
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
     cum_cols = [cumk[:, k].copy() for k in range(Y - 1)]
-    # belief and LLR increments as flat rows, row u*Y + y
-    logk_rows = _padded(model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M))
     track_z = zbar_weights is not None
-    if track_z:
-        llr_rows = _padded(llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, -1))
-        z = _padded(np.zeros((hi - lo, M - 1)))
     reads = reads_draws(spec)
     exp_draws = None
+    keys = []   # (key, key step per row u*Y + y) of each lattice a trial is on
     table = _pick_table(spec, horizons[-1])
     if table is not None:
         picks, dk, key0 = table
         key = np.full(hi - lo, key0, dtype=np.int64)
+        keys.append((key, dk))
+    stat = _stat_box(spec, horizons[-1])
+    if stat is not None:
+        K, _, (sdk, skey0, _, _) = stat
+        if K is spec.pick_key:  # the symmetric composite's one lattice
+            skey = key
+        else:
+            skey = np.full(hi - lo, skey0, dtype=np.int64)
+            keys.append((skey, sdk))
+    else:
+        lbw = _padded(np.tile(model.log_prior, (hi - lo, 1)))
+        lb = lbw[:, :M]
+        # belief and LLR increments as flat rows, row u*Y + y
+        logk_rows = _padded(model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M))
+        if track_z:
+            llr_rows = _padded(llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, -1))
+            z = _padded(np.zeros((hi - lo, M - 1)))
     c_incs, zbars = [], []
     step = 0
     for stop in horizons:
@@ -274,28 +379,34 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             else:   # where drawing the chunk's uniforms leaves it
                 gen.bit_generator.advance(CHUNK)
             obs_draws = _chunk_draws(gen, lo, hi)
-            if table is None:
-                u = _select_batch(spec, lbw, exp_draws)
-            else:
+            if table is not None:
                 u = picks.take(key).astype(np.int64)
+            else:
+                u = _select_batch(spec, lbw if stat is None else None, exp_draws)
             row = u * Y
             for cum in cum_cols:
                 row += obs_draws >= cum.take(u)
             if path is not None:
                 path.append((u, row - u * Y))
-            lbw += logk_rows.take(row, axis=0)
-            if table is not None:
-                key += dk.take(row)
-            if track_z:
-                z += llr_rows.take(row, axis=0)
+            for k, d in keys:
+                k += d.take(row)
+            if stat is None:
+                lbw += logk_rows.take(row, axis=0)
+                if track_z:
+                    z += llr_rows.take(row, axis=0)
         step = stop
-        c_incs.append(_confidence_increments(model, lb, refs))
+        if stat is not None:
+            c_inc, zbar = _key_statistics(model, stat, skey, refs, zbar_weights)
+        else:
+            c_inc = _confidence_increments(model, lb, refs)
+            if track_z:
+                # weighted column sum in fixed order: the same bits for a
+                # trial whatever the number of rows in its chunk
+                zbar = z[:, 0] * zbar_weights[0]
+                for k in range(1, M - 1):
+                    zbar += z[:, k] * zbar_weights[k]
+        c_incs.append(c_inc)
         if track_z:
-            # weighted column sum in fixed order: the same bits for a
-            # trial whatever the number of rows in its chunk
-            zbar = z[:, 0] * zbar_weights[0]
-            for k in range(1, M - 1):
-                zbar += z[:, k] * zbar_weights[k]
             zbars.append(zbar)
     return np.stack(c_incs), np.stack(zbars) if track_z else None
 
@@ -343,7 +454,9 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
         snapshots = tuple(int(n) for n in snapshots)
         if any(not 0 <= a < b for a, b in zip(snapshots, (*snapshots[1:], N))):
             raise ValueError("snapshots must be strictly ascending horizons in [0, N)")
-    _pick_table(spec, N)    # in this process, before a pool copies spec
+    # in this process, before a pool copies spec
+    _pick_table(spec, N)
+    _stat_box(spec, N)
     refs = tuple(refs) if refs else (true_hyp,)
     horizons = (*(snapshots or ()), N)
     w = None if zbar_weights is None else np.asarray(zbar_weights, dtype=float)
@@ -613,6 +726,13 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     exact powers of two, so they stay finite past 2**1024 paths.
     Probabilities are exact to 64-bit rounding, and `leaves`, the summed
     multiplicity, is exact below 2**53 paths.
+
+    Where runs of spec to N carry their point of the statistic lattice
+    (_stat_box), a state also keeps the key of its point there, the same
+    for every path it merges, and its confidence increments are
+    _key_statistics of that key: a trial's c_inc equals, bit for bit,
+    the one its final state gets here.  Elsewhere they come from the
+    state's log-likelihood row.
     """
     M, U, Y = model.kernel.shape
     logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
@@ -633,6 +753,10 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
         row = np.dtype((np.void, point[0].nbytes))
     else:
         steps, point, row = box[0], np.full(1, box[1], dtype=np.int64), None
+    stat = _stat_box(spec, N)
+    if stat is not None:
+        sdk, skey0, _, _ = stat[2]
+        skey = np.full(1, skey0, dtype=np.int64)
     loglik = np.zeros((1, M))
     mult = np.ones(1)
     scale = 0       # the path multiplicities are mult * 2**scale
@@ -652,6 +776,8 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
                              f"steps exceed the enumeration cap {ENUM_STATE_CAP}")
         states = max(states, first.size)
         point = np.take(child, first, axis=0)
+        if stat is not None:
+            skey = np.take(skey, node[first], mode="wrap") + sdk.take(k[first])
         loglik = (np.take(loglik, node[first], axis=0, mode="wrap")
                   + np.take(logk_rows, k[first], axis=0))
         mult = np.bincount(merged.ravel(), minlength=first.size,
@@ -664,7 +790,8 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     mass = mult[:, None] * np.exp(loglik + scale * math.log(2))
     if not np.all(np.abs(mass.sum(axis=0) - 1.0) <= 1e-9):
         raise RuntimeError("enumeration did not cover the observation tree")
-    c_inc = _confidence_increments(model, model.log_prior + loglik, refs)
+    c_inc = (_confidence_increments(model, model.log_prior + loglik, refs) if stat is None
+             else _key_statistics(model, stat, skey, refs, None)[0])
     dec = decisions_from_increments(c_inc, refs, rule)
     psi, phi = {}, {}
     for i in refs:
@@ -692,8 +819,11 @@ def best_threshold_search(model: HypothesisModel, N: int, epsilon: float,
     Bisection over theta to within THRESHOLD_TOL; every probe reads the
     same increments (common random numbers), so psi_hat(theta) is
     monotone.  Increments are bounded by N*B, hence the bracket
-    +-(N*B + 1) is always feasible at its lower end.
+    +-(N*B + 1) is always feasible at its lower end.  Raises ValueError
+    unless 0 < epsilon < 1.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     inc = np.sort(np.asarray(c_inc).ravel())
     bound = N * model.llr_bound + 1.0
     lo, hi = -bound, bound
@@ -703,9 +833,6 @@ def best_threshold_search(model: HypothesisModel, N: int, epsilon: float,
         # fraction of increments >= theta
         return 1.0 - np.searchsorted(inc, theta, side="left") / inc.size
 
-    if psi_at(lo) < need:
-        raise RuntimeError("calibration failed at the lower bracket; "
-                           "trial budget too small to certify epsilon")
     while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if psi_at(mid) >= need:

@@ -34,7 +34,7 @@ and infer (a batch of one) all apply it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,9 +122,11 @@ class StrategySpec:
     # experiments the rule can pick, its key K and decode G, or None
     pick_key: np.ndarray | None = field(repr=False, default=None)     # (U*Y, r) int
     pick_ratios: np.ndarray | None = field(repr=False, default=None)  # (r, M)
-    # montecarlo._pick_table's tables by horizon: not an __init__
-    # argument, emptied by dataclasses.replace, carried by pickle
+    # montecarlo._pick_table's tables and montecarlo._stat_box's
+    # statistic lattices by horizon: not __init__ arguments, emptied by
+    # dataclasses.replace, carried by pickle
     _pick_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _stat_boxes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the
@@ -147,9 +149,8 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
 
     Rules that pick on the belief alone get a pick key and its decode,
     the ratio lattice of the hypotheses they read over the experiments
-    they can pick: ``das-rs`` picks only on the support of alpha*, and
-    ``chernoff-det`` only its table's experiments, so no other
-    experiment is ever observed in their runs.
+    they can pick (pickable_experiments), the only ones ever observed
+    in their runs.
 
     The symmetric composite requires a positive game value for every
     hypothesis (some experiment must separate every pair); asymmetric
@@ -189,17 +190,33 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     mask = sol.alpha_star > SUPPORT_EPS
     A = sol.payoff_matrix
     chern = np.array([int(np.argmax(A[:, k])) for k in range(A.shape[1])])
-    # das, das-rs and chernoff-det read the alternates' log beliefs
-    # through their differences, observed on the experiments they pick
-    picks = {"das-rs": np.flatnonzero(mask),
-             "chernoff-det": sorted(set(chern.tolist()))}
-    lattice = None if kind == "ors" else ratio_lattice(
-        model, model.alternates(reference), picks.get(kind))
-    key, ratios = lattice or (None, None)
-    return StrategySpec(kind=kind, model=model, reference=reference,
+    spec = StrategySpec(kind=kind, model=model, reference=reference,
                         s_value=s_val, game=sol, sample_alpha=sol.alpha_star,
-                        mu=mu, kl=kl, support_mask=mask, chernoff_u=chern,
-                        pick_key=key, pick_ratios=ratios)
+                        mu=mu, kl=kl, support_mask=mask, chernoff_u=chern)
+    # das, das-rs and chernoff-det read the alternates' log beliefs
+    # through their differences
+    lattice = None if kind == "ors" else ratio_lattice(
+        model, model.alternates(reference), pickable_experiments(spec))
+    if lattice is None:
+        return spec
+    return replace(spec, pick_key=lattice[0], pick_ratios=lattice[1])
+
+
+def pickable_experiments(spec: StrategySpec) -> np.ndarray | list[int] | None:
+    """The experiments spec's rule can pick, ascending, or None for all
+    of them: ``ors`` those whose piece of [0, 1) between its mixture's
+    cuts (select_batch) is not empty, ``das-rs`` the support of alpha*,
+    ``chernoff-det`` its table's; ``das`` and the symmetric composite
+    any.  Read from spec's own fields, so a spec made by
+    dataclasses.replace gets its own."""
+    if spec.kind == "ors":
+        cuts = np.minimum([0.0, *np.cumsum(spec.sample_alpha)[:-1], 1.0], 1.0)
+        return np.flatnonzero(np.diff(cuts) > 0)
+    if spec.kind == "das-rs":
+        return np.flatnonzero(spec.support_mask)
+    if spec.kind == "chernoff-det":
+        return sorted(set(spec.chernoff_u.tolist()))
+    return None
 
 
 def reads_draws(spec: StrategySpec) -> bool:
@@ -267,7 +284,7 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     beliefs, normalized or not, in its first M columns (the columns past
     M, such as the engine's padding, are not read); `exp_draws` holds one
     uniform in [0, 1) per row and may be None when reads_draws(spec) is
-    False.
+    False.  ``ors`` reads no belief, and `lb` may be None for it.
 
     Every step is elementwise or runs column by column in a fixed order,
     so a row's pick does not depend on the other rows.  ``das`` and
@@ -293,7 +310,7 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
         # draw of 0.0 lands on the first positive-mass experiment.  Every
         # draw, in [0, 1), passes a cut at 0: those count as a constant,
         # with no compare per row
-        u = np.zeros(lb.shape[0], dtype=np.int64)
+        u = np.zeros(exp_draws.shape[0], dtype=np.int64)
         at_zero = 0
         for c in np.cumsum(spec.sample_alpha)[:-1]:
             if c > 0.0:

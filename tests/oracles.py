@@ -334,11 +334,14 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
                     n_rows, track_llr_of=None):
     """Step the first n_rows trials of one chunk of the engine's random
     stream with whole-array numpy operations.  Returns the final raw log
-    beliefs (n_rows, M) and, when track_llr_of = i is given, the total
-    LLRs (n_rows, M-1) of i against its alternates (else None)."""
+    beliefs (n_rows, M), when track_llr_of = i is given the total LLRs
+    (n_rows, M-1) of i against its alternates (else None), and each
+    row's observation counts n[u*Y + y] (n_rows, U*Y)."""
     ss = np.random.SeedSequence((master_seed, purpose, true_hyp, chunk_idx))
     gen = np.random.Generator(np.random.PCG64DXSM(ss))
     lb = np.tile(model.log_prior, (n_rows, 1))
+    M, U, Y = model.kernel.shape
+    counts = np.zeros((n_rows, U * Y), dtype=np.int64)
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
     z = None
     if track_llr_of is not None:
@@ -355,9 +358,10 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
         u = reference_select(spec, lb, exp_draws)
         y = _reference_inv_cdf(cumk[u], obs_draws)
         lb += model.log_kernel[:, u, y].T
+        counts[np.arange(n_rows), u * Y + y] += 1
         if z is not None:
             z += llr[:, u, y].T
-    return lb, z
+    return lb, z, counts
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,25 @@ class TestLoadModel:
             assert (m.experiments, m.observations) == (m2.experiments, m2.observations)
             assert m.llr_bound == m2.llr_bound
 
+    def test_names_past_the_implicit_key_limit_roundtrip(self):
+        """YAML allows an implicit key of at most 1024 characters: a
+        kernel key whose quoted scalar is longer is written in explicit
+        form and reloads as written, and one of exactly 1024 keeps the
+        implicit form.  A character past ASCII is written as a
+        10-character \\U escape."""
+        for name, explicit in (("h" * 1022, False), ("h" * 1023, True),
+                               ("h" * 1100, True), ("é" * 102, False),
+                               ("é" * 103, True)):
+            m = make_model([name, "h"], [name, "v"], ["0", name],
+                           [[[0.25, 0.75], [0.5, 0.5]], [[0.5, 0.5], [0.1, 0.9]]],
+                           [0.5, 0.5])
+            text = serialize_model(m)
+            assert ("\n  ? " in text) == ("\n    ? " in text) == explicit, len(name)
+            m2 = load_model(text)
+            assert m.kernel.tobytes() == m2.kernel.tobytes()
+            assert (m.hypotheses, m.experiments, m.observations) == (
+                m2.hypotheses, m2.experiments, m2.observations)
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):

@@ -71,6 +71,84 @@ def decimal_models():
     return found
 
 
+def reference_results(m, spec, N, h, seed, purpose, chunk_idx, rows, refs, zw=None):
+    """What the engine returns for trials 0..rows-1 of a chunk run to N,
+    from the reference step loop (oracles.reference_chunk), and whether
+    the run takes the lattice path (mc._stat_box): there the shared
+    decode, mc._key_statistics, of each trial's point K.T @ n of the
+    statistic lattice, else the loop's own increments and weighted LLRs
+    (the LLRs times the weights, summed in ascending alternate order).
+    On the lattice path the results must also be within `tol` of the
+    loop's floats: 1e-12 up to N = 60 and 1e-9 beyond (their rounding
+    grows with N)."""
+    lb, z, counts = reference_chunk(m, spec, N, h, seed, purpose, chunk_idx, rows,
+                                    None if zw is None else refs[0])
+    c_inc, zbar = mc._confidence_increments(m, lb, refs), None
+    if zw is not None:
+        zbar = z[:, 0] * zw[0]
+        for k in range(1, m.num_hypotheses - 1):
+            zbar = zbar + z[:, k] * zw[k]
+    stat = mc._stat_box(spec, N)
+    if stat is None:
+        return c_inc, zbar, False
+    K, _, (_, _, lo, width) = stat
+    stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
+    keys = (counts @ K - lo) @ stride
+    got_c, got_z = mc._key_statistics(m, stat, keys, refs, zw)
+    tol = 1e-12 if N <= 60 else 1e-9
+    assert np.abs(got_c - c_inc).max(initial=0) <= tol
+    if zw is not None:
+        assert np.abs(got_z - zbar).max(initial=0) <= tol
+    return got_c, got_z, True
+
+
+def assert_trials_match_enumeration(m, kind, N, trials=2000):
+    """Every trial's c_inc equals, bit for bit, the c_inc enumerate_exact
+    gives the state at the trial's final point of the statistic lattice,
+    for trials 0..trials-1 of chunk 0 under every hypothesis.  A trial's
+    point is key0 plus the key step (mc._stat_box) of each (u, y) of its
+    path.  The enumeration's states are the keys it hands
+    mc._key_statistics, and their increments the ones it decides on
+    (its call of decisions_from_increments).  Also run on table1 das at
+    N = 500 by a CI step."""
+    M, _, Y = m.kernel.shape
+    if kind == "symmetric":
+        spec, rule = symmetric_setup(m, N, 0.05)
+    else:
+        spec, rule = build_strategy(m, kind, N, reference=0), empirical_rule(0, 3.0, 0.05)
+    refs = tuple(sorted(rule.thresholds))
+    stat = mc._stat_box(spec, N)
+    assert stat is not None, (kind, N)    # the run takes the lattice path
+    dk, key0, _, _ = stat[2]
+    seen = []
+    decode, decide = mc._key_statistics, mc.decisions_from_increments
+
+    def recording_keys(model, st, keys, r, w):
+        seen.append(keys)
+        return decode(model, st, keys, r, w)
+
+    def recording_increments(c_inc, r, rl):
+        seen.append(c_inc)
+        return decide(c_inc, r, rl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_key_statistics", recording_keys)
+        mp.setattr(mc, "decisions_from_increments", recording_increments)
+        mc.enumerate_exact(m, spec, rule, N)
+    states, state_c = seen
+    order = np.argsort(states)
+    for h in range(M):
+        path = []
+        c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 3, 0, 0, 0, trials, refs,
+                                      None, path)
+        keys = np.full(trials, key0, dtype=np.int64)
+        for u, y in path:
+            keys += dk[u * Y + y]
+        at = order[np.searchsorted(states, keys, sorter=order)]
+        assert np.array_equal(states[at], keys), (kind, N, h)
+        assert c_inc[0].tobytes() == state_c[at].tobytes(), (kind, N, h)
+
+
 class TestRunTrial:
     def test_zero_horizon_decision_from_prior(self, t1):
         spec = build_strategy(t1, "das", horizon=1, reference=0)
@@ -359,20 +437,22 @@ class TestEngineKernel:
         *(pytest.param("symmetric", inner, id=f"symmetric-{inner}")
           for inner in INNER_KINDS if inner != "das")])
     def test_matches_reference_step_loop(self, t1, t2, kind, inner):
-        """The engine's column-wise step loop gives bit for bit the
-        confidence increments of the plain whole-array step loop in
-        oracles.reference_chunk, and as weighted LLR that loop's total
-        LLRs times the weights, summed in ascending alternate order.
-        The symmetric composite runs with each inner kind: with `ors`
-        its most common rule reads the whole chunk's experiment draws
-        and the others read their rows' draws.  The rules that track
-        weighted LLRs also run on models of 4 and 5 hypotheses, so the
-        engine's rows of beliefs and LLRs take every width it stores
-        them in, padded or not."""
+        """The engine's column-wise step loop gives bit for bit what
+        reference_results makes of the plain whole-array step loop in
+        oracles.reference_chunk: on the lattice path the shared decode
+        of each trial's point K.T @ n, within 1e-12 of that loop's
+        increments and weighted LLRs, and elsewhere those floats
+        themselves.  The symmetric composite runs with each inner kind:
+        with `ors` its most common rule reads the whole chunk's
+        experiment draws and the others read their rows' draws.  The
+        rules that track weighted LLRs also run on models of 4 and 5
+        hypotheses, so the engine's float rows of beliefs and LLRs take
+        every width it stores them in, padded or not."""
         assert mc.CHUNK == REFERENCE_CHUNK
         models = [t1, t2, *kernel_models()]
         if kind != "symmetric":
             models += wide_models()
+        paths = set()
         for m in models:
             M = m.num_hypotheses
             refs = tuple(range(M)) if kind == "symmetric" else (0,)
@@ -384,17 +464,47 @@ class TestEngineKernel:
                     for rows in (1, 7, mc.CHUNK):
                         c_inc, zbar = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1,
                                                          0, rows, refs, zw)
-                        c_inc = c_inc[0]
-                        zbar = None if zbar is None else zbar[0]
-                        lb, z = reference_chunk(m, spec, N, h, 5, 0, 1, rows,
-                                                None if zw is None else 0)
-                        assert np.array_equal(
-                            c_inc, mc._confidence_increments(m, lb, refs))
+                        want_c, want_z, lattice = reference_results(
+                            m, spec, N, h, 5, 0, 1, rows, refs, zw)
+                        paths.add(lattice)
+                        assert np.array_equal(c_inc[0], want_c)
                         if zw is not None:
-                            expect = z[:, 0] * zw[0]
-                            for k in range(1, M - 1):
-                                expect = expect + z[:, k] * zw[k]
-                            assert np.array_equal(zbar, expect)
+                            assert np.array_equal(zbar[0], want_z)
+        # table1 and table2 take the lattice path for every kind but das
+        # on table2 at N = 60 and the composite with inner ors; the
+        # generated float models never do
+        assert paths == ({False} if inner == "ors" else {True, False})
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_lattice_and_float_state_agree_at_n_500(self, t1, t2, name, monkeypatch):
+        """At N = 500 every kind that takes the lattice path on the model
+        (on table1 all but the composite with inner ors, on table2 ors,
+        das-rs and chernoff-det) gives within 1e-9 the increments and
+        weighted LLRs of the same trials on float state (the same spec
+        with mc._stat_box patched to None, which picks alike), at 100
+        steps and at 500, under every hypothesis."""
+        m = t1 if name == "table1" else t2
+        lattice = []
+        for kind, inner in [*((kind, "das") for kind in KINDS),
+                            *(("symmetric", inner) for inner in INNER_KINDS if inner != "das")]:
+            symmetric = kind == "symmetric"
+            spec = build_strategy(m, kind, 500, inner_kind=inner,
+                                  reference=None if symmetric else 0)
+            if mc._stat_box(spec, 500) is None:
+                continue
+            lattice.append((kind, inner))
+            refs = (0, 1, 2) if symmetric else (0,)
+            zw = None if symmetric else spec.game.beta_star
+            for h in range(3):
+                got = mc._simulate_chunk(m, spec, (100, 500), h, 5, 0, 1, 0, 2000, refs, zw)
+                with monkeypatch.context() as mp:
+                    mp.setattr(mc, "_stat_box", lambda s, n: None)
+                    want = mc._simulate_chunk(m, spec, (100, 500), h, 5, 0, 1, 0, 2000,
+                                              refs, zw)
+                assert np.abs(got[0] - want[0]).max() <= 1e-9, (kind, inner, h)
+                if zw is not None:
+                    assert np.abs(got[1] - want[1]).max() <= 1e-9, (kind, inner, h)
+        assert len(lattice) == (7 if name == "table1" else 3), lattice
 
 
 class TestPickCache:
@@ -416,17 +526,18 @@ class TestPickCache:
     @staticmethod
     def assert_matches_reference(m, spec, N, h, refs, rows=mc.CHUNK):
         """A chunk on spec's pick table at N, where it has one, against
-        the reference step loop, which computes every pick."""
+        reference_results of the reference step loop, which computes
+        every pick."""
         c_inc, _ = mc._simulate_chunk(m, spec, (N,), h, 5, 0, 1, 0, rows, refs, None)
-        lb, _ = reference_chunk(m, spec, N, h, 5, 0, 1, rows)
-        assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, refs))
+        assert np.array_equal(c_inc[0], reference_results(m, spec, N, h, 5, 0, 1,
+                                                          rows, refs)[0])
 
     @pytest.mark.parametrize("kind,N", [("das", 500), ("symmetric", 350)])
     def test_matches_reference_at_paper_horizons(self, t1, kind, N):
         """On table1 at the paper's horizons a full chunk, its picks read
-        from the pick table, gives bit for bit the increments of the
-        reference step loop, which computes every pick, under every
-        hypothesis."""
+        from the pick table, gives bit for bit the increments
+        reference_results makes of the reference step loop, which
+        computes every pick, under every hypothesis."""
         spec = build_strategy(t1, kind, N, reference=None if kind == "symmetric" else 0)
         assert mc._pick_table(spec, N) is not None
         for h in range(3):
@@ -437,12 +548,12 @@ class TestPickCache:
     @pytest.mark.filterwarnings("ignore:game value:RuntimeWarning")
     def test_matches_reference_on_decimal_models(self):
         """On random short-decimal models, whose lattices merge paths
-        with different counts, chunks on the filled table give the
-        reference step loop's increments bit for bit, for every rule
-        with a key and under every hypothesis: decimal_models() (two
-        hypotheses: rank-0 keys for the asymmetric rules) and three
-        models of three hypotheses, whose keys have one to three
-        directions."""
+        with different counts, chunks on the filled table give bit for
+        bit the increments reference_results makes of the reference step
+        loop, for every rule with a key and under every hypothesis:
+        decimal_models() (two hypotheses: rank-0 keys for the asymmetric
+        rules) and three models of three hypotheses, whose keys have one
+        to three directions."""
         rng = np.random.default_rng(29)
         models = decimal_models()
         while len(models) < 6:
@@ -470,10 +581,10 @@ class TestPickCache:
     def test_table2_keys_on_the_experiments_picked(self, t2, kind, monkeypatch):
         """table2 das-rs picks only C or D and chernoff-det only A or B,
         so their keys span those rows alone and fit a table at N = 500:
-        a full chunk gives the reference step loop's increments bit for
-        bit under every hypothesis.  Filling the table hands the
-        selector one row per point of the key box, and the runs on it
-        hand it none."""
+        a full chunk gives the increments reference_results makes of the
+        reference step loop bit for bit under every hypothesis.  Filling
+        the table hands the selector one row per point of the key box,
+        and the runs on it hand it none."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t2, kind, 500, reference=0)
         size = mc._pick_table(spec, 500)[0].size
@@ -510,22 +621,33 @@ class TestPickCache:
         assert seen[0] == 1000 * 60
 
     def test_filled_table_selects_no_row(self, t1, monkeypatch):
-        """A chunk on a filled table hands the selector no row, and gives
-        the increments and weighted LLRs, bit for bit, of the chunk run
+        """A chunk on a filled table hands the selector no row, and its
+        trials take, bit for bit, the steps (u, y) of the chunk run
         without a table (the spec without its pick key), which selects
-        on every row at every step."""
+        on every row at every step.  That run keeps float state; the
+        statistic lattice points rebuilt from its steps, decoded by
+        mc._key_statistics, give bit for bit the tabled run's
+        increments and weighted LLRs."""
         seen = self.counted_rows(monkeypatch)
         spec = build_strategy(t1, "das", 200, reference=0)
         mc._pick_table(spec, 200)
-        runs, rows = [], []
+        runs, rows, paths = [], [], []
         for s in (spec, replace(spec, pick_key=None)):
             seen[0] = 0
+            paths.append([])
             runs.append(mc._simulate_chunk(t1, s, (200,), 1, 5, 0, 1, 0, mc.CHUNK,
-                                           (0, 1, 2), spec.game.beta_star))
+                                           (0, 1, 2), spec.game.beta_star, paths[-1]))
             rows.append(seen[0])
         assert rows == [0, mc.CHUNK * 200]
-        assert runs[0][0].tobytes() == runs[1][0].tobytes()
-        assert runs[0][1].tobytes() == runs[1][1].tobytes()
+        assert all(np.array_equal(a, b) for step in zip(*paths) for a, b in zip(*step))
+        stat = mc._stat_box(spec, 200)
+        dk, keys = stat[2][0], np.full(mc.CHUNK, stat[2][1], dtype=np.int64)
+        Y = t1.num_observations
+        for u, y in paths[1]:
+            keys += dk[u * Y + y]
+        c_inc, zbar = mc._key_statistics(t1, stat, keys, (0, 1, 2), spec.game.beta_star)
+        assert runs[0][0][0].tobytes() == c_inc.tobytes()
+        assert runs[0][1][0].tobytes() == zbar.tobytes()
 
     @staticmethod
     def two_hypothesis_model():
@@ -542,8 +664,8 @@ class TestPickCache:
         table, dk, key0 = mc._pick_table(spec, 40)
         assert table.size == 1 and not dk.any() and key0 == 0
         c_inc, _ = mc._simulate_chunk(m, spec, (40,), 1, 5, 0, 0, 0, 100, (0,), None)
-        lb, _ = reference_chunk(m, spec, 40, 1, 5, 0, 0, 100)
-        assert np.array_equal(c_inc[0], mc._confidence_increments(m, lb, (0,)))
+        want, _, lattice = reference_results(m, spec, 40, 1, 5, 0, 0, 100, (0,))
+        assert lattice and np.array_equal(c_inc[0], want)
 
     def test_ratio_matrix_decodes_every_lattice_point(self, t1, t2):
         """The representative rows reproduce, to rounding, the
@@ -680,8 +802,8 @@ class TestSharedPickTable:
     @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_runs_match_reference_per_chunk(self, t1, t2, monkeypatch):
         """Every chunk of every run of estimate() gives bit for bit the
-        increments of the reference step loop, which computes every
-        pick."""
+        increments reference_results makes of the reference step loop,
+        which computes every pick."""
         calls = []
         simulate = mc.simulate_measure
 
@@ -699,10 +821,9 @@ class TestSharedPickTable:
             for m, spec, N, h, trials, seed, purpose, refs, c_inc in calls:
                 for c in range(0, trials, mc.CHUNK):
                     rows = min(mc.CHUNK, trials - c)
-                    lb, _ = reference_chunk(m, spec, N, h, seed, purpose,
-                                            c // mc.CHUNK, rows)
-                    assert np.array_equal(c_inc[c:c + rows],
-                                          mc._confidence_increments(m, lb, refs))
+                    want = reference_results(m, spec, N, h, seed, purpose,
+                                             c // mc.CHUNK, rows, refs)[0]
+                    assert np.array_equal(c_inc[c:c + rows], want)
 
     @pytest.mark.filterwarnings("ignore:symmetric at N")
     def test_workers_do_not_change_reports(self, t1, t2):
@@ -935,6 +1056,14 @@ class TestLsePhiEstimator:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("name,kind,N", [
+        ("table1", "das", 60), ("table1", "ors", 60), ("table1", "symmetric", 60),
+        ("table2", "das-rs", 40)])
+    def test_trials_get_the_increments_of_their_states(self, t1, t2, name, kind, N):
+        """A trial's c_inc is, bit for bit, the one enumerate_exact gives
+        the state at its final point (assert_trials_match_enumeration)."""
+        assert_trials_match_enumeration(t1 if name == "table1" else t2, kind, N)
+
     def test_always_accept_single_step(self, t1):
         spec = replace(build_strategy(t1, "ors", horizon=1, reference=0),
                        sample_alpha=np.array([1.0, 0.0]))
@@ -1309,6 +1438,15 @@ class TestBestThresholdSearch:
         assert psi(theta + mc.THRESHOLD_TOL) == 0.4 < 1 - eps
         assert 1.3 - mc.THRESHOLD_TOL <= theta <= 1.3
 
+    def test_epsilon_outside_the_unit_interval_is_refused(self, t1):
+        """epsilon must lie in (0, 1): a negative one is refused for what
+        it is, not blamed on the trial budget, and NaN, 0 and 1 or more
+        do not return an end of the bracket."""
+        c_inc = np.zeros((100, 1))
+        for eps in (-0.1, 0.0, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+                mc.best_threshold_search(t1, 10, eps, c_inc)
+
     def test_empirical_beats_theory_threshold(self, t1):
         """The theory threshold is conservative: calibration finds a
         strictly larger cut at the same epsilon."""
@@ -1490,8 +1628,12 @@ class TestSweep:
         composite with inner das shares 10, 49 and 60 with 100 and 199
         with 200, but 100 and 150 pick apart from 200, 200 from 350, and
         350 and 499 from 500; with inner ors or chernoff-det it shares
-        every horizon.  table2 symmetric with inner das-rs shares 5 with
-        6, and has no table past 6."""
+        every horizon, but for one thing: with inner chernoff-det it has
+        no table at 520 (over PICK_TABLE_CAP) and so keeps float state,
+        where 500 runs on its table and the statistic lattice, so 500
+        does not share with 520 (515, tableless too, does).  table2
+        symmetric with inner das-rs shares 5 with 6, and has no table
+        past 6."""
         cases = [(t1, "das", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t1, "das-rs", 500, (10, 49, 50, 100, 200, 300, 400), True),
                  (t2, "das-rs", 500, (100, 300), True),
@@ -1507,6 +1649,8 @@ class TestSweep:
                  (t1, "symmetric-das", 500, (350, 499), False),
                  (t1, "symmetric-ors", 500, (10, 100, 499), True),
                  (t1, "symmetric-chernoff-det", 500, (10, 100, 499), True),
+                 (t1, "symmetric-chernoff-det", 520, (500,), False),
+                 (t1, "symmetric-chernoff-det", 520, (515,), True),
                  (t2, "symmetric-das-rs", 6, (5,), True),
                  (t2, "symmetric-das-rs", 12, (5, 6), False)]
         tableless = {("das", 60), ("symmetric-das-rs", 12)}
