@@ -8,7 +8,7 @@ inference rules, converse bounds, and a seeded Monte Carlo plus
 exact-enumeration evaluation engine.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .belief import (Belief, confidence, confidence_increment,
                      decomposition_terms, new_trajectory, prior_belief,

@@ -6,6 +6,8 @@ hypothesis) draws its randomness from its own jump-ahead generator seeded
 from exactly those integers (_chunk_draws), and a trial's experiment
 picks depend on its own state alone, so results are bit-identical for
 any worker count and any trial budget that covers the same trials.
+Plain ``ors`` samples a step's experiment and observation from one draw
+(_sampling_thresholds).
 Where that state lies on a small likelihood-ratio lattice, the engine
 reads its picks from a table that the selector fills at every point of
 the lattice box before any trial runs (_pick_table), so a step never
@@ -18,11 +20,12 @@ shorter horizon shares a sweep run (_shares).
 Where selection reads no belief, on a pick table or under ``ors``, a
 trial's whole state is its point of the statistic lattice, the
 likelihood ratios among all hypotheses over the experiments the rule
-can pick (_stat_box): a step adds int64 key steps, no float row, and
-the confidence increments and weighted LLRs are decoded from the final
-points, each distinct point once (_key_statistics).  They are a
-function of the point, so trials at one point get the same bits, and
-exact enumeration decodes its states the same way.  Other runs carry
+can pick (_stat_box), packed with its pick key into one int64: a step
+adds one key step, no float row, and the confidence increments and
+weighted LLRs are decoded from the final points, each distinct point
+once (_key_statistics).  They are a function of the point, so trials
+at one point get the same bits, and exact enumeration decodes its
+states the same way.  Other runs carry
 float log beliefs, and LLRs where asked, as path sums.
 
 phi is reported through two channels: the plain declaration frequency
@@ -58,8 +61,8 @@ from .numerics import largest_remainder_allocation, nats_to_db
 # under this module's name as well as strategy's
 from .strategy import (InferenceRule, StrategySpec, build_strategy,
                        decisions_from_increments, default_epsilon,
-                       empirical_rule, pickable_experiments, reads_draws,
-                       select_experiment, symmetric_setup)
+                       empirical_rule, mixture_cuts, pickable_experiments,
+                       reads_draws, select_experiment, symmetric_setup)
 from .strategy import select_batch as _select_batch
 
 CHUNK = 8192
@@ -180,24 +183,24 @@ def _has_table(spec: StrategySpec, N: int) -> bool:
 
 def _pick_table(spec: StrategySpec, N: int):
     """(table, dk, key0) for runs of `spec` to horizon N where it has
-    one (_has_table), else None.  A
-    trial's key is its point of the lattice K.T @ n (spec.pick_key,
-    n its observation counts) packed by _lattice_box.  Equal keys mean
-    equal likelihood ratios among the hypotheses selection reads (the
-    key spans the experiments the rule can pick, the only ones its
-    trials observe), so the pick is a function of the key.  The table
-    holds the pick at every point of the box, made block by block from
-    the representative rows of _box_rows, before any trial runs, so it
+    one (_has_table), else None.  A trial's key is its point of the
+    lattice K.T @ n (spec.pick_key, n its observation counts) packed by
+    _lattice_box.  Equal keys mean equal likelihood ratios among the
+    hypotheses selection reads (the key spans the experiments the rule
+    can pick, the only ones its trials observe), so the pick is a
+    function of the key.  The table holds the pick u at every point of
+    the box as its row base u * Y, made block by block from the
+    representative rows of _box_rows, before any trial runs, so it
     serves every chunk, stream purpose and true hypothesis of `spec` at
     N without a selector call.  The table is made once per (spec, N)
     and kept in the spec, which a pickle carries along."""
     tables = spec._pick_tables
     if N not in tables and _has_table(spec, N):
+        _, U, Y = spec.model.kernel.shape
         dk, key0, _, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
-        table = np.empty(math.prod(width),
-                         dtype=np.min_scalar_type(spec.model.num_experiments - 1))
+        table = np.empty(math.prod(width), dtype=np.min_scalar_type((U - 1) * Y))
         for a, rows in _box_rows(spec, N):
-            table[a:a + len(rows)] = _select_batch(spec, rows, None)
+            table[a:a + len(rows)] = _select_batch(spec, rows, None) * Y
         tables[N] = table, dk, key0
     return tables.get(N)
 
@@ -223,7 +226,8 @@ def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
     # sliced to the (n - 1)-step box and flattened in that box's key order
     sub = table[0].reshape(width[::-1])[tuple(
         slice(b - a, b - a + w) for a, b, w in zip(lo, lo_n, width_n))[::-1]].ravel()
-    return all(np.array_equal(_select_batch(other, rows, None), sub[a:a + len(rows)])
+    Y = spec.model.num_observations
+    return all(np.array_equal(_select_batch(other, rows, None) * Y, sub[a:a + len(rows)])
                for a, rows in _box_rows(other, n - 1))
 
 
@@ -239,44 +243,54 @@ def _confidence_increments(model: HypothesisModel, lb: np.ndarray,
 
 
 def _stat_box(spec: StrategySpec, N: int):
-    """(K, G, box) where runs of `spec` to N carry their point of the
-    statistic lattice, else None.  (K, G) is the ratio_lattice of every
-    hypothesis over the experiments the rule can pick
+    """(K, G, box, shift) where runs of `spec` to N carry their point of
+    the statistic lattice, else None.  (K, G) is the ratio_lattice of
+    every hypothesis over the experiments the rule can pick
     (pickable_experiments; the symmetric composite's pick lattice is
     that already, and is used as it is), box its _lattice_box at N.
-    Runs carry the point where selection reads no belief, under ``ors``
-    or on a pick table (_has_table), and the box fits int64.  The
-    answer is made once per (spec, N), the lattice only for such runs,
-    and kept in the spec like the pick tables: a spec made by
-    dataclasses.replace makes its own."""
+    On a pick table of another lattice, a trial's one int64 key is its
+    statistic key shifted left by `shift`, the bit length of the pick
+    box's size, plus its pick key, and box's (dk, key0) step it so;
+    elsewhere shift is 0.  Runs carry the point where selection reads no
+    belief, under ``ors`` or on a pick table (_has_table), and the
+    packed box fits int64.  The answer is made once per (spec, N), the
+    lattice only for such runs, and kept in the spec like the pick
+    tables: a spec made by dataclasses.replace makes its own."""
     boxes = spec._stat_boxes
     if N not in boxes:
-        stat = None
-        if spec.kind == "ors" or _has_table(spec, N):
-            lattice = ((spec.pick_key, spec.pick_ratios) if spec.kind == "symmetric"
-                       else ratio_lattice(spec.model, range(spec.model.num_hypotheses),
-                                          pickable_experiments(spec)))
-            box = None if lattice is None else _lattice_box(lattice[0], N, 1 << 63)
+        stat, table = None, _has_table(spec, N)
+        if spec.kind == "ors" or table:
+            lattice, pick = (spec.pick_key, spec.pick_ratios), None
+            if spec.kind != "symmetric":
+                lattice = ratio_lattice(spec.model, range(spec.model.num_hypotheses),
+                                        pickable_experiments(spec))
+                if table:
+                    pick = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
+            shift = math.prod(pick[3]).bit_length() if pick else 0
+            box = None if lattice is None else _lattice_box(lattice[0], N, 1 << (63 - shift))
             if box is not None:
-                stat = (*lattice, box)
+                dk, key0, lo, width = box
+                if pick:
+                    dk, key0 = (dk << shift) + pick[0], (key0 << shift) + pick[1]
+                stat = (*lattice, (dk, key0, lo, width), shift)
         boxes[N] = stat
     return boxes[N]
 
 
 def _key_statistics(model: HypothesisModel, stat, keys: np.ndarray, refs: tuple,
                     zbar_weights) -> tuple:
-    """(c_inc, zbar) of trials at the points with keys `keys` of the
-    statistic lattice (K, G, box) = stat (_stat_box), as _simulate_chunk
-    returns them for one horizon; zbar is None without `zbar_weights`.
-    Each distinct key is decoded once, column by column (_key_coords,
-    _lattice_rows), into its log beliefs lb = log prior + P @ G.  They
-    give the increments, and the LLRs of i = refs[0] against each
-    alternate j, z_j = (lb_i - lb_j) - (log prior_i - log prior_j),
-    weighted in ascending order.  A point's results do not depend on
-    the other keys, so enumerate_exact gives a state the bits a trial
-    at its point gets."""
-    _, G, (_, _, lo, width) = stat
-    points, at = np.unique(keys, return_inverse=True)
+    """(c_inc, zbar) of trials with the keys `keys` (statistic keys
+    keys >> shift) of the statistic lattice (K, G, box, shift) = stat
+    (_stat_box), as _simulate_chunk returns them for one horizon; zbar
+    is None without `zbar_weights`.  Each distinct point is decoded
+    once, column by column (_key_coords, _lattice_rows), into its log
+    beliefs lb = log prior + P @ G.  They give the increments, and the
+    LLRs of i = refs[0] against each alternate j, z_j = (lb_i - lb_j) -
+    (log prior_i - log prior_j), weighted in ascending order.  A point's
+    results do not depend on the other keys, so enumerate_exact gives a
+    state the bits a trial at its point gets."""
+    _, G, (_, _, lo, width), shift = stat
+    points, at = np.unique(keys >> shift, return_inverse=True)
     lb = _lattice_rows(model.log_prior[:, None], G, _key_coords(points, lo, width))
     c_inc = _confidence_increments(model, lb.T, refs).take(at, axis=0)
     if zbar_weights is None:
@@ -296,6 +310,21 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampling_thresholds(model: HypothesisModel, spec: StrategySpec,
+                         true_hyp: int) -> np.ndarray:
+    """T, (U, Y - 1), to sample y = #{k : T[u, k] <= r} under X =
+    true_hyp: the cumulative kernel cum but its last column, the clip to
+    the last symbol.  Plain ``ors`` reads the draw r that picked u in
+    [lo_u, hi_u) (mixture_cuts), and T[u, k] = min(lo_u + (hi_u - lo_u)
+    cum[u, k], hi_u) gives (u, y) probability alpha_u p(y | u)."""
+    T = np.cumsum(model.kernel[true_hyp], axis=1)[:, :-1]
+    if spec.kind != "ors":
+        return T
+    cuts = mixture_cuts(spec)[0]
+    a, b = cuts[:-1, None], cuts[1:, None]
+    return np.minimum(a + (b - a) * T, b)
+
+
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                     true_hyp: int, master_seed: int, purpose: int,
                     chunk_idx: int, lo: int, hi: int, refs: tuple,
@@ -305,34 +334,32 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     `path` gets each step's (u, y) arrays appended.
 
     Each step draws only the randoms of those rows and skips the rest of
-    the chunk's (_chunk_draws); a rule that never reads the experiment
-    draws skips all of them.  Either way the stream layout does not
-    depend on the rule, and a row's results are the same bits in any
-    range that holds it (prefix stability, one-row run_trial).  A
-    trial's first n steps are the same for every horizon >= n, so the
-    state at each horizon is recorded on the way to the last; a run of
-    one horizon is the tuple (N,).
+    the chunk's (_chunk_draws), and those a rule never reads (plain
+    ``ors`` samples y from the experiment draw, _sampling_thresholds).
+    Either way the stream layout does not depend on the rule, and a
+    row's results are the same bits in any range that holds it (prefix
+    stability, one-row run_trial).  A trial's first n steps are the same
+    for every horizon >= n, so the state at each horizon is recorded on
+    the way to the last; a run of one horizon is the tuple (N,).
 
     spec's _pick_table at the last horizon, where it has one (a sweep
     runs shorter horizons on it only where they pick alike, _shares),
-    has each trial carry its pick key and a step read every pick from it
-    with one take; the pick there is the one the selector gives the
-    trial's beliefs.  Where selection reads no belief, on that table or
-    under ``ors``, and the box of spec's statistic lattice fits int64
-    at the last horizon (_stat_box), a trial's whole state is its point
-    of that lattice: it carries the point's int64 key, the pick key too where
-    the two lattices differ (the symmetric composite's are one), a step
-    adds to each the key step of its observation, and at each horizon
-    _key_statistics decodes c_inc and zbar from the points.
+    gives a step each trial's row base u * Y with one take; the pick
+    there is the one the selector gives the trial's beliefs.  A trial
+    carries one int64 key, stepped by its row u * Y + y: where selection
+    reads no belief, on that table or under ``ors``, and the packed box
+    of spec's statistic lattice fits int64 at the last horizon
+    (_stat_box), its point of that lattice, its whole state, packed with
+    its pick key, which _key_statistics decodes at each horizon.
 
-    Otherwise the state is a row of floats per trial: log beliefs lb,
-    and the LLRs z when zbar is asked for, each step adding its
-    observation's row, and every step without a table runs the selector
-    on lb.  Rows of 3 floats, and the increment rows a step gathers for
-    them, are _padded to 4: ndarray.take copies 32-byte items on a fast
-    path, 24-byte ones not.  Pads stay 0, unread, also by the
-    selector, so the symmetric composite's row gather takes the fast
-    path too."""
+    Otherwise the key is the pick key alone, if there is a table, and
+    the state is a row of floats per trial: log beliefs lb, and the
+    LLRs z when zbar is asked for, each step adding its observation's
+    row, and every step without a table runs the selector on lb.  Rows
+    of 3 floats, and the increment rows a step gathers for them, are
+    _padded to 4: ndarray.take copies 32-byte items on a fast path,
+    24-byte ones not.  Pads stay 0, unread, also by the selector, so the
+    symmetric composite's row gather takes the fast path too."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -341,28 +368,30 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     if chunk_idx < 0:
         raise ValueError(f"trial index must be >= 0, got {chunk_idx * CHUNK + lo}")
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
-    # inverse-CDF sampling as #{cum <= r} over all but the last column,
-    # which is the clip to the last symbol (cum never decreases)
-    cumk = np.cumsum(model.kernel[true_hyp], axis=1)
-    cum_cols = [cumk[:, k].copy() for k in range(Y - 1)]
-    track_z = zbar_weights is not None
     reads = reads_draws(spec)
-    exp_draws = None
-    keys = []   # (key, key step per row u*Y + y) of each lattice a trial is on
+    joint = spec.kind == "ors"
+    cols = np.zeros((Y - 1, U * Y))     # column k of T by row base u * Y
+    cols[:, ::Y] = _sampling_thresholds(model, spec, true_hyp).T
+    track_z = zbar_weights is not None
     table = _pick_table(spec, horizons[-1])
-    if table is not None:
-        picks, dk, key0 = table
-        key = np.full(hi - lo, key0, dtype=np.int64)
-        keys.append((key, dk))
     stat = _stat_box(spec, horizons[-1])
+    # one int64 key per trial, stepped by its rows: the packed statistic
+    # key where there is one, else the pick key where there is a table
+    exp_draws = key = None
+    shift = 0
     if stat is not None:
-        K, _, (sdk, skey0, _, _) = stat
-        if K is spec.pick_key:  # the symmetric composite's one lattice
-            skey = key
-        else:
-            skey = np.full(hi - lo, skey0, dtype=np.int64)
-            keys.append((skey, sdk))
-    else:
+        (key_steps, key0, _, _), shift = stat[2:]
+    elif table is not None:
+        _, key_steps, key0 = table
+    if stat is not None or table is not None:
+        key = np.full(hi - lo, key0, dtype=np.int64)
+    if table is not None:
+        picks, mask = table[0], (1 << shift) - 1
+        pick_key = np.empty_like(key) if shift else key
+        # rows in the narrowest type that holds every row, as a rule the
+        # table's own, so a step adds y to the row bases in place
+        row_type = np.min_scalar_type(U * Y - 1)
+    if stat is None:
         lbw = _padded(np.tile(model.log_prior, (hi - lo, 1)))
         lb = lbw[:, :M]
         # belief and LLR increments as flat rows, row u*Y + y
@@ -378,25 +407,32 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
                 exp_draws = _chunk_draws(gen, lo, hi)
             else:   # where drawing the chunk's uniforms leaves it
                 gen.bit_generator.advance(CHUNK)
-            obs_draws = _chunk_draws(gen, lo, hi)
-            if table is not None:
-                u = picks.take(key).astype(np.int64)
+            if joint:
+                gen.bit_generator.advance(CHUNK)
+                obs_draws = exp_draws
             else:
-                u = _select_batch(spec, lbw if stat is None else None, exp_draws)
-            row = u * Y
-            for cum in cum_cols:
-                row += obs_draws >= cum.take(u)
+                obs_draws = _chunk_draws(gen, lo, hi)
+            if table is not None:
+                if shift:
+                    np.bitwise_and(key, mask, out=pick_key)
+                row = picks.take(pick_key).astype(row_type, copy=False)
+            else:
+                row = _select_batch(spec, lbw if stat is None else None, exp_draws)
+                row *= Y    # the selector's array is a new one
+            # the thresholds at the row base u * Y, before y is added
+            for cut in [col.take(row) for col in cols]:
+                row += (obs_draws >= cut).view(np.uint8)
             if path is not None:
-                path.append((u, row - u * Y))
-            for k, d in keys:
-                k += d.take(row)
+                path.append(((row // Y).astype(np.int64), (row % Y).astype(np.int64)))
+            if key is not None:
+                key += key_steps.take(row)
             if stat is None:
                 lbw += logk_rows.take(row, axis=0)
                 if track_z:
                     z += llr_rows.take(row, axis=0)
         step = stop
         if stat is not None:
-            c_inc, zbar = _key_statistics(model, stat, skey, refs, zbar_weights)
+            c_inc, zbar = _key_statistics(model, stat, key, refs, zbar_weights)
         else:
             c_inc = _confidence_increments(model, lb, refs)
             if track_z:
@@ -430,8 +466,9 @@ def simulate_measure(model: HypothesisModel, spec: StrategySpec, N: int,
     Returns (c_inc, zbar): confidence increments per requested reference
     hypothesis, and the weighted total-LLR samples when `zbar_weights`
     is given (weights over the alternates of refs[0]).  Rules other than
-    ``ors`` never read the experiment draws, so no step makes them (the
-    stream advances past them).
+    ``ors`` never read the experiment draws, and plain ``ors`` never
+    reads the observation draws, so no step makes them (the stream
+    advances past them).
 
     `snapshots`, strictly ascending horizons below N, also records the
     trials' state at each of them on the same run (a trial's first n
@@ -737,7 +774,7 @@ def enumerate_exact(model: HypothesisModel, spec: StrategySpec,
     M, U, Y = model.kernel.shape
     logk_rows = model.log_kernel.transpose(1, 2, 0).reshape(U * Y, M)
     cuts = (c for s in (spec, *(spec.inner or ())) if s.kind == "ors"
-            for c in np.cumsum(s.sample_alpha)[:-1] if c < 1.0)
+            for c in mixture_cuts(s)[0][1:-1] if c < 1.0)
     edges = np.array(sorted({0.0, *cuts}))
     lengths = np.diff(edges, append=1.0)
     lattice = ratio_lattice(model, [None, *range(M)])

@@ -123,10 +123,11 @@ class StrategySpec:
     pick_key: np.ndarray | None = field(repr=False, default=None)     # (U*Y, r) int
     pick_ratios: np.ndarray | None = field(repr=False, default=None)  # (r, M)
     # montecarlo._pick_table's tables and montecarlo._stat_box's
-    # statistic lattices by horizon: not __init__ arguments, emptied by
-    # dataclasses.replace, carried by pickle
+    # statistic lattices by horizon, and mixture_cuts once made: not
+    # __init__ arguments, emptied by dataclasses.replace, carried by pickle
     _pick_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _stat_boxes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _cuts: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def horizon_free(self) -> bool:
         """True when the selection does not depend on the horizon the
@@ -202,16 +203,27 @@ def build_strategy(model: HypothesisModel, kind: str, horizon: int,
     return replace(spec, pick_key=lattice[0], pick_ratios=lattice[1])
 
 
+def mixture_cuts(spec: StrategySpec) -> tuple[np.ndarray, int, list]:
+    """(cuts, zeros, positive) of an ``ors`` spec's mixture: select_batch
+    picks u for a draw in [cuts[u], cuts[u + 1]), cuts the cumulative
+    mixture clipped to 1; `zeros` counts the inner cuts <= 0, which
+    every draw passes, `positive` lists the others.  Made once and kept
+    in spec._cuts, which dataclasses.replace empties."""
+    if not spec._cuts:
+        cuts = np.minimum([0.0, *np.cumsum(spec.sample_alpha)[:-1], 1.0], 1.0)
+        inner = cuts[1:-1]
+        spec._cuts.append((cuts, int(np.sum(inner <= 0.0)), inner[inner > 0.0].tolist()))
+    return spec._cuts[0]
+
+
 def pickable_experiments(spec: StrategySpec) -> np.ndarray | list[int] | None:
     """The experiments spec's rule can pick, ascending, or None for all
-    of them: ``ors`` those whose piece of [0, 1) between its mixture's
-    cuts (select_batch) is not empty, ``das-rs`` the support of alpha*,
-    ``chernoff-det`` its table's; ``das`` and the symmetric composite
-    any.  Read from spec's own fields, so a spec made by
-    dataclasses.replace gets its own."""
+    of them: ``ors`` those whose piece of [0, 1) (mixture_cuts) is not
+    empty, ``das-rs`` the support of alpha*, ``chernoff-det`` its
+    table's; ``das`` and the symmetric composite any.  Read from spec's
+    own fields, so a spec made by dataclasses.replace gets its own."""
     if spec.kind == "ors":
-        cuts = np.minimum([0.0, *np.cumsum(spec.sample_alpha)[:-1], 1.0], 1.0)
-        return np.flatnonzero(np.diff(cuts) > 0)
+        return np.flatnonzero(np.diff(mixture_cuts(spec)[0]) > 0)
     if spec.kind == "das-rs":
         return np.flatnonzero(spec.support_mask)
     if spec.kind == "chernoff-det":
@@ -221,7 +233,8 @@ def pickable_experiments(spec: StrategySpec) -> np.ndarray | list[int] | None:
 
 def reads_draws(spec: StrategySpec) -> bool:
     """True when selection reads the experiment draws: ``ors`` samples
-    with them, on its own or as the symmetric composite's inner rule."""
+    with them, on its own (and its observation too, in the engine) or
+    as the symmetric composite's inner rule."""
     if spec.kind == "symmetric":
         return any(reads_draws(inner) for inner in spec.inner)
     return spec.kind == "ors"
@@ -284,7 +297,8 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     beliefs, normalized or not, in its first M columns (the columns past
     M, such as the engine's padding, are not read); `exp_draws` holds one
     uniform in [0, 1) per row and may be None when reads_draws(spec) is
-    False.  ``ors`` reads no belief, and `lb` may be None for it.
+    False.  ``ors`` reads no belief, and `lb` may be None for it; it
+    picks by the draw (mixture_cuts).
 
     Every step is elementwise or runs column by column in a fixed order,
     so a row's pick does not depend on the other rows.  ``das`` and
@@ -305,20 +319,18 @@ def select_batch(spec: StrategySpec, lb: np.ndarray,
     """
     model = spec.model
     if spec.kind == "ors":
-        # inverse CDF: #{cum <= r} over all but the last column, which
-        # is the clip to the last experiment (cum never decreases); a
-        # draw of 0.0 lands on the first positive-mass experiment.  Every
-        # draw, in [0, 1), passes a cut at 0: those count as a constant,
-        # with no compare per row
-        u = np.zeros(exp_draws.shape[0], dtype=np.int64)
-        at_zero = 0
-        for c in np.cumsum(spec.sample_alpha)[:-1]:
-            if c > 0.0:
-                u += exp_draws >= c
-            else:
-                at_zero += 1
-        if at_zero:
-            u += at_zero
+        # inverse CDF: #{cuts <= r} over the inner cuts; a draw of 0.0
+        # lands on the first positive-mass experiment.  Every draw, in
+        # [0, 1), passes a cut at 0: those count as a constant, with no
+        # compare per row
+        _, zeros, positive = mixture_cuts(spec)
+        if not positive:
+            return np.full(exp_draws.shape[0], zeros, dtype=np.int64)
+        u = (exp_draws >= positive[0]).astype(np.int64)
+        for c in positive[1:]:
+            u += exp_draws >= c
+        if zeros:
+            u += zeros
         return u
     if spec.kind in ("das", "das-rs"):
         # a positive factor per row moves no argmin or argmax, so the

@@ -330,19 +330,42 @@ def reference_select(spec, lb, exp_draws):
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 
+def reference_joint_thresholds(spec, cum_rows):
+    """Plain ors's joint inverse-CDF thresholds, one entry at a time:
+    T[u, k] = min(lo_u + (hi_u - lo_u) cum_rows[u, k], hi_u), where
+    [lo_u, hi_u) is the range of draws reference_select maps to
+    experiment u (the cumulative mixture, clipped to 1, the last range
+    ending at 1).  A draw r in it gives the observation
+    #{k < Y - 1 : T[u, k] <= r}, clipped to the last symbol."""
+    cum = np.cumsum(spec.sample_alpha)
+    U = cum.size
+    T = np.empty_like(cum_rows)
+    for u in range(U):
+        lo = min(float(cum[u - 1]), 1.0) if u else 0.0
+        hi = min(float(cum[u]), 1.0) if u < U - 1 else 1.0
+        for k in range(cum_rows.shape[1]):
+            T[u, k] = min(lo + (hi - lo) * float(cum_rows[u, k]), hi)
+    return T
+
+
 def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
                     n_rows, track_llr_of=None):
     """Step the first n_rows trials of one chunk of the engine's random
     stream with whole-array numpy operations.  Returns the final raw log
     beliefs (n_rows, M), when track_llr_of = i is given the total LLRs
     (n_rows, M-1) of i against its alternates (else None), and each
-    row's observation counts n[u*Y + y] (n_rows, U*Y)."""
+    row's observation counts n[u*Y + y] (n_rows, U*Y).  Plain ors takes
+    its observation from its experiment draw, through
+    reference_joint_thresholds: it draws its observation uniforms, to
+    keep its place in the stream, and reads none of them."""
     ss = np.random.SeedSequence((master_seed, purpose, true_hyp, chunk_idx))
     gen = np.random.Generator(np.random.PCG64DXSM(ss))
     lb = np.tile(model.log_prior, (n_rows, 1))
     M, U, Y = model.kernel.shape
     counts = np.zeros((n_rows, U * Y), dtype=np.int64)
     cumk = np.cumsum(model.kernel[true_hyp], axis=1)
+    if spec.kind == "ors":
+        cumk = reference_joint_thresholds(spec, cumk)
     z = None
     if track_llr_of is not None:
         i = track_llr_of
@@ -355,6 +378,8 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
     for _ in range(N):
         exp_draws = gen.random(REFERENCE_CHUNK)[:n_rows]
         obs_draws = gen.random(REFERENCE_CHUNK)[:n_rows]
+        if spec.kind == "ors":
+            obs_draws = exp_draws
         u = reference_select(spec, lb, exp_draws)
         y = _reference_inv_cdf(cumk[u], obs_draws)
         lb += model.log_kernel[:, u, y].T

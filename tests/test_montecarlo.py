@@ -19,6 +19,7 @@ from fhat.model import make_model, ratio_lattice
 from fhat.numerics import log_normalize
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, default_epsilon, empirical_rule,
+                           mixture_cuts, pickable_experiments, select_batch,
                            select_experiment, symmetric_rule, symmetric_setup)
 from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
@@ -91,9 +92,10 @@ def reference_results(m, spec, N, h, seed, purpose, chunk_idx, rows, refs, zw=No
     stat = mc._stat_box(spec, N)
     if stat is None:
         return c_inc, zbar, False
-    K, _, (_, _, lo, width) = stat
+    K, _, (_, _, lo, width), shift = stat
     stride = np.cumprod([1, *width], dtype=np.int64)[:-1]
-    keys = (counts @ K - lo) @ stride
+    # the statistic keys in the high bits of the keys the decode reads
+    keys = ((counts @ K - lo) @ stride) << shift
     got_c, got_z = mc._key_statistics(m, stat, keys, refs, zw)
     tol = 1e-12 if N <= 60 else 1e-9
     assert np.abs(got_c - c_inc).max(initial=0) <= tol
@@ -110,7 +112,7 @@ def assert_trials_match_enumeration(m, kind, N, trials=2000):
     path.  The enumeration's states are the keys it hands
     mc._key_statistics, and their increments the ones it decides on
     (its call of decisions_from_increments).  Also run on table1 das at
-    N = 500 by a CI step."""
+    N = 500 and ors at N = 200 by a CI step."""
     M, _, Y = m.kernel.shape
     if kind == "symmetric":
         spec, rule = symmetric_setup(m, N, 0.05)
@@ -739,8 +741,10 @@ class TestPickCache:
                 want = reference_key_rows(spec, N, np.arange(a, a + len(rows)))
                 assert np.ascontiguousarray(rows).tobytes() == want.tobytes(), (spec.kind, N, a)
             want = reference_pick_table(spec, N)
-            assert got[0].dtype == want.dtype, (spec.kind, N)
-            assert np.array_equal(got[0], want), (spec.kind, N)
+            # the table holds each pick u as its row base u * Y
+            picks = got[0] // spec.model.num_observations
+            assert picks.dtype == want.dtype, (spec.kind, N)
+            assert np.array_equal(picks, want), (spec.kind, N)
             ranks.add(min(spec.pick_key.shape[1], 4))
         assert ranks == {0, 1, 2, 3, 4}
 
@@ -779,6 +783,91 @@ class TestPickCache:
                 assert np.array_equal(got[0], ref[0]), (spec.kind, N)
                 tables += 1
         assert tables >= 20
+
+    def test_packed_key_past_int64_takes_the_float_path(self):
+        """A trial on a pick table with a statistic lattice of its own
+        carries one int64, its statistic key shifted left past its pick
+        key.  Here das reads no ratio (two hypotheses: a one-entry table,
+        shift 1), and the statistic lattice has six columns, one per
+        observation row of two three-symbol experiments.  Its box fits
+        int64 at N = 1149 but not once shifted, so that run takes the
+        float path; at N = 1148, just inside, it takes the lattice path.
+        Both give bit for bit what reference_results makes of the
+        reference step loop."""
+        m = make_model(["a", "b"], ["u", "v"], ["0", "1", "2"],
+                       [[[0.2, 0.3, 0.5], [0.13, 0.17, 0.7]],
+                        [[0.07, 0.11, 0.82], [0.19, 0.23, 0.58]]], [0.5, 0.5])
+        for N, lattice in ((1148, True), (1149, False)):
+            spec = build_strategy(m, "das", N, reference=0)
+            assert mc._pick_table(spec, N)[0].size == 1
+            K, _ = ratio_lattice(m, range(2), pickable_experiments(spec))
+            assert K.shape[1] == 6 and mc._lattice_box(K, N, 1 << 63) is not None
+            stat = mc._stat_box(spec, N)
+            assert (stat is not None) == lattice
+            if lattice:
+                assert stat[3] == 1 and stat[2][0].dtype == np.int64
+            c_inc, _ = mc._simulate_chunk(m, spec, (N,), 1, 5, 0, 0, 0, 200, (0, 1), None)
+            want, _, took = reference_results(m, spec, N, 1, 5, 0, 0, 200, (0, 1))
+            assert took == lattice
+            assert np.array_equal(c_inc[0], want)
+
+
+class TestJointSampler:
+    """Plain ors samples its experiment and its observation from one
+    draw: the experiment's piece of [0, 1), cut in proportion to the
+    kernel of the true hypothesis (mc._sampling_thresholds)."""
+
+    @staticmethod
+    def ors_specs(t1, t2):
+        """ors at alpha* on table1, table2 (no mass on A and B) and the
+        random models with Y = 2, 3 and 4 (the last two with a
+        zero-probability symbol), and each with a mixture that puts no
+        mass on a middle experiment."""
+        for m in (t1, t2, *kernel_models()):
+            spec = build_strategy(m, "ors", 20, reference=0)
+            w = np.arange(1.0, m.num_experiments + 1)
+            w[m.num_experiments // 2] = 0.0
+            yield m, spec
+            yield m, replace(spec, sample_alpha=w / w.sum())
+
+    def test_thresholds_cut_each_piece_by_the_kernel(self, t1, t2):
+        """Under every hypothesis, experiment u's piece [lo_u, hi_u) of
+        mixture_cuts, cut at T[u, 0], ..., T[u, Y - 2], splits into
+        pieces of measure alpha_u p(y | u), within 1e-15, and
+        select_batch picks u exactly on [lo_u, hi_u): at every cut and
+        at the double just below it."""
+        shapes, zero_mass, zero_symbol = set(), False, False
+        for m, spec in self.ors_specs(t1, t2):
+            M, U, Y = m.kernel.shape
+            shapes.add(Y)
+            zero_mass |= bool((spec.sample_alpha == 0).any())
+            zero_symbol |= bool((m.kernel == 0).any())
+            cuts = mixture_cuts(spec)[0]
+            for h in range(M):
+                T = mc._sampling_thresholds(m, spec, h)
+                assert T.shape == (U, Y - 1)
+                edges = np.column_stack([cuts[:-1], T, cuts[1:]])
+                want = spec.sample_alpha[:, None] * m.kernel[h]
+                assert np.abs(np.diff(edges, axis=1) - want).max() <= 1e-15
+            draws = np.unique(np.concatenate([cuts, np.nextafter(cuts, 0.0)]))
+            draws = draws[draws < 1.0]
+            u = select_batch(spec, None, draws)
+            assert np.all((cuts[u] <= draws) & (draws < cuts[u + 1]))
+        assert shapes == {2, 3, 4} and zero_mass and zero_symbol
+
+    @pytest.mark.parametrize("name,N,theta", [("table1", 60, 3.0), ("table2", 40, 1.0)])
+    def test_ors_agrees_with_enumeration(self, t1, t2, name, N, theta):
+        """At a fixed threshold the exact psi and ln(1/phi) of ors lie
+        within 3 SE of 50 000 simulated trials, psi_hat and the
+        log-sum-exp estimate."""
+        m = t1 if name == "table1" else t2
+        spec = build_strategy(m, "ors", N, reference=0)
+        rule = empirical_rule(0, theta, 0.05)
+        exact = mc.enumerate_exact(m, spec, rule, N)
+        rep = mc.estimate(mc.SimulationConfig(m, spec, rule, N, 50000, 11))
+        assert abs(rep.psi_hat[0] - exact.psi[0]) <= 3 * rep.psi_se[0]
+        est = rep.lse[0]
+        assert abs(est.log_inv_phi + math.log(exact.phi[0])) <= 3 * est.se
 
 
 class TestSharedPickTable:

@@ -16,7 +16,8 @@ from fhat.numerics import log_normalize, logsumexp
 from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, criterion_holds, default_epsilon,
                            default_n_prime, empirical_rule, infer, mgf, mgf_matrix,
-                           reads_draws, reverse_kl_matrix, s_schedule, select_batch,
+                           mixture_cuts, pickable_experiments, reads_draws,
+                           reverse_kl_matrix, s_schedule, select_batch,
                            select_experiment, symmetric_rule, threshold_asymmetric,
                            threshold_symmetric)
 from oracles import log_likelihood_ratio, reference_select, score_all, score_M
@@ -211,6 +212,21 @@ class TestSelectExperiment:
         rng = np.random.default_rng(2)
         assert all(select_experiment(spec, Belief.uniform(3), rng) == 1
                    for _ in range(20))
+
+    def test_replaced_mixture_reads_no_stale_cuts(self, t1):
+        """ors makes its mixture's cuts once and keeps them in the spec;
+        a copy made by dataclasses.replace with another mixture, after
+        the original has used its cuts, starts with none and picks and
+        lists its experiments by its own."""
+        spec = build_strategy(t1, "ors", horizon=100, reference=0)
+        draws = np.linspace(0.0, 0.99, 100)
+        assert select_batch(spec, None, draws).tolist() == [int(r >= 0.5) for r in draws]
+        for alpha, want in (([0.0, 1.0], 1), ([1.0, 0.0], 0)):
+            copy = replace(spec, sample_alpha=np.array(alpha))
+            assert copy._cuts == []
+            assert (select_batch(copy, None, draws) == want).all()
+            assert pickable_experiments(copy).tolist() == [want]
+        assert mixture_cuts(spec)[0].tolist() == [0.0, spec.sample_alpha[0], 1.0]
 
     def test_symmetric_delegates_to_ml_hypothesis(self, t1):
         spec = build_strategy(t1, "symmetric", horizon=200)
