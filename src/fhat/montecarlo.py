@@ -15,7 +15,12 @@ calls the selector.  The pick is a function of the point whatever the
 chunk, purpose or true hypothesis, so the table of a (spec, horizon),
 made once and kept in the spec, serves all of its chunks and runs, and
 comparing two specs' picks over a box decides before running whether a
-shorter horizon shares a sweep run (_shares).
+shorter horizon shares a sweep run (_shares).  A step on a table, or
+of plain ``ors``, is one count: the table's base for the trial's pick,
+or 0, plus the number of a few cut points at or below the draw
+indexes a small step table of the true hypothesis (_count_step), with
+no selector call and no gather of thresholds.  Other runs, selector
+runs, pick by the selector at every step.
 
 Where selection reads no belief, on a pick table or under ``ors``, a
 trial's whole state is its point of the statistic lattice, the
@@ -189,18 +194,21 @@ def _pick_table(spec: StrategySpec, N: int):
     hypotheses selection reads (the key spans the experiments the rule
     can pick, the only ones its trials observe), so the pick is a
     function of the key.  The table holds the pick u at every point of
-    the box as its row base u * Y, made block by block from the
+    the box as u * W (_row_width), the base its count step adds to
+    (_count_step), whatever the true hypothesis; its type is the
+    narrowest that holds every base plus count, U * W - 1, so a step
+    counts into the bases it takes.  It is made block by block from the
     representative rows of _box_rows, before any trial runs, so it
     serves every chunk, stream purpose and true hypothesis of `spec` at
     N without a selector call.  The table is made once per (spec, N)
     and kept in the spec, which a pickle carries along."""
     tables = spec._pick_tables
     if N not in tables and _has_table(spec, N):
-        _, U, Y = spec.model.kernel.shape
+        U, W = spec.model.num_experiments, _row_width(spec)
         dk, key0, _, width = _lattice_box(spec.pick_key, N, PICK_TABLE_CAP)
-        table = np.empty(math.prod(width), dtype=np.min_scalar_type((U - 1) * Y))
+        table = np.empty(math.prod(width), dtype=np.min_scalar_type(U * W - 1))
         for a, rows in _box_rows(spec, N):
-            table[a:a + len(rows)] = _select_batch(spec, rows, None) * Y
+            table[a:a + len(rows)] = _select_batch(spec, rows, None) * W
         tables[N] = table, dk, key0
     return tables.get(N)
 
@@ -211,7 +219,8 @@ def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
     state alike, on the statistic lattice or in floats (_stat_box), and
     spec is horizon_free(), or other has spec's pick key and picks as
     spec's _pick_table at N at every point of its own (n - 1)-step box,
-    every key a trial reads in its first n steps.  The comparison runs
+    every key a trial reads in its first n steps: other's picks times
+    spec's W (_row_width) equal the table's bases.  The comparison runs
     block by block (_box_rows) and stops at the first that differs."""
     if (_stat_box(spec, N) is None) != (_stat_box(other, n) is None):
         return False
@@ -226,8 +235,8 @@ def _shares(spec: StrategySpec, N: int, other: StrategySpec, n: int) -> bool:
     # sliced to the (n - 1)-step box and flattened in that box's key order
     sub = table[0].reshape(width[::-1])[tuple(
         slice(b - a, b - a + w) for a, b, w in zip(lo, lo_n, width_n))[::-1]].ravel()
-    Y = spec.model.num_observations
-    return all(np.array_equal(_select_batch(other, rows, None) * Y, sub[a:a + len(rows)])
+    W = _row_width(spec)
+    return all(np.array_equal(_select_batch(other, rows, None) * W, sub[a:a + len(rows)])
                for a, rows in _box_rows(other, n - 1))
 
 
@@ -316,13 +325,62 @@ def _sampling_thresholds(model: HypothesisModel, spec: StrategySpec,
     true_hyp: the cumulative kernel cum but its last column, the clip to
     the last symbol.  Plain ``ors`` reads the draw r that picked u in
     [lo_u, hi_u) (mixture_cuts), and T[u, k] = min(lo_u + (hi_u - lo_u)
-    cum[u, k], hi_u) gives (u, y) probability alpha_u p(y | u)."""
+    cum[u, k], hi_u) gives (u, y) probability alpha_u p(y | u).  A
+    selector run gathers T at its picks; runs on a pick table and plain
+    ``ors`` count their draw against T's entries (_count_step)."""
     T = np.cumsum(model.kernel[true_hyp], axis=1)[:, :-1]
     if spec.kind != "ors":
         return T
     cuts = mixture_cuts(spec)[0]
     a, b = cuts[:-1, None], cuts[1:, None]
     return np.minimum(a + (b - a) * T, b)
+
+
+def _row_width(spec: StrategySpec) -> int:
+    """W = P + 1, P the number of sampling thresholds of the experiments
+    spec's rule can pick (pickable_experiments), Y - 1 each: a pick
+    table holds pick u as u * W, the first of the W rows its count step
+    reads (_count_step)."""
+    _, U, Y = spec.model.kernel.shape
+    pick = pickable_experiments(spec)
+    return (U if pick is None else len(pick)) * (Y - 1) + 1
+
+
+def _count_step(model: HypothesisModel, spec: StrategySpec,
+                true_hyp: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, rows) of the count step under X = true_hyp, for runs on a
+    pick table and plain ``ors``: a draw r and a base b (the table's
+    u * W, or 0) give the step's row u * Y + y = rows[b + #{cuts <= r}],
+    the inverse CDF of _sampling_thresholds with no selector call and no
+    gather of T.  The cuts are the points in (0, 1), kept with
+    multiplicity, in any order; the `off` points <= 0 pass every draw,
+    and those >= 1 none.
+
+    Plain ``ors``'s points are mixture_cuts' inner cuts and its clipped
+    T: each experiment's points lie in its piece, so #{points <= r} is
+    u * Y + y itself, and rows[c] = c + off.  On a table, the points are
+    T's entries of the pickable experiments.  Between two consecutive
+    distinct points every #{k : T[u, k] <= r} is fixed, so rows[u * W +
+    c] = u * Y + y(u, c + off) holds for every draw, y(u, c) the count
+    of T[u] at or below the c-th smallest point (0 at c = 0): the
+    entries below which fewer than c points lie.  The entries of other
+    experiments are never read."""
+    _, U, Y = model.kernel.shape
+    T = _sampling_thresholds(model, spec, true_hyp)
+    if spec.kind == "ors":
+        points = np.concatenate([mixture_cuts(spec)[0][1:-1], T.ravel()])
+    else:
+        pick = pickable_experiments(spec)
+        points = (T if pick is None else T[pick]).ravel()
+    off = int((points <= 0.0).sum())
+    cuts = points[points > 0.0]
+    cuts = cuts[cuts < 1.0]
+    if spec.kind == "ors":
+        return cuts, np.arange(off, off + cuts.size + 1)
+    below = (points < T[:, :, None]).sum(axis=2)
+    c = np.minimum(np.arange(_row_width(spec)) + off, points.size)
+    y = (below[:, None, :] < c[:, None]).sum(axis=2)
+    return cuts, (np.arange(U)[:, None] * Y + y).ravel()
 
 
 def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
@@ -342,24 +400,29 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     for every horizon >= n, so the state at each horizon is recorded on
     the way to the last; a run of one horizon is the tuple (N,).
 
-    spec's _pick_table at the last horizon, where it has one (a sweep
-    runs shorter horizons on it only where they pick alike, _shares),
-    gives a step each trial's row base u * Y with one take; the pick
-    there is the one the selector gives the trial's beliefs.  A trial
-    carries one int64 key, stepped by its row u * Y + y: where selection
-    reads no belief, on that table or under ``ors``, and the packed box
-    of spec's statistic lattice fits int64 at the last horizon
-    (_stat_box), its point of that lattice, its whole state, packed with
-    its pick key, which _key_statistics decodes at each horizon.
+    A run on spec's _pick_table at the last horizon, where it has one (a
+    sweep runs shorter horizons on it only where they pick alike,
+    _shares), and a plain ``ors`` run take one count step: an index, the
+    table's base u * W for each trial with one take (or 0 under
+    ``ors``) plus the number of _count_step's cuts at or below the draw,
+    in the table's narrow type, and one gather at it of a step table
+    re-indexed by _count_step's rows.  The pick there is the one the
+    selector gives the trial's beliefs.  Other runs, selector runs, call
+    the selector at every step and add y to the row base u * Y by a
+    gather of each column of _sampling_thresholds.
 
-    Otherwise the key is the pick key alone, if there is a table, and
-    the state is a row of floats per trial: log beliefs lb, and the
-    LLRs z when zbar is asked for, each step adding its observation's
-    row, and every step without a table runs the selector on lb.  Rows
-    of 3 floats, and the increment rows a step gathers for them, are
-    _padded to 4: ndarray.take copies 32-byte items on a fast path,
-    24-byte ones not.  Pads stay 0, unread, also by the selector, so the
-    symmetric composite's row gather takes the fast path too."""
+    A trial carries one int64 key, stepped by its row: where selection
+    reads no belief, on a table or under ``ors``, and the packed box of
+    spec's statistic lattice fits int64 at the last horizon (_stat_box),
+    its point of that lattice, its whole state, packed with its pick
+    key, which _key_statistics decodes at each horizon.  Otherwise the
+    key is the pick key alone, if there is a table, and the state is a
+    row of floats per trial: log beliefs lb, and the LLRs z when zbar is
+    asked for, each step adding its observation's row.  Rows of 3
+    floats, and the increment rows a step gathers for them, are _padded
+    to 4: ndarray.take copies 32-byte items on a fast path, 24-byte ones
+    not.  Pads stay 0, unread, also by the selector, so the symmetric
+    composite's row gather takes the fast path too."""
     M, U, Y = model.kernel.shape
     if horizons[0] < 0:
         raise ValueError(f"horizon must be >= 0, got {horizons[0]}")
@@ -370,8 +433,6 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     gen = _chunk_generator(master_seed, purpose, true_hyp, chunk_idx)
     reads = reads_draws(spec)
     joint = spec.kind == "ors"
-    cols = np.zeros((Y - 1, U * Y))     # column k of T by row base u * Y
-    cols[:, ::Y] = _sampling_thresholds(model, spec, true_hyp).T
     track_z = zbar_weights is not None
     table = _pick_table(spec, horizons[-1])
     stat = _stat_box(spec, horizons[-1])
@@ -388,9 +449,6 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
     if table is not None:
         picks, mask = table[0], (1 << shift) - 1
         pick_key = np.empty_like(key) if shift else key
-        # rows in the narrowest type that holds every row, as a rule the
-        # table's own, so a step adds y to the row bases in place
-        row_type = np.min_scalar_type(U * Y - 1)
     if stat is None:
         lbw = _padded(np.tile(model.log_prior, (hi - lo, 1)))
         lb = lbw[:, :M]
@@ -399,6 +457,21 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
         if track_z:
             llr_rows = _padded(llr_table(model, refs[0]).transpose(1, 2, 0).reshape(U * Y, -1))
             z = _padded(np.zeros((hi - lo, M - 1)))
+    count = joint or table is not None
+    if count:
+        cuts, rows = _count_step(model, spec, true_hyp)
+        hit = np.empty(hi - lo, dtype=bool)
+        row_type = np.min_scalar_type(cuts.size)    # ors: 0 plus the count
+        # every step table read at the count step's index, not its row
+        if key is not None:
+            key_steps = key_steps.take(rows)
+        if stat is None:
+            logk_rows = logk_rows.take(rows, axis=0)
+            if track_z:
+                llr_rows = llr_rows.take(rows, axis=0)
+    else:
+        cols = np.zeros((Y - 1, U * Y))     # column k of T by row base u * Y
+        cols[:, ::Y] = _sampling_thresholds(model, spec, true_hyp).T
     c_incs, zbars = [], []
     step = 0
     for stop in horizons:
@@ -415,15 +488,21 @@ def _simulate_chunk(model: HypothesisModel, spec: StrategySpec, horizons: tuple,
             if table is not None:
                 if shift:
                     np.bitwise_and(key, mask, out=pick_key)
-                row = picks.take(pick_key).astype(row_type, copy=False)
+                row = picks.take(pick_key)
+            elif joint:
+                row = np.zeros(hi - lo, dtype=row_type)
             else:
-                row = _select_batch(spec, lbw if stat is None else None, exp_draws)
+                row = _select_batch(spec, lbw, exp_draws)
                 row *= Y    # the selector's array is a new one
-            # the thresholds at the row base u * Y, before y is added
-            for cut in [col.take(row) for col in cols]:
-                row += (obs_draws >= cut).view(np.uint8)
+                # the thresholds at the row base u * Y, before y is added
+                for cut in [col.take(row) for col in cols]:
+                    row += (obs_draws >= cut).view(np.uint8)
+            if count:
+                for cut in cuts:
+                    row += np.greater_equal(obs_draws, cut, out=hit).view(np.uint8)
             if path is not None:
-                path.append(((row // Y).astype(np.int64), (row % Y).astype(np.int64)))
+                r = rows.take(row) if count else row
+                path.append(((r // Y).astype(np.int64), (r % Y).astype(np.int64)))
             if key is not None:
                 key += key_steps.take(row)
             if stat is None:
@@ -930,7 +1009,9 @@ def sweep(model: HypothesisModel, kinds, reference: int, horizons,
     _sweep_row.  An asymmetric kind calibrates its threshold on a batch
     of its own under `reference`; the symmetric composite keeps the
     thresholds of symmetric_setup.  "binary" raises ValueError off its
-    family (check_binary_family).
+    family (check_binary_family).  A row's log_inv_phi_se is the SE at
+    its calibrated theta and leaves out theta's own sampling noise, so
+    the row can move by several of its SEs between two valid streams.
 
     Rows come in the order of `kinds`, then of `horizons`; a repeated
     horizon is simulated once.  Horizons run in groups: the calibration

@@ -349,12 +349,13 @@ def reference_joint_thresholds(spec, cum_rows):
 
 
 def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
-                    n_rows, track_llr_of=None):
+                    n_rows, track_llr_of=None, path=None):
     """Step the first n_rows trials of one chunk of the engine's random
     stream with whole-array numpy operations.  Returns the final raw log
     beliefs (n_rows, M), when track_llr_of = i is given the total LLRs
     (n_rows, M-1) of i against its alternates (else None), and each
-    row's observation counts n[u*Y + y] (n_rows, U*Y).  Plain ors takes
+    row's observation counts n[u*Y + y] (n_rows, U*Y); a list `path`
+    gets each step's (u, y) arrays appended.  Plain ors takes
     its observation from its experiment draw, through
     reference_joint_thresholds: it draws its observation uniforms, to
     keep its place in the stream, and reads none of them."""
@@ -384,6 +385,8 @@ def reference_chunk(model, spec, N, true_hyp, master_seed, purpose, chunk_idx,
         y = _reference_inv_cdf(cumk[u], obs_draws)
         lb += model.log_kernel[:, u, y].T
         counts[np.arange(n_rows), u * Y + y] += 1
+        if path is not None:
+            path.append((u, y))
         if z is not None:
             z += llr[:, u, y].T
     return lb, z, counts

@@ -21,10 +21,11 @@ from fhat.strategy import (INNER_KINDS, KINDS, InferenceRule, asymmetric_rule,
                            build_strategy, default_epsilon, empirical_rule,
                            mixture_cuts, pickable_experiments, select_batch,
                            select_experiment, symmetric_rule, symmetric_setup)
-from oracles import (REFERENCE_CHUNK, ZeroRng, reference_chunk,
+from oracles import (REFERENCE_CHUNK, ZeroRng, _reference_inv_cdf, reference_chunk,
                      reference_enumerate_exact, reference_enumerate_paths,
-                     reference_key_rows, reference_pick_table,
-                     reference_ratio_matrix, reference_select_experiment)
+                     reference_joint_thresholds, reference_key_rows,
+                     reference_pick_table, reference_ratio_matrix, reference_select,
+                     reference_select_experiment)
 
 
 def identical_rows_model():
@@ -741,8 +742,8 @@ class TestPickCache:
                 want = reference_key_rows(spec, N, np.arange(a, a + len(rows)))
                 assert np.ascontiguousarray(rows).tobytes() == want.tobytes(), (spec.kind, N, a)
             want = reference_pick_table(spec, N)
-            # the table holds each pick u as its row base u * Y
-            picks = got[0] // spec.model.num_observations
+            # the table holds each pick u as its count step's base u * W
+            picks = got[0] // mc._row_width(spec)
             assert picks.dtype == want.dtype, (spec.kind, N)
             assert np.array_equal(picks, want), (spec.kind, N)
             ranks.add(min(spec.pick_key.shape[1], 4))
@@ -868,6 +869,111 @@ class TestJointSampler:
         assert abs(rep.psi_hat[0] - exact.psi[0]) <= 3 * rep.psi_se[0]
         est = rep.lse[0]
         assert abs(est.log_inv_phi + math.log(exact.phi[0])) <= 3 * est.se
+
+
+class TestCountStep:
+    """Runs on a pick table and plain ors take a step's row as
+    rows[base + #{cuts <= r}] (mc._count_step): the base the table holds
+    for the trial's pick, or 0, plus a count of the draw against a few
+    points, with no selector call and no gather of thresholds."""
+
+    @staticmethod
+    def count_specs(t1, t2):
+        """Plain ors (TestJointSampler.ors_specs, with its zero-mass
+        middle experiments) and every rule a pick table serves, alone or
+        as the symmetric composite's inner rule, on table1, table2 and
+        the random models with Y = 2, 3 and 4."""
+        yield from TestJointSampler.ors_specs(t1, t2)
+        for m in (t1, t2, *kernel_models()):
+            for kind in ("das", "das-rs", "chernoff-det"):
+                yield m, build_strategy(m, kind, 20, reference=0)
+                yield m, build_strategy(m, "symmetric", 20, inner_kind=kind)
+
+    def test_base_plus_count_gives_the_oracle_row(self, t1, t2):
+        """Under every hypothesis, at the draw 0.0, at every sampling
+        point and at the double just below each, the count step's row is
+        the oracle's u * Y + y.  Plain ors has base 0, u from
+        oracles.reference_select and y from _reference_inv_cdf of
+        reference_joint_thresholds; a rule on a table has each
+        experiment it can pick at base u * W and y from _reference_inv_cdf
+        of the cumulative kernel, and its table at N = 20, where it has
+        one, holds reference_pick_table's picks times W."""
+        tables = 0
+        for m, spec in self.count_specs(t1, t2):
+            M, U, Y = m.kernel.shape
+            ors = spec.kind == "ors"
+            W = None if ors else mc._row_width(spec)
+            if not ors and mc._pick_table(spec, 20) is not None:
+                tables += 1
+                assert np.array_equal(mc._pick_table(spec, 20)[0],
+                                      reference_pick_table(spec, 20) * W)
+            for h in range(M):
+                cum = np.cumsum(m.kernel[h], axis=1)
+                T = reference_joint_thresholds(spec, cum) if ors else cum
+                points = T[:, :-1].ravel()
+                if ors:
+                    points = np.concatenate([points, np.cumsum(spec.sample_alpha)])
+                draws = np.concatenate([[0.0], points, np.nextafter(points, -np.inf)])
+                draws = np.unique(draws[(draws >= 0.0) & (draws < 1.0)])
+                cuts, rows = mc._count_step(m, spec, h)
+                count = (draws[:, None] >= cuts).sum(axis=1)
+                if ors:
+                    u = reference_select(spec, np.zeros((draws.size, M)), draws)
+                    cases = [(0, u)]
+                else:
+                    pick = pickable_experiments(spec)
+                    cases = [(v * W, np.full(draws.size, v))
+                             for v in (range(U) if pick is None else pick)]
+                for base, u in cases:
+                    want = u * Y + _reference_inv_cdf(T[u], draws)
+                    assert np.array_equal(rows[base + count], want), (spec.kind, h)
+        assert tables == 9
+
+    def test_ors_runs_select_no_row(self, t1, t2, monkeypatch):
+        """With mc._select_batch patched to raise, plain ors runs on the
+        lattice path (table1, table2) and on float state (the Y = 4
+        model) give bit for bit what reference_results makes of the
+        reference step loop, with snapshots and through run_trial."""
+        def refuse(spec, lb, draws):
+            raise AssertionError("plain ors called the selector")
+
+        monkeypatch.setattr(mc, "_select_batch", refuse)
+        y4 = kernel_models()[-1]
+        paths = set()
+        for m in (t1, t2, y4):
+            spec = build_strategy(m, "ors", 40, reference=0)
+            zw = spec.game.beta_star
+            for h in range(m.num_hypotheses):
+                c_inc, zbar = mc.simulate_measure(m, spec, 40, h, 300, 5, refs=(0,),
+                                                  zbar_weights=zw, snapshots=(10,))
+                for k, N in enumerate((10, 40)):
+                    want_c, want_z, lattice = reference_results(m, spec, N, h, 5, 0, 0,
+                                                                300, (0,), zw)
+                    paths.add(lattice)
+                    assert np.array_equal(c_inc[k], want_c)
+                    assert np.array_equal(zbar[k], want_z)
+                mc.run_trial(m, spec, empirical_rule(0, 0.0, 0.05), 40, h, 5, 7)
+        assert paths == {True, False}
+
+    def test_run_trial_paths_match_the_reference_loop(self, t1, t2):
+        """run_trial's path, on a pick table and under plain ors, is the
+        reference step loop's (oracles.reference_chunk), step for step,
+        under every hypothesis."""
+        y4 = kernel_models()[-1]
+        cases = [(t1, "das", 200), (t1, "symmetric", 60), (t2, "das-rs", 60),
+                 (t2, "chernoff-det", 40), (t1, "ors", 60), (t2, "ors", 60), (y4, "ors", 40)]
+        for m, kind, N in cases:
+            if kind == "symmetric":
+                spec, rule = symmetric_setup(m, N, 0.05)
+            else:
+                spec, rule = build_strategy(m, kind, N, reference=0), empirical_rule(0, 0.0, 0.05)
+            assert kind == "ors" or mc._pick_table(spec, N) is not None
+            for h in range(m.num_hypotheses):
+                path = []
+                reference_chunk(m, spec, N, h, 9, mc.PURPOSE_ESTIMATE, 0, 20, path=path)
+                for t in (0, 7, 19):
+                    traj, _ = mc.run_trial(m, spec, rule, N, h, 9, t)
+                    assert traj.history == tuple((int(u[t]), int(y[t])) for u, y in path)
 
 
 class TestSharedPickTable:
